@@ -11,7 +11,7 @@ representations for uniqueness experiments.
 
 from .admissibility import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED,
                             AdmissibilityBound, AdmissibilityReport,
-                            AlphabetInfo, RestrictedScheme, Violation,
+                            AlphabetInfo, Violation,
                             golden_forbidden_factor_check,
                             is_admissible_greedy, is_admissible_lazy,
                             ito_sadahiro_admissible, minimal_alphabet,

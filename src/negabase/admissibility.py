@@ -14,16 +14,15 @@ subinterval, lazy admissibility via digitwise complement, and the
 forbidden-factor style checks for binary golden-ratio strings.
 """
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from typing import Optional
 
-from .schemes import (DEFAULT_ORBIT_BUDGET, STATUS_OK,
-                      STATUS_PERIOD_NOT_FOUND, DomainError, Expansion,
-                      Interval, _beta2_tables, all_pair_digits, interval_I)
-from .words import DigitString, PairDigit, complement_pairs
+from .field import context_cached
+from .schemes import (DEFAULT_ORBIT_BUDGET, Expansion, Interval, Scheme,
+                      SchemeCell, _beta2_tables, all_pair_digits, interval_I,
+                      run_scheme)
+from .words import PairDigit, complement_pairs
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -63,7 +62,7 @@ class AlphabetInfo:
     full: bool
 
 
-@lru_cache(maxsize=None)
+@context_cached
 def minimal_alphabet(ctx):
     """Pair digits that occur infinitely often in greedy expansions on the
     invariant subinterval: all pairs with b >= 1 plus the pure-integer
@@ -80,77 +79,22 @@ def minimal_alphabet(ctx):
     return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], full)
 
 
-@dataclass(frozen=True)
-class RestrictedScheme:
-    """The squared-base greedy map restricted to the invariant subinterval,
-    with both the right-continuous cells [lo, hi) and their left-continuous
-    mirror (lo, hi]."""
-
-    ctx: object
-    pairs: tuple
-    values: tuple
-    lows: tuple
-    highs: tuple
-
-    @property
-    def attractor(self):
-        return Interval(self.lows[0], self.highs[-1], True, False)
-
-    def _locate(self, x, left):
-        for i in range(len(self.pairs)):
-            lo_s = (x - self.lows[i]).sign()
-            hi_s = (self.highs[i] - x).sign()
-            if left:
-                if lo_s > 0 and hi_s >= 0:
-                    return i
-            else:
-                if lo_s >= 0 and hi_s > 0:
-                    return i
-        raise DomainError(f"x = {x.as_text()} outside the invariant subinterval")
-
-    def digit_right(self, x):
-        return self.pairs[self._locate(x, left=False)]
-
-    def step_right(self, x):
-        i = self._locate(x, left=False)
-        return self.pairs[i], self.ctx.beta() ** 2 * x - self.values[i]
-
-    def digit_left(self, x):
-        return self.pairs[self._locate(x, left=True)]
-
-    def step_left(self, x):
-        i = self._locate(x, left=True)
-        return self.pairs[i], self.ctx.beta() ** 2 * x - self.values[i]
-
-    def expand_left(self, x, orbit_budget=DEFAULT_ORBIT_BUDGET):
-        """The left-continuous reference expansion of x, period-detected."""
-        digits = []
-        state = x
-        seen = {state.coeffs: 0}
-        for _ in range(orbit_budget):
-            d, state = self.step_left(state)
-            digits.append(d)
-            key = state.coeffs
-            if key in seen:
-                i = seen[key]
-                return Expansion(DigitString.periodic(digits[:i], digits[i:]),
-                                 STATUS_OK)
-            seen[key] = len(digits)
-        return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND)
-
-
-@lru_cache(maxsize=None)
+@context_cached
 def restricted_scheme(ctx):
+    """The left-continuous squared-base greedy map on the invariant
+    subinterval (l, l+1]: cells (gamma_i, gamma_{i+1}] over the minimal
+    greedy alphabet."""
     alpha = minimal_alphabet(ctx)
     pairs_all, values_all, gammas, _ = _beta2_tables(ctx)
     n = len(alpha.greedy)
     if pairs_all[:n] != alpha.greedy:
         raise AssertionError("minimal alphabet is not an initial segment")
     l = interval_I(ctx).lo
-    l_plus_1 = l + 1
-    lows = gammas[:n]
-    highs = tuple(gammas[1:n]) + (l_plus_1,)
-    return RestrictedScheme(ctx, alpha.greedy, values_all[:n], lows, highs)
+    highs = gammas[1:n] + (l + 1,)
+    cells = tuple(SchemeCell(Interval(gammas[i], highs[i], False, True),
+                             alpha.greedy[i], values_all[i]) for i in range(n))
+    return Scheme(ctx.beta() * ctx.beta(), Interval(l, l + 1, False, True),
+                  cells).validate()
 
 
 @dataclass(frozen=True)
@@ -165,29 +109,22 @@ class AdmissibilityBound:
         return self.top.ok and self.mid.ok
 
 
-_bounds_cache = {}
-_bounds_lock = threading.Lock()
-
-
 def reference_bounds(ctx, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Compute (and memoize) the two reference expansions for the base."""
-    key = (ctx, orbit_budget)
-    with _bounds_lock:
-        cached = _bounds_cache.get(key)
-    if cached is not None:
-        return cached
-    rs = restricted_scheme(ctx)
-    l_plus_1 = rs.highs[-1]
-    _, after_top = rs.step_left(l_plus_1)
-    top = rs.expand_left(after_top, orbit_budget)
-    mid = rs.expand_left(interval_I(ctx).lo + ctx.frac_beta(), orbit_budget)
-    bounds = AdmissibilityBound(top, mid)
-    with _bounds_lock:
-        _bounds_cache[key] = bounds
-    return bounds
+    return _reference_bounds(ctx, orbit_budget)
 
 
-@lru_cache(maxsize=None)
+@context_cached
+def _reference_bounds(ctx, orbit_budget):
+    scheme = restricted_scheme(ctx)
+    _, after_top = scheme.step(scheme.domain.hi)
+    top = run_scheme(scheme, after_top, orbit_budget=orbit_budget)
+    mid = run_scheme(scheme, interval_I(ctx).lo + ctx.frac_beta(),
+                     orbit_budget=orbit_budget)
+    return AdmissibilityBound(top, mid)
+
+
+@context_cached
 def _checker_tables(ctx, bounds):
     alpha = minimal_alphabet(ctx)
     rank = {p: i for i, p in enumerate(alpha.greedy)}
@@ -331,6 +268,12 @@ def _stream_runs(word, copies=4):
     return _runs(word.preperiod + word.period * copies)
 
 
+def _periodic_window(word):
+    # every run that recurs forever starts once inside the second copy of
+    # a non-constant period, and ends before the fourth copy does
+    return len(word.preperiod) + 2 * len(word.period)
+
+
 def golden_forbidden_factor_check(word):
     """Can this binary string be the greedy expansion of a point of the
     invariant subinterval for the golden-ratio base?
@@ -375,7 +318,7 @@ def golden_forbidden_factor_check(word):
         d = per[0]
         return AdmissibilityReport(
             REJECTED, Violation(RULE_FACTOR, len(pre) + 1, f"{d}^omega"))
-    window = len(pre) + len(per)
+    window = _periodic_window(word)
     for idx, (d, n, s) in enumerate(_stream_runs(word)):
         if s >= window:
             break
@@ -424,7 +367,7 @@ def ito_sadahiro_admissible(word):
             return AdmissibilityReport(REJECTED, v)
         return AdmissibilityReport(ADMISSIBLE)
 
-    v = gap_violations(_stream_runs(word), len(pre) + len(per))
+    v = gap_violations(_stream_runs(word), _periodic_window(word))
     if v:
         return AdmissibilityReport(REJECTED, v)
     return AdmissibilityReport(ADMISSIBLE)

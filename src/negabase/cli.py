@@ -89,21 +89,25 @@ def _cmd_expand(args):
     budget = _orbit_budget()
     depth = args.depth
     kind = args.kind
+    evaluate = eval_neg_beta
     if kind == "greedy":
         exp = greedy_neg_beta(x, depth, budget)
-        value = eval_neg_beta(ctx, exp.word)
     elif kind == "lazy":
         exp = lazy_neg_beta(x, depth, budget)
-        value = eval_neg_beta(ctx, exp.word)
     elif kind == "is":
         exp = run_scheme(build_ito_sadahiro_scheme(ctx), x, depth, budget)
-        value = eval_neg_beta(ctx, exp.word)
     elif kind in ("beta2-greedy", "beta2-lazy"):
         scheme = build_beta2_scheme(ctx, kind.split("-")[1])
         exp = run_scheme(scheme, x, depth, budget)
-        value = eval_beta2_pairs(ctx, exp.word)
+        evaluate = eval_beta2_pairs
     else:  # pragma: no cover
         raise ParseError(f"unknown kind {kind!r}")
+    evaluated = round_trip = None
+    if exp.ok:
+        # a prefix cut off by the orbit budget is not a value of x; its
+        # exact value can be too long to print
+        value = evaluate(ctx, exp.word)
+        evaluated, round_trip = coeff_vector(value), (value - x).sign() == 0
     info = _expansion_info(exp)
     report = {
         "schema": SCHEMA_VERSION,
@@ -114,15 +118,16 @@ def _cmd_expand(args):
         "x": _element_info(args.x, x),
         "kind": kind,
         "result": info,
-        "evaluated": coeff_vector(value),
-        "round_trip": (value - x).sign() == 0,
+        "evaluated": evaluated,
+        "round_trip": round_trip,
     }
     lines = [
         f"{kind}({args.x}) in base {args.base}: {info['word']}",
         f"  preperiod {info['preperiod_length']}, period {info['period_length']},"
         f" status {info['status']}",
-        f"  round-trip exact: {'yes' if report['round_trip'] else 'no'}",
     ]
+    if exp.ok:
+        lines.append(f"  round-trip exact: {'yes' if round_trip else 'no'}")
     return report, lines
 
 
@@ -245,8 +250,6 @@ def _order_verdict(a, b, probe=60):
     missing period leaves the comparison unsettled."""
     if a.ok and b.ok and not a.word.is_finite and not b.word.is_finite:
         return _ORDER_TEXT[alt_compare(a.word, b.word)]
-    from .words import DigitString
-
     n = probe
     for exp in (a, b):
         if exp.word.is_finite:

@@ -14,6 +14,7 @@ arithmetic collapses to plain rationals.
 
 import threading
 from fractions import Fraction
+from functools import wraps
 
 from . import _polys as P
 
@@ -46,14 +47,15 @@ class FieldContext:
     """The base beta: minimal polynomial plus a refinable isolating bracket.
 
     Instances are immutable apart from the internal refinement cache,
-    which only ever tightens the bracket and is guarded by a lock, so a
-    context can be shared freely between threads.
+    which only ever tightens the bracket and is guarded by a lock, and
+    the per-base tables of `context_cached`, which are filled once per
+    key; so a context can be shared freely between threads.
     """
 
     __slots__ = (
         "min_poly", "_modulus", "_initial_bracket", "_refinements",
         "_exact_root", "_certified", "_mod_sign_lo", "_lock",
-        "_power_table", "_floor_beta", "__weakref__",
+        "_power_table", "_beta", "_floor_beta", "_tables", "__weakref__",
     )
 
     def __init__(self, min_poly, modulus, bracket, exact_root, certified):
@@ -66,14 +68,16 @@ class FieldContext:
         self._mod_sign_lo = _rational_sign(P.eval_poly(modulus, bracket[0]))
         self._lock = threading.Lock()
         self._floor_beta = None
+        self._tables = {}
         d = self.degree
         table = {}
         if d > 1:
             # beta^k for k in [d, 2d-2], reduced; used to fold products
-            xk = tuple(Fraction(0) if i < d else Fraction(1) for i in range(d + 1))
             for k in range(d, 2 * d - 1):
                 table[k] = tuple(P.divmod_poly(_x_power(k), modulus)[1] + (Fraction(0),) * d)[:d]
         self._power_table = table
+        # degree one: the modulus is x - rho
+        self._beta = self.element(-modulus[0]) if d == 1 else self.from_coeffs([0, 1])
         fb = self._compute_floor()
         if fb < 1:
             raise FieldError("base must be greater than 1")
@@ -170,10 +174,7 @@ class FieldContext:
         return self.element(1)
 
     def beta(self):
-        if self.degree == 1:
-            # modulus x - rho
-            return self.element(-self._modulus[0])
-        return self.from_coeffs([0, 1])
+        return self._beta
 
     def frac_beta(self):
         """The fractional part beta - floor(beta)."""
@@ -183,6 +184,21 @@ class FieldContext:
         if self._exact_root is not None:
             return self._exact_root.numerator // self._exact_root.denominator
         return self.beta().floor()
+
+
+def context_cached(fn):
+    """Memoize fn(ctx, *args) on the context: each per-base table is built
+    once and freed along with its context."""
+
+    @wraps(fn)
+    def cached(ctx, *args):
+        key = (fn,) + args
+        try:
+            return ctx._tables[key]
+        except KeyError:
+            return ctx._tables.setdefault(key, fn(ctx, *args))
+
+    return cached
 
 
 def _x_power(k):

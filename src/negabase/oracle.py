@@ -5,15 +5,17 @@ representation.  A digit a is usable at remainder y exactly when
 -beta*y - a lands back in the representable interval, and because that
 interval is precisely the set of representable numbers, staying inside
 it certifies extendability.  This turns the infinite-future question
-into a one-step test and makes the enumeration an independent oracle
-for the greedy/lazy algorithms and for uniqueness experiments.
+into a one-step test, the same one the greedy/lazy algorithms use; the
+enumeration keeps every usable digit instead of choosing one, which
+makes it an oracle for their digit choices and for uniqueness
+experiments.
 """
 
 import random
 from dataclasses import dataclass
 
 from .field import ExactReal, FieldError
-from .schemes import DomainError, eval_neg_beta, interval_I
+from .schemes import DomainError, _feasible_steps, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -23,64 +25,39 @@ class BranchBudgetError(RuntimeError):
     """The enumeration tree grew past the configured node budget."""
 
 
-def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
-    """All length-`depth` digit prefixes of representations of x, sorted
-    by the alternate order."""
-    ctx = x.context
-    I = interval_I(ctx)
+def _walk(x, depth, node_budget):
+    """Breadth-first over the extendable prefixes of x: all of length
+    `depth`, in the order found."""
+    I = interval_I(x.context)
     if not I.contains(x):
         raise DomainError(f"x = {x.as_text()} outside {I}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    beta = ctx.beta()
-    fb = ctx.floor_beta
-    l, r = I.lo, I.hi
     level = [((), x)]
     nodes = 0
     for _ in range(depth):
         nxt = []
         for prefix, y in level:
-            z = -(beta * y)
-            for a in range(fb + 1):
-                w = z - a
-                if (w - l).sign() >= 0 and (r - w).sign() >= 0:
-                    nxt.append((prefix + (a,), w))
-                    nodes += 1
-                    if nodes > node_budget:
-                        raise BranchBudgetError(
-                            f"more than {node_budget} branch nodes at depth {depth}")
+            for a, w in _feasible_steps(y):
+                nxt.append((prefix + (a,), w))
+                nodes += 1
+                if nodes > node_budget:
+                    raise BranchBudgetError(
+                        f"more than {node_budget} branch nodes at depth {depth}")
         level = nxt
-    return sorted((p for p, _ in level), key=alt_sort_key)
+    return [p for p, _ in level]
+
+
+def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
+    """All length-`depth` digit prefixes of representations of x, sorted
+    by the alternate order."""
+    return sorted(_walk(x, depth, node_budget), key=alt_sort_key)
 
 
 def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     """Number of extendable depth-`depth` prefixes; 1 is (necessary)
     evidence that x is uniquely representable."""
-    ctx = x.context
-    I = interval_I(ctx)
-    if not I.contains(x):
-        raise DomainError(f"x = {x.as_text()} outside {I}")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    beta = ctx.beta()
-    fb = ctx.floor_beta
-    l, r = I.lo, I.hi
-    level = [x]
-    nodes = 0
-    for _ in range(depth):
-        nxt = []
-        for y in level:
-            z = -(beta * y)
-            for a in range(fb + 1):
-                w = z - a
-                if (w - l).sign() >= 0 and (r - w).sign() >= 0:
-                    nxt.append(w)
-                    nodes += 1
-                    if nodes > node_budget:
-                        raise BranchBudgetError(
-                            f"more than {node_budget} branch nodes at depth {depth}")
-        level = nxt
-    return len(level)
+    return len(_walk(x, depth, node_budget))
 
 
 def extremal_prefix(x, depth, which="max", node_budget=DEFAULT_NODE_BUDGET):

@@ -14,10 +14,9 @@ budget; those come back as finite prefixes with an explicit status.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .field import ExactReal
+from .field import ExactReal, context_cached
 from .words import DigitString, PairDigit, pair_sort_key
 
 DEFAULT_ORBIT_BUDGET = 10_000
@@ -64,7 +63,7 @@ def _subset(inner, outer):
     return True
 
 
-@lru_cache(maxsize=None)
+@context_cached
 def interval_I(ctx):
     """The interval of representable numbers [l, r] for base -beta."""
     beta = ctx.beta()
@@ -85,16 +84,24 @@ def digit_subinterval(ctx, a):
                     (ctx.element(a) + I.lo) * minus_binv, True, True)
 
 
+def _feasible_steps(y, descending=False):
+    """Yield (a, -beta*y - a) for every digit a whose remainder lies in I,
+    in ascending (or descending) digit order.  Callers that want one digit
+    stop at the first pair, so later digits are never tested."""
+    ctx = y.context
+    I = interval_I(ctx)
+    l, r = I.lo, I.hi
+    z = -(ctx.beta() * y)
+    fb = ctx.floor_beta
+    for a in (range(fb, -1, -1) if descending else range(fb + 1)):
+        w = z - a
+        if (w - l).sign() >= 0 and (r - w).sign() >= 0:
+            yield a, w
+
+
 def feasible_digits(x):
     """Digits a with -beta*x - a still representable."""
-    ctx = x.context
-    I = interval_I(ctx)
-    y = -(ctx.beta() * x)
-    out = []
-    for a in range(ctx.floor_beta + 1):
-        if I.contains(y - a):
-            out.append(a)
-    return out
+    return [a for a, _ in _feasible_steps(x)]
 
 
 def _require_in(I, x, what="x"):
@@ -109,15 +116,13 @@ def step_min_digit(x):
     single digits; the alternating greedy algorithm starts with it.
     """
     _require_in(interval_I(x.context), x)
-    a = feasible_digits(x)[0]
-    return a, -(x.context.beta() * x) - a
+    return next(_feasible_steps(x))
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
     _require_in(interval_I(x.context), x)
-    a = feasible_digits(x)[-1]
-    return a, -(x.context.beta() * x) - a
+    return next(_feasible_steps(x, descending=True))
 
 
 @dataclass(frozen=True)
@@ -141,64 +146,60 @@ def _endpoint_flag(I, x):
     return None
 
 
-def _alternating_expansion(x, start_with_min, depth, orbit_budget):
-    ctx = x.context
-    I = interval_I(ctx)
-    _require_in(I, x)
-    endpoint = _endpoint_flag(I, x)
-    beta = ctx.beta()
-    fb = ctx.floor_beta
-    l, r = I.lo, I.hi
+def _orbit(domain, x, step, start, key, depth, orbit_budget):
+    """Digits along the orbit of `start` under step(state) -> (digit, state).
 
-    def one_step(y, use_min):
-        z = -(beta * y)
-        if use_min:
-            for a in range(fb + 1):
-                w = z - a
-                if (w - l).sign() >= 0 and (r - w).sign() >= 0:
-                    return a, w
-        else:
-            for a in range(fb, -1, -1):
-                w = z - a
-                if (w - l).sign() >= 0 and (r - w).sign() >= 0:
-                    return a, w
-        raise DomainError(f"no feasible digit at {y.as_text()}")  # pragma: no cover
-
+    With a depth, exactly that many digits.  Otherwise the states are
+    hashed by key(state) and the first repeat closes the period; no repeat
+    within orbit_budget steps leaves a finite prefix marked
+    period-not-found.  x is the point of `domain` the orbit starts from.
+    """
+    _require_in(domain, x)
+    endpoint = _endpoint_flag(domain, x)
     digits = []
-    state = x
-    use_min = start_with_min
+    state = start
     if depth is not None:
         if depth < 1:
             raise ValueError("depth must be at least 1")
         for _ in range(depth):
-            d, state = one_step(state, use_min)
+            d, state = step(state)
             digits.append(d)
-            use_min = not use_min
         return Expansion(DigitString.finite(digits), STATUS_OK, endpoint)
-
-    seen = {(use_min, state.coeffs): 0}
+    seen = {key(state): 0}
     for _ in range(orbit_budget):
-        d, state = one_step(state, use_min)
+        d, state = step(state)
         digits.append(d)
-        use_min = not use_min
-        key = (use_min, state.coeffs)
-        if key in seen:
-            i = seen[key]
+        k = key(state)
+        if k in seen:
+            i = seen[k]
             return Expansion(DigitString.periodic(digits[:i], digits[i:]),
                              STATUS_OK, endpoint)
-        seen[key] = len(digits)
+        seen[k] = len(digits)
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
+
+
+def _alternating_step(state):
+    # the state (use_min, y): smallest and largest feasible digit alternate
+    use_min, y = state
+    a, w = next(_feasible_steps(y, descending=not use_min))
+    return a, (not use_min, w)
+
+
+def _alternating_key(state):
+    return state[0], state[1].coeffs
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Greedy digits of x in base -beta: the alternate-order maximum of
     all representations.  depth=None detects the eventual period."""
-    return _alternating_expansion(x, True, depth, orbit_budget)
+    return _orbit(interval_I(x.context), x, _alternating_step, (True, x),
+                  _alternating_key, depth, orbit_budget)
 
 
 def lazy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Lazy digits of x in base -beta: the alternate-order minimum."""
-    return _alternating_expansion(x, False, depth, orbit_budget)
+    return _orbit(interval_I(x.context), x, _alternating_step, (False, x),
+                  _alternating_key, depth, orbit_budget)
 
 
 def symmetric_partner(x):
@@ -210,7 +211,7 @@ def symmetric_partner(x):
 
 # -- squared-base schemes ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@context_cached
 def all_pair_digits(ctx):
     """The pair alphabet, sorted increasingly by value -b*beta + a."""
     fb = ctx.floor_beta
@@ -239,7 +240,7 @@ def pair_predecessor(ctx, p):
     return pairs[i - 1]
 
 
-@lru_cache(maxsize=None)
+@context_cached
 def _beta2_tables(ctx):
     pairs = all_pair_digits(ctx)
     I = interval_I(ctx)
@@ -273,16 +274,15 @@ class SchemeCell:
 class Scheme:
     """A (base, domain, digit map) triple with T(x) = base*x - D(x).
 
-    The digit map is piecewise constant over the cells; construction via
-    validate() checks exactly that every cell image lands inside the
-    domain again.  Schemes whose cells tile the domain left to right may
-    set `contiguous`, which unlocks a cheaper digit lookup.
+    The digit map is piecewise constant over the cells, which tile the
+    domain left to right; construction via validate() checks exactly that
+    the cells tile the domain and that every cell image lands inside the
+    domain again.
     """
 
     base: ExactReal
     domain: Interval
     cells: tuple
-    contiguous: bool = False
 
     def validate(self):
         up = self.base.sign() > 0
@@ -299,31 +299,29 @@ class Scheme:
             if not _subset(image, self.domain):
                 raise ValueError(
                     f"cell {iv}: image {image} escapes the domain {self.domain}")
-        if self.contiguous:
-            cells = self.cells
-            if (cells[0].interval.lo - self.domain.lo).sign() != 0 \
-                    or (cells[-1].interval.hi - self.domain.hi).sign() != 0:
-                raise ValueError("contiguous cells must span the domain")
-            for a, b in zip(cells, cells[1:]):
-                if (a.interval.hi - b.interval.lo).sign() != 0 \
-                        or a.interval.hi_closed == b.interval.lo_closed:
-                    raise ValueError("cells do not tile the domain")
+        cells = self.cells
+        if (cells[0].interval.lo - self.domain.lo).sign() != 0 \
+                or (cells[-1].interval.hi - self.domain.hi).sign() != 0:
+            raise ValueError("cells must span the domain")
+        for a, b in zip(cells, cells[1:]):
+            if (a.interval.hi - b.interval.lo).sign() != 0 \
+                    or a.interval.hi_closed == b.interval.lo_closed:
+                raise ValueError("cells do not tile the domain")
         return self
 
-    def locate(self, x):
-        if self.contiguous:
-            if not self.domain.contains(x):
-                raise DomainError(f"x = {x.as_text()} outside {self.domain}")
-            for cell in self.cells[:-1]:
-                iv = cell.interval
-                s = (iv.hi - x).sign()
-                if s > 0 or (s == 0 and iv.hi_closed):
-                    return cell
-            return self.cells[-1]
-        for cell in self.cells:
-            if cell.interval.contains(x):
+    def _cell(self, x):
+        # the cells tile the domain, so the first whose right end is not
+        # left of x holds it
+        for cell in self.cells[:-1]:
+            iv = cell.interval
+            s = (iv.hi - x).sign()
+            if s > 0 or (s == 0 and iv.hi_closed):
                 return cell
-        raise DomainError(f"x = {x.as_text()} outside {self.domain}")
+        return self.cells[-1]
+
+    def locate(self, x):
+        _require_in(self.domain, x)
+        return self._cell(x)
 
     def step(self, x):
         cell = self.locate(x)
@@ -331,15 +329,8 @@ class Scheme:
 
     def _step_inside(self, x):
         # domain membership is an invariant of the orbit; skip re-checking
-        if self.contiguous:
-            for cell in self.cells[:-1]:
-                iv = cell.interval
-                s = (iv.hi - x).sign()
-                if s > 0 or (s == 0 and iv.hi_closed):
-                    return cell.digit, self.base * x - cell.value
-            cell = self.cells[-1]
-            return cell.digit, self.base * x - cell.value
-        return self.step(x)
+        cell = self._cell(x)
+        return cell.digit, self.base * x - cell.value
 
 
 def build_beta2_scheme(ctx, kind):
@@ -362,7 +353,7 @@ def build_beta2_scheme(ctx, kind):
                                     p, values[i]))
     else:
         raise ValueError("kind must be 'greedy' or 'lazy'")
-    return Scheme(base, I, tuple(cells), contiguous=True).validate()
+    return Scheme(base, I, tuple(cells)).validate()
 
 
 def build_ito_sadahiro_scheme(ctx):
@@ -388,7 +379,7 @@ def build_ito_sadahiro_scheme(ctx):
         cells.append(SchemeCell(Interval(upper, nxt, False, True), k, ctx.element(k)))
         upper = nxt
     cells.append(SchemeCell(Interval(upper, hi, False, False), 0, ctx.element(0)))
-    return Scheme(-beta, domain, tuple(cells), contiguous=True).validate()
+    return Scheme(-beta, domain, tuple(cells)).validate()
 
 
 def build_positive_greedy_scheme(ctx):
@@ -407,34 +398,18 @@ def build_positive_greedy_scheme(ctx):
         else:
             hi = ctx.element(k + 1) * binv
             cells.append(SchemeCell(Interval(lo, hi, True, False), k, ctx.element(k)))
-    return Scheme(beta, domain, tuple(cells), contiguous=True).validate()
+    return Scheme(beta, domain, tuple(cells)).validate()
 
 
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    _require_in(scheme.domain, x)
-    endpoint = _endpoint_flag(scheme.domain, x)
-    digits = []
-    state = x
-    if depth is not None:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        for _ in range(depth):
-            d, state = scheme._step_inside(state)
-            digits.append(d)
-        return Expansion(DigitString.finite(digits), STATUS_OK, endpoint)
-    seen = {state.coeffs: 0}
-    for _ in range(orbit_budget):
-        d, state = scheme._step_inside(state)
-        digits.append(d)
-        key = state.coeffs
-        if key in seen:
-            i = seen[key]
-            return Expansion(DigitString.periodic(digits[:i], digits[i:]),
-                             STATUS_OK, endpoint)
-        seen[key] = len(digits)
-    return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
+    return _orbit(scheme.domain, x, scheme._step_inside, x, _coeffs, depth,
+                  orbit_budget)
+
+
+def _coeffs(y):
+    return y.coeffs
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -211,10 +211,6 @@ def parse_base(text):
     return rational_field(q)
 
 
-def format_rational(q):
-    return str(q)
-
-
 def coeff_vector(x):
     """Element serialized as exact rational strings, constant term first."""
     return [str(c) for c in x.coeffs]

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from helpers import (eventually_periodic_words, forbidden_factor_reject,
                      random_point)
 from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, DigitString,
-                      PairDigit, build_beta2_scheme, complement_pairs,
+                      Interval, PairDigit, build_beta2_scheme, complement_pairs,
                       field_from_poly, golden_forbidden_factor_check,
                       greedy_breakpoint, interval_I, is_admissible_greedy,
                       is_admissible_lazy, ito_sadahiro_admissible,
@@ -71,31 +73,35 @@ class TestRestrictedScheme:
         for ctx in (phi, mu):
             rs = restricted_scheme(ctx)
             I = interval_I(ctx)
-            assert (rs.lows[0] - I.lo).sign() == 0
-            assert (rs.highs[-1] - (I.lo + 1)).sign() == 0
-            for i in range(len(rs.pairs) - 1):
-                assert (rs.highs[i] - rs.lows[i + 1]).sign() == 0
-            assert rs.lows == tuple(greedy_breakpoint(ctx, p) for p in rs.pairs)
+            lows = tuple(c.interval.lo for c in rs.cells)
+            highs = tuple(c.interval.hi for c in rs.cells)
+            assert (lows[0] - I.lo).sign() == 0
+            assert (highs[-1] - (I.lo + 1)).sign() == 0
+            for i in range(len(rs.cells) - 1):
+                assert (highs[i] - lows[i + 1]).sign() == 0
+            assert lows == tuple(greedy_breakpoint(ctx, c.digit) for c in rs.cells)
 
     def test_restriction_agrees_with_full_scheme(self, phi, mu):
         rng = random.Random(43)
         for ctx in (phi, mu):
             rs = restricted_scheme(ctx)
             scheme = build_beta2_scheme(ctx, "greedy")
+            l = interval_I(ctx).lo
+            attractor = Interval(l, l + 1, True, False)
             for _ in range(20):
-                x = random_point(rng, rs.attractor)
-                d, t = rs.step_right(x)
+                x = random_point(rng, attractor)
+                d, t = rs.step(x)
                 d2, t2 = scheme.step(x)
                 assert d == d2 and (t - t2).sign() == 0
-                assert rs.attractor.contains(t)
+                assert attractor.contains(t)
 
     def test_left_continuous_limits(self, phi):
         rs = restricted_scheme(phi)
         # just right of a breakpoint the right-continuous digit jumps,
         # the left-continuous one keeps the lower digit at the breakpoint
-        bp = rs.lows[1]
-        assert rs.digit_right(bp) == B
-        assert rs.digit_left(bp) == A
+        bp = rs.cells[1].interval.lo
+        assert build_beta2_scheme(phi, "greedy").locate(bp).digit == B
+        assert rs.locate(bp).digit == A
 
 
 class TestReferenceBounds:
@@ -119,6 +125,15 @@ class TestReferenceBounds:
                 digits = set(exp.word.preperiod) | set(exp.word.period)
                 assert digits <= set(info.greedy)
 
+    def test_tables_freed_with_the_context(self):
+        ctx = rational_field(Fraction(9, 4))
+        build_beta2_scheme(ctx, "greedy")
+        reference_bounds(ctx, orbit_budget=50)
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
     def test_rational_base_unsettled(self):
         ctx = rational_field(Fraction(7, 4))
         b = reference_bounds(ctx, orbit_budget=200)
@@ -134,7 +149,6 @@ class TestGreedyChecker:
 
     def test_a_power_admissible(self, phi):
         # A^omega is the expansion of the left endpoint itself
-        rs = restricted_scheme(phi)
         exp_at_l = run_scheme(build_beta2_scheme(phi, "greedy"), interval_I(phi).lo)
         assert exp_at_l.word == DigitString((), (A,))
         rep = is_admissible_greedy(DigitString((), (A,)), phi)
@@ -193,13 +207,13 @@ class TestGreedyChecker:
             bounds = reference_bounds(ctx)
             for _ in range(50):
                 if bounds.settled:
-                    x = random_point(rng, rs.attractor, denom=30)
+                    x = random_point(rng, rs.domain, denom=30)
                     exp = run_scheme(scheme, x, orbit_budget=50_000)
                     assert exp.ok
                     rep = is_admissible_greedy(exp.word, ctx, bounds)
                     assert rep.verdict == ADMISSIBLE, (ctx, x.coeffs)
                 else:
-                    x = random_point(rng, rs.attractor)
+                    x = random_point(rng, rs.domain)
                     exp = run_scheme(scheme, x, depth=40)
                     rep = is_admissible_greedy(exp.word, ctx, bounds)
                     assert rep.verdict != REJECTED, (ctx, x.coeffs)
@@ -267,6 +281,12 @@ class TestGoldenBinary:
         with pytest.raises(ValueError):
             golden_forbidden_factor_check(DigitString.finite((2,)))
 
+    def test_block_where_the_period_repeats(self):
+        # the even block 00 of (001)^omega starts in the second copy
+        assert golden_forbidden_factor_check(DigitString((), (0, 0, 1))).verdict == REJECTED
+        assert golden_forbidden_factor_check(
+            DigitString.finite((0, 0, 1, 0, 0, 1))).verdict == REJECTED
+
 
 class TestItoSadahiroBinary:
     def test_is_string_accepted(self):
@@ -286,6 +306,12 @@ class TestItoSadahiroBinary:
         assert ito_sadahiro_admissible(DigitString((1,), (0,))).verdict == ADMISSIBLE
         assert ito_sadahiro_admissible(DigitString((1, 1), (0,))).verdict == ADMISSIBLE
 
+    def test_odd_gap_where_the_period_repeats(self):
+        # the gap 101 of 000(01)^omega starts in the second copy
+        assert ito_sadahiro_admissible(DigitString((0, 0, 0), (0, 1))).verdict == REJECTED
+        assert ito_sadahiro_admissible(
+            DigitString.finite((0, 0, 0, 0, 1, 0, 1))).verdict == REJECTED
+
     def test_every_is_output_is_admissible(self, phi):
         from negabase import build_ito_sadahiro_scheme
 
@@ -296,3 +322,19 @@ class TestItoSadahiroBinary:
             exp = run_scheme(scheme, x, orbit_budget=50_000)
             assert exp.ok
             assert ito_sadahiro_admissible(exp.word).verdict == ADMISSIBLE
+
+
+@pytest.mark.parametrize("check", [golden_forbidden_factor_check,
+                                   ito_sadahiro_admissible])
+def test_admissible_words_unroll_to_admissible_prefixes(check):
+    # an infinite word the rule admits has no finite prefix it rejects
+    rng = random.Random(61)
+    admitted = 0
+    for _ in range(3000):
+        pre = tuple(rng.randrange(2) for _ in range(rng.randrange(0, 6)))
+        per = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 5)))
+        if check(DigitString(pre, per)).verdict != ADMISSIBLE:
+            continue
+        admitted += 1
+        assert check(DigitString.finite(pre + per * 3)).verdict == PREFIX_OK, (pre, per)
+    assert admitted > 100

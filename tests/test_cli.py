@@ -85,6 +85,17 @@ class TestExpand:
         assert code == 3
         assert rep["status"] == "PERIOD_NOT_FOUND"
 
+    def test_period_not_found_reports_no_value(self, capsys):
+        # the 10 000-digit prefix of 1/4 in base -7/4 is not a value of x,
+        # and its exact value has too many digits to print
+        code, rep = run_json(capsys, "expand", "--base", "7/4", "--x", "1/4")
+        assert code == 3
+        assert rep["status"] == "PERIOD_NOT_FOUND"
+        assert rep["evaluated"] is None and rep["round_trip"] is None
+        code, out, _ = run_cli(capsys, "expand", "--base", "7/4", "--x", "1/4")
+        assert code == 3
+        assert "round-trip" not in out and "status: PERIOD_NOT_FOUND" in out
+
     def test_error_report_in_json(self, capsys):
         code, rep = run_json(capsys, "expand", "--base", "phi", "--x", "5")
         assert code == 2 and rep["status"] == "ERROR"
