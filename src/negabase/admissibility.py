@@ -1,28 +1,34 @@
-"""Admissibility of digit strings as greedy or lazy expansions.
+"""Admissibility of digit strings as greedy, lazy or Ito-Sadahiro expansions.
 
-The squared-base greedy map keeps the subinterval from l to l+1 invariant
-and every orbit eventually falls into it, so admissibility is decided
-there: a digit string is a greedy expansion exactly when every tail that
-follows one of the two critical digit shapes stays lexicographically
-below a reference expansion produced by the left-continuous version of
-the map.  The two reference strings are eventually periodic for the
-preset bases; when they are not (rational bases), comparisons that run
-past the computed prefix come back as undecided rather than guessing.
+Every check is one rule (`_compare_tail`): chosen tails of the word are
+compared, digit by digit, with a reference expansion in the lexicographic
+or the alternate order.
 
-Also here: the minimal pair alphabet actually used on the invariant
-subinterval, lazy admissibility via digitwise complement, and the
-forbidden-factor style checks for binary golden-ratio strings.
+* Pair words, greedy: every orbit of the squared-base greedy map falls
+  into (l, l+1].  A pair string is a greedy expansion exactly when every
+  tail after one of the two critical digit shapes stays lexicographically
+  below a reference expansion of the left-continuous map, computed when
+  first needed.  A reference with no detected period (rational bases)
+  makes comparisons that run past its prefix undecided.
+* Pair words, lazy: the digitwise complement must be greedy-admissible.
+* Binary golden-ratio words, read two letters at a time, must be
+  greedy-admissible pair words.
+* Binary golden-ratio Ito-Sadahiro words: every tail s satisfies
+  d(l) <= s < d*(r) = 0 d(l) in the alternate order, where d(l) expands the
+  left end of the domain (Ito & Sadahiro, Integers 2009).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .field import context_cached
-from .schemes import (DEFAULT_ORBIT_BUDGET, Expansion, Interval, Scheme,
-                      SchemeCell, _beta2_tables, all_pair_digits, interval_I,
-                      run_scheme)
-from .words import PairDigit, complement_pairs
+from .field import context_cached, phi_field
+from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, Scheme, SchemeCell,
+                      _beta2_tables, all_pair_digits, build_ito_sadahiro_scheme,
+                      interval_I, run_scheme)
+from .words import (DigitString, PairDigit, complement_pairs, format_word,
+                    psi_inverse)
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -69,11 +75,8 @@ def minimal_alphabet(ctx):
     digits below beta times the fractional part of beta."""
     fb = ctx.floor_beta
     threshold = ctx.beta() * ctx.frac_beta()
-    greedy = []
-    for p in all_pair_digits(ctx):
-        if p.b >= 1 or (threshold - p.a).sign() > 0:
-            greedy.append(p)
-    greedy = tuple(greedy)
+    greedy = tuple(p for p in all_pair_digits(ctx)
+                   if p.b >= 1 or (threshold - p.a).sign() > 0)
     lazy = tuple(PairDigit(fb - p.b, fb - p.a) for p in reversed(greedy))
     full = (ctx.beta() * ctx.beta() - ctx.beta() * fb - fb).sign() > 0
     return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], full)
@@ -97,153 +100,152 @@ def restricted_scheme(ctx):
                   cells).validate()
 
 
+@context_cached
+def _pair_ranks(ctx):
+    """Each minimal-alphabet digit's place in the value order, the rank of
+    the maximal digit, and the ranks of the digits -b*beta + floor(beta)."""
+    alpha = minimal_alphabet(ctx)
+    rank = {p: i for i, p in enumerate(alpha.greedy)}
+    mid = frozenset(rank[p] for p in alpha.greedy if p.b >= 1 and p.a == ctx.floor_beta)
+    return rank, len(alpha.greedy) - 1, mid
+
+
 @dataclass(frozen=True)
 class AdmissibilityBound:
-    """The two reference expansions the admissibility test compares against."""
+    """The two reference expansions the admissibility test compares
+    against.  Each is computed the first time it is read."""
 
-    top: Expansion   # follows the maximal alphabet digit
-    mid: Expansion   # follows digits of the shape -b*beta + floor(beta), b >= 1
+    ctx: object
+    orbit_budget: int
+
+    @cached_property
+    def top(self):
+        """The expansion that follows the maximal alphabet digit."""
+        scheme = restricted_scheme(self.ctx)
+        _, after_top = scheme.step(scheme.domain.hi)
+        return run_scheme(scheme, after_top, orbit_budget=self.orbit_budget)
+
+    @cached_property
+    def mid(self):
+        """The expansion that follows digits -b*beta + floor(beta), b >= 1."""
+        start = interval_I(self.ctx).lo + self.ctx.frac_beta()
+        return run_scheme(restricted_scheme(self.ctx), start,
+                          orbit_budget=self.orbit_budget)
 
     @property
     def settled(self):
         return self.top.ok and self.mid.ok
 
+    @cached_property
+    def _top_code(self):
+        return _code(self.top.word, _pair_ranks(self.ctx)[0])
+
+    @cached_property
+    def _mid_code(self):
+        return _code(self.mid.word, _pair_ranks(self.ctx)[0])
+
 
 def reference_bounds(ctx, orbit_budget=DEFAULT_ORBIT_BUDGET):
-    """Compute (and memoize) the two reference expansions for the base."""
+    """The (memoized) reference expansions for the base."""
     return _reference_bounds(ctx, orbit_budget)
 
 
 @context_cached
 def _reference_bounds(ctx, orbit_budget):
-    scheme = restricted_scheme(ctx)
-    _, after_top = scheme.step(scheme.domain.hi)
-    top = run_scheme(scheme, after_top, orbit_budget=orbit_budget)
-    mid = run_scheme(scheme, interval_I(ctx).lo + ctx.frac_beta(),
-                     orbit_budget=orbit_budget)
-    return AdmissibilityBound(top, mid)
+    return AdmissibilityBound(ctx, orbit_budget)
 
 
-@context_cached
-def _checker_tables(ctx, bounds):
-    alpha = minimal_alphabet(ctx)
-    rank = {p: i for i, p in enumerate(alpha.greedy)}
-    fb = ctx.floor_beta
-    mid_triggers = frozenset(p for p in alpha.greedy if p.b >= 1 and p.a == fb)
-
-    def encode(exp):
-        word = exp.word
-        return (tuple(rank[p] for p in word.preperiod),
-                tuple(rank[p] for p in word.period),
-                exp.ok)
-
-    return rank, alpha.max_greedy, mid_triggers, encode(bounds.top), encode(bounds.mid)
+def _code(word, rank=None):
+    """A word as (digits, index where the period starts), digits mapped by
+    rank if given.  A finite word (or an orbit prefix with no period found)
+    gets its length as the index."""
+    digits = word.preperiod + word.period
+    if rank is not None:
+        digits = tuple(rank[d] for d in digits)
+    return digits, len(word.preperiod)
 
 
-def _tail_below_bound(ranks, npre, nper, k, bound):
-    """Is the tail of the rank-encoded word after 1-based position k
-    strictly below the bound? Returns 'lt', 'viol', or 'undecided'."""
-    b_pre, b_per, settled = bound
-    nb = len(b_pre)
-
-    def tail_digit(i):
-        j = k + i
-        return ranks[j] if j < npre else ranks[npre + (j - npre) % nper]
-
-    def bound_digit(i):
-        return b_pre[i] if i < nb else b_per[(i - nb) % len(b_per)]
-
-    if not nper:
-        # finite tail: can only witness a violation, never rule one out
-        m = npre - k
-        limit = m if settled else min(m, nb)
-        for i in range(limit):
-            t, bd = ranks[k + i], bound_digit(i)
-            if t != bd:
-                return "lt" if t < bd else "viol"
-        return "lt"
-    if settled:
-        horizon = max(npre - k, 0) + nb + lcm(nper, len(b_per))
-        for i in range(horizon):
-            t, bd = tail_digit(i), bound_digit(i)
-            if t != bd:
-                return "lt" if t < bd else "viol"
-        return "viol"  # tail equals the bound; equality is not admissible
-    for i in range(nb):
-        t, bd = tail_digit(i), bound_digit(i)
-        if t != bd:
-            return "lt" if t < bd else "viol"
-    return "undecided"
+def _compare_tail(word, k, bound, alternate=False):
+    """-1, 0 or 1 as the tail of a coded word from 0-based position k is below,
+    equal to or above a coded bound, in the lexicographic order or the
+    alternate one (odd positions of the tail compare reversed).  None when a
+    finite word or bound runs out before the two differ."""
+    w, w_loop = word
+    b, b_loop = bound
+    nw, nb = len(w), len(b)
+    # once both are inside their periods, one common period decides; when
+    # one of them is finite, it runs out first
+    period = lcm(nw - w_loop, nb - b_loop)
+    steps = max(w_loop - k, 0) + b_loop + period if period else nw + nb
+    i, j = k, 0
+    for n in range(steps):
+        if i == nw:
+            i = w_loop
+        if j == nb:
+            j = b_loop
+        if i == nw or j == nb:
+            return None
+        if w[i] != b[j]:
+            below = w[i] < b[j]
+            if alternate and n % 2 == 0:
+                below = not below
+            return -1 if below else 1
+        i += 1
+        j += 1
+    return 0 if period else None
 
 
-def _pair_factor_text(word, k, length=4):
-    pre, per = word.preperiod, word.period
-    stop = k - 1 + length if per else min(k - 1 + length, len(pre))
-    return ".".join(word.digit_at(i).text() for i in range(k - 1, stop))
+def _factor_text(word, start, length):
+    """The `length` digits from 0-based `start`, cut at the end of a finite word."""
+    stop = start + length if word.period else min(start + length, len(word.preperiod))
+    return format_word(DigitString.finite(word.digit_at(i) for i in range(start, stop)))
 
 
 def is_admissible_greedy(word, ctx, bounds=None):
     """Admissibility of a pair-digit string over the minimal greedy
     alphabet: every tail after a critical digit must stay below its bound.
-
-    Infinite (eventually periodic) strings get a definite verdict whenever
-    both reference bounds were period-detected; finite strings can only be
-    screened for violations within the word.
-    """
+    A finite string can only be screened for violations within the word."""
     if bounds is None:
         bounds = reference_bounds(ctx)
-    rank, max_digit, mid_triggers, top_enc, mid_enc = _checker_tables(ctx, bounds)
-
-    pre, per = word.preperiod, word.period
-    npre, nper = len(pre), len(per)
+    rank, top_rank, mid_ranks = _pair_ranks(ctx)
     try:
-        ranks = [rank[p] for p in pre + per]
+        coded = _code(word, rank)
     except KeyError as bad:
         raise ValueError(
             f"digit {bad.args[0]!r} outside the minimal greedy alphabet") from None
-    max_rank = rank[max_digit]
-    mid_ranks = frozenset(rank[p] for p in mid_triggers)
-
     undecided = False
-    for k in range(1, npre + nper + 1):
-        r_k = ranks[k - 1]
-        if r_k == max_rank:
-            rule, enc = RULE_TOP, top_enc
-        elif r_k in mid_ranks:
-            rule, enc = RULE_MID, mid_enc
+    for k, r in enumerate(coded[0], 1):   # k: the trigger's 1-based position
+        if r == top_rank:
+            rule, bound = RULE_TOP, bounds._top_code
+        elif r in mid_ranks:
+            rule, bound = RULE_MID, bounds._mid_code
         else:
             continue
-        res = _tail_below_bound(ranks, npre, nper, k, enc)
-        if res == "viol":
-            return AdmissibilityReport(
-                REJECTED, Violation(rule, k, _pair_factor_text(word, k)))
-        if res == "undecided":
+        c = _compare_tail(coded, k, bound)
+        if c is None:
             undecided = True
-    if not per:
+        elif c >= 0:   # equality is not admissible either
+            return AdmissibilityReport(
+                REJECTED, Violation(rule, k, _factor_text(word, k - 1, 4)))
+    if not word.period:
         return AdmissibilityReport(PREFIX_OK)
-    if undecided:
-        return AdmissibilityReport(UNDECIDED)
-    return AdmissibilityReport(ADMISSIBLE)
+    return AdmissibilityReport(UNDECIDED if undecided else ADMISSIBLE)
 
 
 def is_admissible_lazy(word, ctx, bounds=None):
     """Lazy admissibility: the digitwise complement must be greedy-admissible."""
-    alpha = minimal_alphabet(ctx)
-    allowed = set(alpha.lazy)
+    allowed = minimal_alphabet(ctx).lazy
     for p in word.preperiod + word.period:
         if p not in allowed:
             raise ValueError(f"digit {p!r} outside the minimal lazy alphabet")
-    mirrored = complement_pairs(word, ctx.floor_beta)
-    report = is_admissible_greedy(mirrored, ctx, bounds)
-    if report.violation is None:
-        return report
+    report = is_admissible_greedy(complement_pairs(word, ctx.floor_beta), ctx, bounds)
     v = report.violation
-    return AdmissibilityReport(
-        report.verdict, Violation(v.rule, v.position, _pair_factor_text(word, v.position)))
+    if v is None:
+        return report
+    return replace(report, violation=replace(v, factor=_factor_text(word, v.position - 1, 4)))
 
 
-# -- run-length based checks for binary golden-ratio words ------------------------
-
+# -- binary golden-ratio words ---------------------------------------------------------
 
 def _require_binary(word):
     for d in word.preperiod + word.period:
@@ -251,123 +253,58 @@ def _require_binary(word):
             raise ValueError(f"digit {d} is not binary")
 
 
-def _runs(seq):
-    """Maximal constant blocks as (digit, length, start-index) triples."""
-    out = []
-    pos = 0
-    for d in seq:
-        if out and out[-1][0] == d:
-            out[-1][1] += 1
-        else:
-            out.append([d, 1, pos])
-        pos += 1
-    return [tuple(run) for run in out]
-
-
-def _stream_runs(word, copies=4):
-    return _runs(word.preperiod + word.period * copies)
-
-
-def _periodic_window(word):
-    # every run that recurs forever starts once inside the second copy of
-    # a non-constant period, and ends before the fourth copy does
-    return len(word.preperiod) + 2 * len(word.period)
-
-
 def golden_forbidden_factor_check(word):
     """Can this binary string be the greedy expansion of a point of the
-    invariant subinterval for the golden-ratio base?
-
-    Equivalent to the block shape: an even block of 0s, then alternating
-    odd blocks of 1s and 0s forever.  Finite words are screened as
-    prefixes of that shape.
-    """
+    invariant subinterval for the golden-ratio base?  Read two letters at a
+    time, it must be a greedy-admissible pair word.  A finite word of odd
+    length passes when one of its two one-letter extensions does."""
     _require_binary(word)
-    pre, per = word.preperiod, word.period
+    if word.is_finite and len(word) % 2:
+        reports = [_golden_pairs(word, DigitString.finite(word.preperiod + (d,)))
+                   for d in (0, 1)]
+        return next((r for r in reports if r.ok), reports[0])
+    return _golden_pairs(word, word)
 
-    def first_run_violation(d, n, complete):
-        if not complete:
-            return None
-        if d == 1 and n % 2 == 0:
-            return Violation(RULE_FACTOR, 1, "1" * n + "0")
-        if d == 0 and n % 2 == 1:
-            return Violation(RULE_FACTOR, 1, "0" * n + "1")
-        return None
 
-    def interior_violation(d, n, start):
-        if n % 2 == 0:
-            other = 1 - d
-            return Violation(RULE_FACTOR, start, f"{other}" + str(d) * n + f"{other}")
-        return None
+def _golden_pairs(word, bits):
+    """Greedy pair check of the even or infinite `bits`, reported on `word`."""
+    phi = phi_field()
+    pairs = psi_inverse(bits)
+    try:
+        report = is_admissible_greedy(pairs, phi)
+    except ValueError:   # the pair 0:1 lies outside the minimal alphabet
+        k, length = (pairs.preperiod + pairs.period).index(PairDigit(0, 1)) + 1, 2
+    else:
+        if report.violation is None:
+            return report
+        k, length = report.violation.position, 8
+    return AdmissibilityReport(
+        REJECTED, Violation(RULE_FACTOR, 2 * k - 1, _factor_text(word, 2 * k - 2, length)))
 
-    if not per:
-        runs = _runs(pre)
-        for idx, (d, n, s) in enumerate(runs):
-            complete = idx + 1 < len(runs)
-            if idx == 0:
-                v = first_run_violation(d, n, complete)
-            elif complete:
-                v = interior_violation(d, n, s)
-            else:
-                v = None
-            if v:
-                return AdmissibilityReport(REJECTED, v)
-        return AdmissibilityReport(PREFIX_OK)
 
-    if len(set(per)) == 1:
-        d = per[0]
-        return AdmissibilityReport(
-            REJECTED, Violation(RULE_FACTOR, len(pre) + 1, f"{d}^omega"))
-    window = _periodic_window(word)
-    for idx, (d, n, s) in enumerate(_stream_runs(word)):
-        if s >= window:
-            break
-        v = first_run_violation(d, n, True) if idx == 0 else interior_violation(d, n, s)
-        if v:
-            return AdmissibilityReport(REJECTED, v)
-    return AdmissibilityReport(ADMISSIBLE)
+@context_cached
+def _ito_sadahiro_low(ctx):
+    """The coded expansion d(l) of the left end of the Ito-Sadahiro domain."""
+    scheme = build_ito_sadahiro_scheme(ctx)
+    return _code(run_scheme(scheme, scheme.domain.lo).word)
 
 
 def ito_sadahiro_admissible(word):
-    """Admissibility for the golden-ratio Ito-Sadahiro system: between two
-    1s the number of 0s must be even, and the word must not end in 010^omega."""
+    """Admissibility for the golden-ratio Ito-Sadahiro system: every tail s
+    satisfies d(l) <= s < d*(r) in the alternate order.  d(l) starts with the
+    top digit, so a tail that starts lower lies above it at its first letter.
+    d*(r) = 0 d(l) (d(l) = 1(0) is not purely periodic), so 0s is below d*(r)
+    exactly when s is above d(l): one comparison per tail settles both."""
     _require_binary(word)
-    pre, per = word.preperiod, word.period
-
-    def gap_violations(runs, last_exclusive):
-        for idx, (d, n, s) in enumerate(runs):
-            if s >= last_exclusive:
-                break
-            complete = idx + 1 < len(runs)
-            if d == 0 and idx >= 1 and complete and n % 2 == 1:
-                return Violation(RULE_FACTOR, s, "1" + "0" * n + "1")
-        return None
-
-    if not per:
-        v = gap_violations(_runs(pre), len(pre))
-        if v:
-            return AdmissibilityReport(REJECTED, v)
-        return AdmissibilityReport(PREFIX_OK)
-
-    if len(set(per)) == 1:
-        if per[0] == 1:
-            v = gap_violations(_runs(pre + per * 2), len(pre) + 1)
-            if v:
-                return AdmissibilityReport(REJECTED, v)
-            return AdmissibilityReport(ADMISSIBLE)
-        # eventually all zeros
-        last_one = max((i for i, d in enumerate(pre) if d == 1), default=None)
-        if last_one is None:
-            return AdmissibilityReport(ADMISSIBLE)
-        if last_one >= 1 and pre[last_one - 1] == 0:
-            return AdmissibilityReport(
-                REJECTED, Violation(RULE_FACTOR, last_one, "010^omega"))
-        v = gap_violations(_runs(pre), len(pre))
-        if v:
-            return AdmissibilityReport(REJECTED, v)
-        return AdmissibilityReport(ADMISSIBLE)
-
-    v = gap_violations(_stream_runs(word), _periodic_window(word))
-    if v:
-        return AdmissibilityReport(REJECTED, v)
-    return AdmissibilityReport(ADMISSIBLE)
+    low = _ito_sadahiro_low(phi_field())
+    coded = _code(word)
+    digits = coded[0]
+    for k, d in enumerate(digits):
+        c = _compare_tail(coded, k, low, alternate=True) if d == low[0][0] else 1
+        if c == 0 and k and digits[k - 1] == 0:
+            k -= 1   # the tail from the 0 before is d*(r) itself
+        elif c != -1:
+            continue
+        return AdmissibilityReport(
+            REJECTED, Violation(RULE_FACTOR, k + 1, _factor_text(word, k, 8)))
+    return AdmissibilityReport(ADMISSIBLE if word.period else PREFIX_OK)

@@ -19,6 +19,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^(),")
+# each power is expanded by repeated products, so large exponents are refused
+_MAX_EXPONENT = 100
 
 
 def _tokenize(text):
@@ -128,6 +130,8 @@ class _PolyParser:
             ekind, eval_ = self.take()
             if ekind != "num" or eval_.denominator != 1 or eval_ < 0:
                 raise ParseError("exponent must be a nonnegative integer")
+            if eval_ > _MAX_EXPONENT:
+                raise ParseError(f"exponent {eval_} is above {_MAX_EXPONENT}")
             out = (Fraction(1),)
             for _ in range(int(eval_)):
                 out = P.mul(out, base)

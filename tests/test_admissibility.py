@@ -8,11 +8,13 @@ import pytest
 from helpers import (eventually_periodic_words, forbidden_factor_reject,
                      random_point)
 from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, DigitString,
-                      Interval, PairDigit, build_beta2_scheme, complement_pairs,
-                      field_from_poly, golden_forbidden_factor_check,
-                      greedy_breakpoint, interval_I, is_admissible_greedy,
-                      is_admissible_lazy, ito_sadahiro_admissible,
-                      minimal_alphabet, rational_field, reference_bounds,
+                      Interval, PairDigit, build_beta2_scheme,
+                      build_ito_sadahiro_scheme, complement_pairs,
+                      eval_neg_beta, field_from_poly,
+                      golden_forbidden_factor_check, greedy_breakpoint,
+                      interval_I, is_admissible_greedy, is_admissible_lazy,
+                      ito_sadahiro_admissible, minimal_alphabet, psi_inverse,
+                      rational_field, reference_bounds,
                       restricted_scheme, run_scheme)
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
@@ -281,6 +283,17 @@ class TestGoldenBinary:
         with pytest.raises(ValueError):
             golden_forbidden_factor_check(DigitString.finite((2,)))
 
+    def test_matches_pair_forbidden_factors_on_infinite_words(self):
+        # admissible exactly when the pairs avoid 0:1 and the phi forbidden factors
+        words = set(eventually_periodic_words((0, 1), 10))
+        assert len(words) == 8862
+        for w in words:
+            pairs = psi_inverse(w)
+            want = (set(pairs.preperiod + pairs.period) <= {A, B, C}
+                    and not forbidden_factor_reject(pairs, PHI_GREEDY_FACTORS,
+                                                    PHI_GREEDY_CYCLES))
+            assert (golden_forbidden_factor_check(w).verdict == ADMISSIBLE) == want, w
+
     def test_block_where_the_period_repeats(self):
         # the even block 00 of (001)^omega starts in the second copy
         assert golden_forbidden_factor_check(DigitString((), (0, 0, 1))).verdict == REJECTED
@@ -312,9 +325,17 @@ class TestItoSadahiroBinary:
         assert ito_sadahiro_admissible(
             DigitString.finite((0, 0, 0, 0, 1, 0, 1))).verdict == REJECTED
 
-    def test_every_is_output_is_admissible(self, phi):
-        from negabase import build_ito_sadahiro_scheme
+    def test_matches_the_map_on_infinite_words(self, phi):
+        # admissible exactly when the word is the Ito-Sadahiro expansion of its value
+        scheme = build_ito_sadahiro_scheme(phi)
+        words = set(eventually_periodic_words((0, 1), 8))
+        assert len(words) == 1716
+        for w in words:
+            x = eval_neg_beta(phi, w)
+            want = scheme.domain.contains(x) and run_scheme(scheme, x).word == w
+            assert (ito_sadahiro_admissible(w).verdict == ADMISSIBLE) == want, w
 
+    def test_every_is_output_is_admissible(self, phi):
         rng = random.Random(59)
         scheme = build_ito_sadahiro_scheme(phi)
         for _ in range(25):

@@ -125,6 +125,16 @@ class TestAdmissible:
         code, _, err = run_cli(capsys, "admissible", "--pairs", "1:1")
         assert code == 2
 
+    def test_bounds_not_computed_without_a_critical_digit(self, capsys, monkeypatch):
+        # 1:0 and 0:0 are not critical digits for 7/4, so no reference orbit runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference orbit computed")
+
+        monkeypatch.setattr("negabase.admissibility.run_scheme", refuse)
+        code, rep = run_json(capsys, "admissible", "--base", "7/4",
+                             "--pairs", "1:0(0:0)", "--level", "pairs-greedy")
+        assert code == 0 and rep["verdict"] == "admissible"
+
     def test_undecided_exit_3(self, capsys, monkeypatch):
         from fractions import Fraction
 

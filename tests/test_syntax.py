@@ -64,6 +64,12 @@ class TestParseElement:
             with pytest.raises(ParseError):
                 parse_element(bad, phi)
 
+    def test_exponent_cap(self, phi):
+        # a power is expanded by repeated products, so the exponent is capped
+        assert parse_element("b^100", phi) == phi.beta() ** 100
+        with pytest.raises(ParseError):
+            parse_element("b^101", phi)
+
 
 class TestPolynomialParser:
     def test_expansion(self):
