@@ -2,11 +2,18 @@
 
 A base is described by an integer polynomial together with a rational
 isolating interval that brackets exactly one real root greater than 1.
-Elements are rational coefficient vectors reduced modulo that polynomial,
-so equality, sign, floor and ceiling are all decidable without any
-floating point.  Sign determination refines the isolating interval by
-bisection and keeps every intermediate bracket cached on the context,
-which makes repeated comparisons cheap.
+An element is an integer vector over one positive denominator,
+sum(num[i] * beta^i) / den, reduced modulo that polynomial and kept in
+lowest terms, so equality, sign, floor and ceiling are all decidable
+without any floating point.
+
+Sign and floor first run a certified filter.  Each context rounds a
+refined bracket of beta outward, once, to L/2^64 <= beta <= H/2^64, and
+an integer interval Horner evaluation on it encloses the value.  When the
+enclosure excludes zero (for floor: when both its ends have the same
+floor) that is the answer.  Only when it straddles does the exact path
+run: the zero test of an uncertified context, then bisection of the
+isolating interval, with every intermediate bracket cached on the context.
 
 Non-integer rational bases are admitted as degree-one contexts whose
 arithmetic collapses to plain rationals.
@@ -15,6 +22,7 @@ arithmetic collapses to plain rationals.
 import threading
 from fractions import Fraction
 from functools import wraps
+from math import gcd, lcm
 
 from . import _polys as P
 
@@ -31,6 +39,7 @@ PHI_MIN_POLY = (-1, -1, 1)            # x^2 - x - 1
 TRIBONACCI_MIN_POLY = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1
 
 _SIGN_ITERATION_CAP = 100_000
+_FILTER_BITS = 64
 
 
 def _as_fraction(v):
@@ -47,15 +56,17 @@ class FieldContext:
     """The base beta: minimal polynomial plus a refinable isolating bracket.
 
     Instances are immutable apart from the internal refinement cache,
-    which only ever tightens the bracket and is guarded by a lock, and
-    the per-base tables of `context_cached`, which are filled once per
-    key; so a context can be shared freely between threads.
+    which only ever tightens the bracket and is guarded by a lock, the
+    fallback counter, guarded by the same lock, and the per-base tables
+    of `context_cached`, which are filled once per key; so a context can
+    be shared freely between threads.
     """
 
     __slots__ = (
         "min_poly", "_modulus", "_initial_bracket", "_refinements",
         "_exact_root", "_certified", "_mod_sign_lo", "_lock",
-        "_power_table", "_beta", "_floor_beta", "_tables", "__weakref__",
+        "_power_table", "_table_den", "_filter", "_fallbacks",
+        "_beta", "_floor_beta", "_tables", "__weakref__",
     )
 
     def __init__(self, min_poly, modulus, bracket, exact_root, certified):
@@ -67,15 +78,13 @@ class FieldContext:
         self._certified = certified
         self._mod_sign_lo = _rational_sign(P.eval_poly(modulus, bracket[0]))
         self._lock = threading.Lock()
+        self._fallbacks = 0
         self._floor_beta = None
         self._tables = {}
         d = self.degree
-        table = {}
-        if d > 1:
-            # beta^k for k in [d, 2d-2], reduced; used to fold products
-            for k in range(d, 2 * d - 1):
-                table[k] = tuple(P.divmod_poly(_x_power(k), modulus)[1] + (Fraction(0),) * d)[:d]
-        self._power_table = table
+        self._power_table, self._table_den = _reduced_powers(modulus)
+        # a rational element never reaches the filter, so degree one needs none
+        self._filter = self._dyadic_bracket() if d > 1 else None
         # degree one: the modulus is x - rho
         self._beta = self.element(-modulus[0]) if d == 1 else self.from_coeffs([0, 1])
         fb = self._compute_floor()
@@ -128,6 +137,15 @@ class FieldContext:
         with self._lock:
             return len(self._refinements)
 
+    def fallback_count(self):
+        """How many sign and floor calls the 64-bit filter left undecided."""
+        with self._lock:
+            return self._fallbacks
+
+    def _count_fallback(self):
+        with self._lock:
+            self._fallbacks += 1
+
     def refine(self):
         """Tighten the bracket once; the width halves and the root stays inside."""
         with self._lock:
@@ -151,6 +169,17 @@ class FieldContext:
         else:
             self._refinements.append((lo, mid))
 
+    def _dyadic_bracket(self):
+        """(L, H) with L/2^64 <= beta <= H/2^64: the first refined bracket
+        no wider than 2^-64, rounded outward."""
+        level = 0
+        lo, hi = self.bracket(0)
+        while (hi - lo) * (1 << _FILTER_BITS) > 1:
+            level += 1
+            lo, hi = self.bracket(level)
+        return ((lo.numerator << _FILTER_BITS) // lo.denominator,
+                -((-hi.numerator << _FILTER_BITS) // hi.denominator))
+
     # -- element constructors ----------------------------------------------
 
     def from_coeffs(self, coeffs):
@@ -161,11 +190,17 @@ class FieldContext:
             rem = P.divmod_poly(tuple(cs), self._modulus)[1]
             cs = list(rem)
         cs += [Fraction(0)] * (d - len(cs))
-        return ExactReal(self, tuple(cs))
+        den = lcm(*[c.denominator for c in cs])
+        return ExactReal(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def element(self, value):
         """The rational number `value` as an element of Q(beta)."""
-        return self.from_coeffs([_as_fraction(value)])
+        if isinstance(value, int):
+            num, den = value, 1
+        else:
+            q = _as_fraction(value)
+            num, den = q.numerator, q.denominator
+        return ExactReal(self, (num,) + (0,) * (self.degree - 1), den)
 
     def zero(self):
         return self.element(0)
@@ -205,24 +240,70 @@ def _x_power(k):
     return tuple(Fraction(0) for _ in range(k)) + (Fraction(1),)
 
 
+def _reduced_powers(modulus):
+    """Integer rows over one denominator D: beta^k = sum(row[i] * beta^i) / D
+    for k in [d, 2d-2], which fold a product back below the degree d."""
+    d = len(modulus) - 1
+    rows = [(P.divmod_poly(_x_power(k), modulus)[1] + (Fraction(0),) * d)[:d]
+            for k in range(d, 2 * d - 1)]
+    den = lcm(*[c.denominator for row in rows for c in row])
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in row) for row in rows), den
+
+
 def _rational_sign(q):
     return (q > 0) - (q < 0)
 
 
+def _sum(ctx, n1, d1, n2, d2, negate):
+    """n1/d1 + n2/d2 (or minus) in lowest terms.  Reduced the way
+    fractions.Fraction adds: gcd(d1, d2) first, then the numerators only
+    against that common factor, never against the whole denominator, whose
+    size grows without bound along a rational-base orbit."""
+    g = gcd(d1, d2)
+    e1, e2 = d1 // g, d2 // g
+    if negate:
+        t = tuple(a * e2 - b * e1 for a, b in zip(n1, n2))
+    else:
+        t = tuple(a * e2 + b * e1 for a, b in zip(n1, n2))
+    if g != 1:
+        g = gcd(g, *t)
+        if g != 1:
+            return ExactReal(ctx, tuple(c // g for c in t), e1 * (d2 // g))
+    return ExactReal(ctx, t, e1 * d2)
+
+
 class ExactReal:
-    """An element of Q(beta): value = sum coeffs[i] * beta^i, all exact."""
+    """An element of Q(beta): value = sum(num[i] * beta^i) / den, all exact.
 
-    __slots__ = ("context", "coeffs")
+    num is a tuple of ints, one per power of beta below the degree, and
+    den a positive int with gcd(den, *num) == 1, so equal elements of a
+    certified context are equal (num, den) pairs.  The constructor takes
+    both as given; FieldContext.from_coeffs and element build elements
+    from rationals.
 
-    def __init__(self, context, coeffs):
+    sign() and floor() decide from an integer interval Horner enclosure on
+    the context's 64-bit dyadic bracket of beta, and fall back to the
+    exact path (zero test, then bisection) only when it straddles.
+    """
+
+    __slots__ = ("context", "num", "den")
+
+    def __init__(self, context, num, den):
         self.context = context
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The rational coefficient vector, num[i] / den."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- housekeeping -------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, ExactReal):
-            if other.context != self.context:
+            if other.context is not self.context and other.context != self.context:
                 raise ContextMismatchError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -250,13 +331,13 @@ class ExactReal:
         return out
 
     def __hash__(self):
-        return hash((self.context, self.coeffs))
+        return hash((self.context, self.num, self.den))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.coeffs == o.coeffs:
+        if self.num == o.num and self.den == o.den:
             return True
         if self.context._certified:
             return False
@@ -268,7 +349,7 @@ class ExactReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactReal(self.context, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _sum(self.context, self.num, self.den, o.num, o.den, False)
 
     __radd__ = __add__
 
@@ -276,7 +357,7 @@ class ExactReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactReal(self.context, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _sum(self.context, self.num, self.den, o.num, o.den, True)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -285,34 +366,45 @@ class ExactReal:
         return o - self
 
     def __neg__(self):
-        return ExactReal(self.context, tuple(-a for a in self.coeffs))
+        return ExactReal(self.context, tuple(-a for a in self.num), self.den)
+
+    def _scale(self, p, q):
+        # times p/q (lowest terms, q > 0), cross-cancelled as Fraction does
+        g1 = gcd(p, self.den)
+        g2 = gcd(q, *self.num)
+        p //= g1
+        return ExactReal(self.context, tuple(n // g2 * p for n in self.num),
+                         self.den // g1 * (q // g2))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = _as_fraction(other)
-            return ExactReal(self.context, tuple(a * k for a in self.coeffs))
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         ctx = self.context
         d = ctx.degree
         if d == 1:
-            return ExactReal(ctx, (self.coeffs[0] * o.coeffs[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+            return self._scale(o.num[0], o.den)
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.num):
                     if b:
                         prod[i + j] += a * b
-        out = list(prod[:d])
-        table = ctx._power_table
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
+        table_den = ctx._table_den
+        out = prod[:d] if table_den == 1 else [c * table_den for c in prod[:d]]
+        for c, row in zip(prod[d:], ctx._power_table):
             if c:
-                red = table[k]
                 for i in range(d):
-                    out[i] += c * red[i]
-        return ExactReal(ctx, tuple(out))
+                    out[i] += c * row[i]
+        den = self.den * o.den * table_den
+        g = gcd(den, *out)
+        if g != 1:
+            return ExactReal(ctx, tuple(c // g for c in out), den // g)
+        return ExactReal(ctx, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -333,7 +425,8 @@ class ExactReal:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.context
         if ctx.degree == 1:
-            return ExactReal(ctx, (1 / self.coeffs[0],))
+            n = self.num[0]
+            return ExactReal(ctx, (self.den if n > 0 else -self.den,), abs(n))
         g = P.trim(self.coeffs)
         m = ctx._modulus
         gg, u, _ = P.xgcd_poly(g, m)
@@ -364,7 +457,7 @@ class ExactReal:
     # -- decision procedures ---------------------------------------------------
 
     def is_zero(self):
-        if all(c == 0 for c in self.coeffs):
+        if not any(self.num):
             return True
         ctx = self.context
         if ctx._certified or ctx.degree == 1:
@@ -376,28 +469,53 @@ class ExactReal:
         return _rational_sign(P.eval_poly(g, lo)) != _rational_sign(P.eval_poly(g, hi))
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def _enclosure(self):
+        """(a, b, s) with a <= den * 2^s * value <= b, by interval Horner
+        evaluation in integers on the dyadic bracket of beta; exact, with
+        s = 0, when the value is rational."""
+        num = self.num
+        k = len(num) - 1
+        while k and not num[k]:
+            k -= 1
+        a = b = num[k]
+        if k:
+            lo, hi = self.context._filter
+            shift = 0
+            for c in num[k - 1::-1]:
+                if a >= 0:
+                    a, b = a * lo, b * hi
+                elif b <= 0:
+                    a, b = a * hi, b * lo
+                else:
+                    a, b = a * hi, b * hi
+                shift += _FILTER_BITS
+                if c:
+                    c <<= shift
+                    a += c
+                    b += c
+        return a, b, _FILTER_BITS * k
 
     def sign(self):
         """Exact sign in {-1, 0, +1}; terminates for every element."""
-        cs = self.coeffs
-        k = len(cs) - 1
-        while k >= 0 and not cs[k]:
-            k -= 1
-        if k < 0:
+        a, b, s = self._enclosure()
+        if a > 0:
+            return 1
+        if b < 0:
+            return -1
+        if not s:
             return 0
-        if k == 0:
-            c = cs[0]
-            return (c > 0) - (c < 0)
         ctx = self.context
+        ctx._count_fallback()
         if not ctx._certified and self.is_zero():
             return 0
-        p = cs[:k + 1]
+        p = P.trim(self.num)
         eval_interval = P.eval_interval
         level = 0
         for _ in range(_SIGN_ITERATION_CAP):
@@ -411,13 +529,15 @@ class ExactReal:
         raise RuntimeError("sign refinement did not converge")  # pragma: no cover
 
     def floor(self):
-        """Greatest integer <= value, by bracketing plus one exact comparison."""
-        if self.context.degree == 1:
-            q = self.coeffs[0]
-            return q.numerator // q.denominator
+        """Greatest integer <= value: the filter when both ends of its
+        enclosure have one floor, else bracketing plus one exact comparison."""
+        a, b, s = self._enclosure()
+        m = self.den << s
+        k = a // m
+        if k == b // m:
+            return k
+        self.context._count_fallback()
         p = P.trim(self.coeffs)
-        if not p:
-            return 0
         level = 0
         while True:
             lo, hi = self.context.bracket(level)

@@ -186,7 +186,7 @@ def _alternating_step(state):
 
 
 def _alternating_key(state):
-    return state[0], state[1].coeffs
+    return state[0], state[1].num, state[1].den
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -409,7 +409,7 @@ def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
 
 
 def _coeffs(y):
-    return y.coeffs
+    return y.num, y.den
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -48,6 +48,65 @@ def bisection_sign(min_poly, lo, hi, element_coeffs, rounds=256):
     return None
 
 
+def bisection_floor(min_poly, lo, hi, element_coeffs):
+    """floor(sum(element_coeffs[i] * root^i)): bisect the root until an
+    interval evaluation of the element is narrower than 1/2, then settle
+    between its floor n and n + 1 with `bisection_sign` (undecided counts
+    as zero)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    s_lo = eval_int_poly(min_poly, lo) > 0
+    while True:
+        a, b = Fraction(0), Fraction(0)
+        for c in reversed(element_coeffs):
+            cands = (a * lo, a * hi, b * lo, b * hi)
+            a, b = min(cands) + c, max(cands) + c
+        if b - a < Fraction(1, 2):
+            break
+        mid = (lo + hi) / 2
+        v = eval_int_poly(min_poly, mid)
+        if v == 0:
+            lo = hi = mid
+        elif (v > 0) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    n = a.numerator // a.denominator
+    shifted = (Fraction(element_coeffs[0]) - (n + 1),) + tuple(element_coeffs[1:])
+    return n + 1 if (bisection_sign(min_poly, lo, hi, shifted) or 0) >= 0 else n
+
+
+def reference_mul(min_poly, a, b):
+    """Product of two Fraction coefficient vectors modulo min_poly, which
+    must be squarefree with no rational root (it is then the modulus).
+
+    The schoolbook product, then each power beta^k with k >= d folded back
+    by its reduced Fraction row: the arithmetic the integer vectors of
+    negabase.field must reproduce exactly.
+    """
+    lead = Fraction(min_poly[-1])
+    d = len(min_poly) - 1
+    top = [-Fraction(c) / lead for c in min_poly[:d]]   # beta^d
+    rows = {}
+    row = top
+    for k in range(d, 2 * d - 1):
+        rows[k] = row
+        row = [Fraction(0)] + row[:-1]
+        row = [r + rows[k][-1] * t for r, t in zip(row, top)]
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = list(prod[:d])
+    for k in range(d, 2 * d - 1):
+        c = prod[k]
+        if c:
+            for i in range(d):
+                out[i] += c * rows[k][i]
+    return tuple(out)
+
+
 def random_fraction(rng, lo, hi, denom=10**4):
     return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(rng.randrange(denom + 1), denom)
 

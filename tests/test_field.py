@@ -1,14 +1,35 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bisection_sign
-from negabase import (ContextMismatchError, FieldError, field_from_poly,
-                      phi_field, rational_field, tribonacci_field)
+from helpers import bisection_floor, bisection_sign, reference_mul
+from negabase import (ContextMismatchError, FieldError, build_beta2_scheme,
+                      build_ito_sadahiro_scheme, field_from_poly,
+                      greedy_neg_beta, interval_I, lazy_neg_beta, phi_field,
+                      rational_field, run_scheme, step_min_digit,
+                      tribonacci_field)
 from negabase.field import PHI_MIN_POLY, TRIBONACCI_MIN_POLY
+
+TETRANACCI_MIN_POLY = (-1, -1, -1, -1, 1)
+# (x^2 - x - 1)(x^2 + 1): beta is phi, but the modulus is reducible
+REDUCIBLE_MIN_POLY = (-1, -1, 0, -1, 1)
+
+# min_poly, lo, hi
+BASES = {
+    "phi": (PHI_MIN_POLY, 1, 2),
+    "tribonacci": (TRIBONACCI_MIN_POLY, 1, 2),
+    # a non-dyadic bracket, rounded outward once
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    # uncertified: degree 4
+    "tetranacci": (TETRANACCI_MIN_POLY, 1, 2),
+    "reducible": (REDUCIBLE_MIN_POLY, 1, 2),
+    # 2x^2 - 3x - 1: the power table has denominator 2
+    "half": ((-1, -3, 2), 1, 2),
+}
 
 
 class TestConstruction:
@@ -200,3 +221,139 @@ def test_refinement_halves_each_step(mu):
         lo0, hi0 = mu.bracket(level)
         lo1, hi1 = mu.bracket(level + 1)
         assert hi1 - lo1 == (hi0 - lo0) / 2
+
+
+def _random_coeffs(rng, d, height):
+    return [Fraction(rng.randint(-height, height), rng.randint(1, 12)) for _ in range(d)]
+
+
+class TestFilter:
+    """sign() and floor() against the plain bisection oracles, including
+    elements so close to zero that the 64-bit filter must fall back."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_sign_and_floor_against_bisection(self, name):
+        poly, lo, hi = BASES[name]
+        ctx = field_from_poly(poly, lo, hi)
+        rng = random.Random(23)
+        for height in (9, 10**6, 2**80):
+            for _ in range(15):
+                coeffs = _random_coeffs(rng, ctx.degree, height)
+                x = ctx.from_coeffs(coeffs)
+                assert x.sign() == (bisection_sign(poly, lo, hi, coeffs) or 0), coeffs
+                assert x.floor() == bisection_floor(poly, lo, hi, coeffs), coeffs
+
+    def test_fibonacci_differences_force_the_fallback(self):
+        # F(n+1) - F(n)*phi = (-1/phi)^n
+        phi = field_from_poly(PHI_MIN_POLY, 1, 2)
+        before = phi.fallback_count()
+        fib = [0, 1]
+        while len(fib) < 132:
+            fib.append(fib[-1] + fib[-2])
+        for n in range(20, 131):
+            coeffs = (fib[n + 1], -fib[n])
+            x = phi.from_coeffs(coeffs)
+            assert x.sign() == (-1) ** n == bisection_sign(PHI_MIN_POLY, 1, 2, coeffs)
+            assert x.floor() == (-1 if n % 2 else 0)
+        assert phi.fallback_count() > before
+
+    def test_tribonacci_powers_force_the_fallback(self):
+        # (1 + mu - mu^2)^n = (-1/mu)^n
+        mu = field_from_poly(TRIBONACCI_MIN_POLY, 1, 2)
+        before = mu.fallback_count()
+        unit = (Fraction(1), Fraction(1), Fraction(-1))
+        v = (Fraction(1), Fraction(0), Fraction(0))
+        for n in range(1, 131):
+            v = reference_mul(TRIBONACCI_MIN_POLY, v, unit)
+            if n >= 20:
+                x = mu.from_coeffs(v)
+                assert x.sign() == (-1) ** n == bisection_sign(TRIBONACCI_MIN_POLY, 1, 2, v)
+        assert mu.fallback_count() > before
+
+    def test_exact_zero_of_a_reducible_modulus(self):
+        ctx = field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)
+        b = ctx.beta()
+        x = b * b - b - 1
+        assert any(x.num)
+        before = ctx.fallback_count()
+        assert x.sign() == 0
+        assert x.is_zero()
+        assert ctx.fallback_count() == before + 1
+
+    def test_no_fallback_along_expansions(self):
+        for name in ("phi", "tribonacci", "rt3", "tetranacci"):
+            ctx = field_from_poly(*BASES[name])
+            I = interval_I(ctx)
+            ito = build_ito_sadahiro_scheme(ctx)
+            beta2 = [build_beta2_scheme(ctx, kind) for kind in ("greedy", "lazy")]
+            rng = random.Random(name)
+            found = 0
+            while found < 20:
+                q = rng.randint(2, 40)
+                x = ctx.element(Fraction(rng.randint(-2 * q, q), q))
+                if not (I.contains(x) and ito.domain.contains(x)):
+                    continue
+                found += 1
+                greedy_neg_beta(x, depth=40)
+                lazy_neg_beta(x, depth=40)
+                for scheme in [ito] + beta2:
+                    run_scheme(scheme, x, depth=40)
+            assert ctx.fallback_count() == 0, name
+
+
+def _lowest_terms(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+def _sample_elements(ctx, rng):
+    xs = [ctx.zero(), ctx.one()]
+    for height in (9, 10**9):
+        xs += [ctx.from_coeffs(_random_coeffs(rng, ctx.degree, height)) for _ in range(6)]
+    return xs
+
+
+class TestIntegerVectors:
+    """Integer-vector arithmetic against the Fraction reference."""
+
+    def _check(self, poly, xs):
+        d = len(poly) - 1
+        one = (Fraction(1),) + (Fraction(0),) * (d - 1)
+        for x in xs:
+            assert _lowest_terms(x)
+            for y in xs:
+                xc, yc = x.coeffs, y.coeffs
+                for z, want in ((x + y, tuple(a + b for a, b in zip(xc, yc))),
+                                (x - y, tuple(a - b for a, b in zip(xc, yc))),
+                                (x * y, reference_mul(poly, xc, yc))):
+                    assert z.coeffs == want
+                    assert _lowest_terms(z)
+            for k in (0, 1, -3, Fraction(4, 9), Fraction(-7, 2), Fraction(1, 4) ** 50):
+                z = x * k
+                assert z.coeffs == tuple(c * k for c in x.coeffs)
+                assert _lowest_terms(z)
+            if any(x.num):
+                inv = x.inverse()
+                assert _lowest_terms(inv)
+                assert reference_mul(poly, x.coeffs, inv.coeffs) == one
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_against_the_fraction_reference(self, name):
+        poly, lo, hi = BASES[name]
+        ctx = field_from_poly(poly, lo, hi)
+        self._check(poly, _sample_elements(ctx, random.Random(name)))
+
+    def test_rational_base_orbit_remainders(self, seven_quarters):
+        # the remainders of 1/4 under the 7/4 map have denominators 4^k
+        x = seven_quarters.element(Fraction(1, 4))
+        orbit = [x]
+        for _ in range(200):
+            orbit.append(step_min_digit(orbit[-1])[1])
+        assert orbit[-1].den == 4 ** 201
+        xs = orbit[::25] + [orbit[-1], seven_quarters.zero(), -orbit[-1]]
+        self._check((-7, 4), xs)
+
+    def test_power_table_denominator(self):
+        ctx = field_from_poly((-1, -3, 2), 1, 2)
+        b = ctx.beta()
+        # beta^2 = (1 + 3 beta) / 2
+        assert (b * b).num == (1, 3) and (b * b).den == 2
