@@ -102,25 +102,6 @@ def eval_poly(p, x):
     return acc
 
 
-def eval_interval(p, lo, hi):
-    """Enclosure of p over [lo, hi] by interval Horner evaluation."""
-    if not p:
-        z = Fraction(0)
-        return z, z
-    a = b = p[-1]
-    for i in range(len(p) - 2, -1, -1):
-        c = p[i]
-        if a == b:
-            x, y = a * lo, a * hi
-            if x > y:
-                x, y = y, x
-        else:
-            cands = (a * lo, a * hi, b * lo, b * hi)
-            x, y = min(cands), max(cands)
-        a, b = x + c, y + c
-    return a, b
-
-
 def _sign_variations(values):
     count = 0
     prev = 0

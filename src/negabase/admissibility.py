@@ -1,6 +1,6 @@
 """Admissibility of digit strings as greedy, lazy or Ito-Sadahiro expansions.
 
-Every check is one rule (`_compare_tail`): chosen tails of the word are
+Every check is one rule (`words._compare_tail`): chosen tails of the word are
 compared, digit by digit, with a reference expansion in the lexicographic
 or the alternate order.
 
@@ -20,15 +20,14 @@ or the alternate order.
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
 from .field import context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, Scheme, SchemeCell,
                       _beta2_tables, all_pair_digits, build_ito_sadahiro_scheme,
                       interval_I, run_scheme)
-from .words import (DigitString, PairDigit, complement_pairs, format_word,
-                    psi_inverse)
+from .words import (DigitString, PairDigit, _code, _compare_tail,
+                    complement_pairs, format_word, psi_inverse)
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -153,46 +152,6 @@ def reference_bounds(ctx, orbit_budget=DEFAULT_ORBIT_BUDGET):
 @context_cached
 def _reference_bounds(ctx, orbit_budget):
     return AdmissibilityBound(ctx, orbit_budget)
-
-
-def _code(word, rank=None):
-    """A word as (digits, index where the period starts), digits mapped by
-    rank if given.  A finite word (or an orbit prefix with no period found)
-    gets its length as the index."""
-    digits = word.preperiod + word.period
-    if rank is not None:
-        digits = tuple(rank[d] for d in digits)
-    return digits, len(word.preperiod)
-
-
-def _compare_tail(word, k, bound, alternate=False):
-    """-1, 0 or 1 as the tail of a coded word from 0-based position k is below,
-    equal to or above a coded bound, in the lexicographic order or the
-    alternate one (odd positions of the tail compare reversed).  None when a
-    finite word or bound runs out before the two differ."""
-    w, w_loop = word
-    b, b_loop = bound
-    nw, nb = len(w), len(b)
-    # once both are inside their periods, one common period decides; when
-    # one of them is finite, it runs out first
-    period = lcm(nw - w_loop, nb - b_loop)
-    steps = max(w_loop - k, 0) + b_loop + period if period else nw + nb
-    i, j = k, 0
-    for n in range(steps):
-        if i == nw:
-            i = w_loop
-        if j == nb:
-            j = b_loop
-        if i == nw or j == nb:
-            return None
-        if w[i] != b[j]:
-            below = w[i] < b[j]
-            if alternate and n % 2 == 0:
-                below = not below
-            return -1 if below else 1
-        i += 1
-        j += 1
-    return 0 if period else None
 
 
 def _factor_text(word, start, length):

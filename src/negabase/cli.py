@@ -6,7 +6,8 @@ exact values are always serialized as rational coefficient vectors,
 never as floats.
 
 Exit codes: 0 on success, 2 on parse or domain errors, 3 when a result
-is UNDECIDED or a period was not found within the orbit budget.
+is UNDECIDED or a period was not found within the orbit budget, 1 when
+standard output is closed before the report is written.
 """
 
 import argparse
@@ -399,8 +400,19 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`negabase ... | head -1`): stdout goes to devnull
+        # so the flush at exit cannot fail again; exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args):
     try:
         report, lines = _HANDLERS[args.command](args)
     except (ValueError, BranchBudgetError) as exc:

@@ -7,13 +7,15 @@ sum(num[i] * beta^i) / den, reduced modulo that polynomial and kept in
 lowest terms, so equality, sign, floor and ceiling are all decidable
 without any floating point.
 
-Sign and floor first run a certified filter.  Each context rounds a
-refined bracket of beta outward, once, to L/2^64 <= beta <= H/2^64, and
-an integer interval Horner evaluation on it encloses the value.  When the
-enclosure excludes zero (for floor: when both its ends have the same
-floor) that is the answer.  Only when it straddles does the exact path
-run: the zero test of an uncertified context, then bisection of the
-isolating interval, with every intermediate bracket cached on the context.
+Sign and floor read one integer enclosure.  The context keeps a single
+isolating bracket of beta, two integers over one scale, tightened in place
+by bisection in integer arithmetic, and rounds it outward to dyadic
+brackets L/2^bits <= beta <= H/2^bits, one per precision asked for.  An
+integer interval Horner evaluation on the 64-bit bracket encloses the
+value; when the enclosure excludes zero (for floor: when both its ends
+have the same floor) that is the answer.  When it straddles, an
+uncertified context first runs its exact zero test, then the same
+enclosure is taken at 128, 256, ... bits until it decides.
 
 Non-integer rational bases are admitted as degree-one contexts whose
 arithmetic collapses to plain rationals.
@@ -38,7 +40,6 @@ class ContextMismatchError(ValueError):
 PHI_MIN_POLY = (-1, -1, 1)            # x^2 - x - 1
 TRIBONACCI_MIN_POLY = (-1, -1, -1, 1)  # x^3 - x^2 - x - 1
 
-_SIGN_ITERATION_CAP = 100_000
 _FILTER_BITS = 64
 
 
@@ -55,39 +56,40 @@ def _as_fraction(v):
 class FieldContext:
     """The base beta: minimal polynomial plus a refinable isolating bracket.
 
-    Instances are immutable apart from the internal refinement cache,
-    which only ever tightens the bracket and is guarded by a lock, the
-    fallback counter, guarded by the same lock, and the per-base tables
-    of `context_cached`, which are filled once per key; so a context can
-    be shared freely between threads.
+    Instances are immutable apart from the current isolating bracket, which
+    only ever tightens, the dyadic brackets read off it and the fallback
+    counter, all guarded by one lock, and the per-base tables of
+    `context_cached`, which are filled once per key; so a context can be
+    shared freely between threads.
     """
 
     __slots__ = (
-        "min_poly", "_modulus", "_initial_bracket", "_refinements",
-        "_exact_root", "_certified", "_mod_sign_lo", "_lock",
-        "_power_table", "_table_den", "_filter", "_fallbacks",
-        "_beta", "_floor_beta", "_tables", "__weakref__",
+        "min_poly", "_modulus", "_initial_bracket", "_bracket", "_bisections",
+        "_dyadic", "_certified", "_lock", "_power_table", "_table_den",
+        "_fallbacks", "_beta", "_floor_beta", "_tables", "__weakref__",
     )
 
-    def __init__(self, min_poly, modulus, bracket, exact_root, certified):
+    def __init__(self, min_poly, modulus, bracket, certified):
         self.min_poly = tuple(int(c) for c in min_poly)
         self._modulus = modulus              # monic Fraction tuple, vanishes at beta
         self._initial_bracket = bracket
-        self._refinements = [bracket]
-        self._exact_root = exact_root
+        scale = lcm(bracket[0].denominator, bracket[1].denominator)
+        self._bracket = (int(bracket[0] * scale), int(bracket[1] * scale), scale)   # [a/s, b/s]
+        self._bisections = 0
+        self._dyadic = {}
         self._certified = certified
-        self._mod_sign_lo = _rational_sign(P.eval_poly(modulus, bracket[0]))
         self._lock = threading.Lock()
         self._fallbacks = 0
-        self._floor_beta = None
         self._tables = {}
         d = self.degree
         self._power_table, self._table_den = _reduced_powers(modulus)
-        # a rational element never reaches the filter, so degree one needs none
-        self._filter = self._dyadic_bracket() if d > 1 else None
+        if d > 1:
+            # the filter's bracket is part of set-up, not of the first sign;
+            # a rational element never reaches it, so degree one needs none
+            self.dyadic_bracket(_FILTER_BITS)
         # degree one: the modulus is x - rho
         self._beta = self.element(-modulus[0]) if d == 1 else self.from_coeffs([0, 1])
-        fb = self._compute_floor()
+        fb = self._beta.floor()
         if fb < 1:
             raise FieldError("base must be greater than 1")
         self._floor_beta = fb
@@ -121,21 +123,11 @@ class FieldContext:
 
     # -- bracket refinement -------------------------------------------------
 
-    def bracket(self, level=None):
-        refs = self._refinements
-        if level is None:
-            return refs[-1]
-        if level < len(refs):
-            # the refinement list is append-only, so reads are safe unlocked
-            return refs[level]
-        with self._lock:
-            while len(self._refinements) <= level:
-                self._refine_locked()
-            return self._refinements[level]
-
     def refinement_count(self):
+        """How many isolating brackets were computed: the initial one plus
+        one per bisection."""
         with self._lock:
-            return len(self._refinements)
+            return self._bisections + 1
 
     def fallback_count(self):
         """How many sign and floor calls the 64-bit filter left undecided."""
@@ -146,39 +138,29 @@ class FieldContext:
         with self._lock:
             self._fallbacks += 1
 
-    def refine(self):
-        """Tighten the bracket once; the width halves and the root stays inside."""
+    def dyadic_bracket(self, bits):
+        """(L, H) with L/2^bits <= beta <= H/2^bits: the isolating bracket
+        bisected until it is no wider than 2^-bits, then rounded outward."""
         with self._lock:
-            self._refine_locked()
-            return self._refinements[-1]
-
-    def _refine_locked(self):
-        lo, hi = self._refinements[-1]
-        if self._exact_root is not None:
-            rho = self._exact_root
-            self._refinements.append(((lo + rho) / 2, (rho + hi) / 2))
-            return
-        mid = (lo + hi) / 2
-        s = _rational_sign(P.eval_poly(self._modulus, mid))
-        if s == 0:
-            # the midpoint is the root itself; beta turned out rational
-            self._exact_root = mid
-            self._refinements.append(((lo + mid) / 2, (mid + hi) / 2))
-        elif s == self._mod_sign_lo:
-            self._refinements.append((mid, hi))
-        else:
-            self._refinements.append((lo, mid))
-
-    def _dyadic_bracket(self):
-        """(L, H) with L/2^64 <= beta <= H/2^64: the first refined bracket
-        no wider than 2^-64, rounded outward."""
-        level = 0
-        lo, hi = self.bracket(0)
-        while (hi - lo) * (1 << _FILTER_BITS) > 1:
-            level += 1
-            lo, hi = self.bracket(level)
-        return ((lo.numerator << _FILTER_BITS) // lo.denominator,
-                -((-hi.numerator << _FILTER_BITS) // hi.denominator))
+            if bits in self._dyadic:
+                return self._dyadic[bits]
+            a, b, scale = self._bracket
+            p = P.to_integer_primitive(self._modulus)
+            s_lo = _sign_at(p, a, scale)
+            while (b - a) << bits > scale:
+                m = a + b   # the midpoint, over 2 * scale
+                s = _sign_at(p, m, 2 * scale)
+                if s == 0:
+                    a = b = m   # the midpoint is beta, which is rational
+                elif s == s_lo:
+                    a, b = m, 2 * b
+                else:
+                    a, b = 2 * a, m
+                scale *= 2
+                self._bisections += 1
+            self._bracket = a, b, scale
+            pair = self._dyadic[bits] = (a << bits) // scale, -((-b << bits) // scale)
+            return pair
 
     # -- element constructors ----------------------------------------------
 
@@ -215,11 +197,6 @@ class FieldContext:
         """The fractional part beta - floor(beta)."""
         return self.beta() - self._floor_beta
 
-    def _compute_floor(self):
-        if self._exact_root is not None:
-            return self._exact_root.numerator // self._exact_root.denominator
-        return self.beta().floor()
-
 
 def context_cached(fn):
     """Memoize fn(ctx, *args) on the context: each per-base table is built
@@ -252,6 +229,11 @@ def _reduced_powers(modulus):
 
 def _rational_sign(q):
     return (q > 0) - (q < 0)
+
+
+def _sign_at(p, n, scale):
+    """Sign of the integer polynomial p at n/scale, scale > 0, in integers."""
+    return _rational_sign(sum(c * n ** i * scale ** (len(p) - 1 - i) for i, c in enumerate(p)))
 
 
 def _sum(ctx, n1, d1, n2, d2, negate):
@@ -465,7 +447,7 @@ class ExactReal:
         g = P.gcd_poly(P.trim(self.coeffs), ctx._modulus)
         if P.degree(g) < 1:
             return False
-        lo, hi = ctx.bracket(0)
+        lo, hi = ctx.isolating_interval
         return _rational_sign(P.eval_poly(g, lo)) != _rational_sign(P.eval_poly(g, hi))
 
     def is_rational(self):
@@ -476,17 +458,19 @@ class ExactReal:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def _enclosure(self):
+    def _enclosure(self, bits=_FILTER_BITS):
         """(a, b, s) with a <= den * 2^s * value <= b, by interval Horner
-        evaluation in integers on the dyadic bracket of beta; exact, with
-        s = 0, when the value is rational."""
+        evaluation in integers on the context's dyadic bracket of beta at
+        `bits` bits; exact, with s = 0, when the value is rational."""
         num = self.num
         k = len(num) - 1
         while k and not num[k]:
             k -= 1
         a = b = num[k]
         if k:
-            lo, hi = self.context._filter
+            ctx = self.context
+            # a cached bracket is read without the lock or a call
+            lo, hi = ctx._dyadic.get(bits) or ctx.dyadic_bracket(bits)
             shift = 0
             for c in num[k - 1::-1]:
                 if a >= 0:
@@ -495,12 +479,12 @@ class ExactReal:
                     a, b = a * hi, b * lo
                 else:
                     a, b = a * hi, b * hi
-                shift += _FILTER_BITS
+                shift += bits
                 if c:
                     c <<= shift
                     a += c
                     b += c
-        return a, b, _FILTER_BITS * k
+        return a, b, bits * k
 
     def sign(self):
         """Exact sign in {-1, 0, +1}; terminates for every element."""
@@ -515,55 +499,33 @@ class ExactReal:
         ctx._count_fallback()
         if not ctx._certified and self.is_zero():
             return 0
-        p = P.trim(self.num)
-        eval_interval = P.eval_interval
-        level = 0
-        for _ in range(_SIGN_ITERATION_CAP):
-            lo, hi = ctx.bracket(level)
-            a, b = eval_interval(p, lo, hi)
-            if a > 0:
-                return 1
-            if b < 0:
-                return -1
-            level += 1
-        raise RuntimeError("sign refinement did not converge")  # pragma: no cover
+        # the value is not zero, so a fine enough enclosure excludes zero
+        bits = _FILTER_BITS
+        while a <= 0 <= b:
+            bits *= 2
+            a, b, _ = self._enclosure(bits)
+        return 1 if a > 0 else -1
 
     def floor(self):
         """Greatest integer <= value: the filter when both ends of its
-        enclosure have one floor, else bracketing plus one exact comparison."""
+        enclosure have one floor, else an enclosure narrower than 1 and one
+        exact comparison with the top integer it can hold."""
         a, b, s = self._enclosure()
         m = self.den << s
         k = a // m
         if k == b // m:
             return k
         self.context._count_fallback()
-        p = P.trim(self.coeffs)
-        level = 0
-        while True:
-            lo, hi = self.context.bracket(level)
-            a, b = P.eval_interval(p, lo, hi)
-            if b - a < Fraction(1, 2):
-                break
-            level += 1
-        k = a.numerator // a.denominator
-        return k + 1 if (self - (k + 1)).sign() >= 0 else k
+        bits = _FILTER_BITS
+        while b - a >= m:
+            bits *= 2
+            a, b, s = self._enclosure(bits)
+            m = self.den << s
+        k = b // m
+        return k if (self - k).sign() >= 0 else k - 1
 
     def ceil(self):
         return -((-self).floor())
-
-    def approximate(self, eps=Fraction(1, 10**12)):
-        """A rational within eps of the value (for display only)."""
-        eps = _as_fraction(eps)
-        p = P.trim(self.coeffs)
-        if len(p) <= 1:
-            return p[0] if p else Fraction(0)
-        level = 0
-        while True:
-            lo, hi = self.context.bracket(level)
-            a, b = P.eval_interval(p, lo, hi)
-            if b - a < eps:
-                return (a + b) / 2
-            level += 1
 
     # -- comparisons ------------------------------------------------------------
 
@@ -636,18 +598,16 @@ def field_from_poly(coeffs, lo, hi):
         k += 1
 
     modulus = sq
-    exact_root = None
     roots = P.rational_roots(sq)
     if roots is not None:
         for rho in roots:
             if lo < rho < hi:
-                exact_root = rho
                 modulus = (-rho, Fraction(1))
                 break
             modulus = P.divmod_poly(modulus, (-rho, Fraction(1)))[0]
     certified = P.degree(modulus) == 1 or (roots is not None and P.degree(modulus) in (2, 3))
     return FieldContext(tuple(int(c) for c in P.to_integer_primitive(p)), modulus,
-                        (lo, hi), exact_root, certified)
+                        (lo, hi), certified)
 
 
 def rational_field(value):

@@ -416,14 +416,11 @@ def _coeffs(y):
 
 def eval_digits(word, base, digit_value=None):
     """Exact value sum digit_i * base^(-i) of a finite or eventually
-    periodic digit string; the periodic tail is summed in closed form."""
+    periodic digit string; the periodic tail is summed in closed form.
+    digit_value maps a digit to its element; by default the digit is an
+    integer and stands for itself."""
     ctx = base.context
-    if digit_value is None:
-        value = ctx.element
-    elif isinstance(digit_value, dict):
-        value = digit_value.__getitem__
-    else:
-        value = digit_value
+    value = ctx.element if digit_value is None else digit_value
     binv = base.inverse()
 
     def weighted_prefix(part):

@@ -123,40 +123,70 @@ class DigitString:
         return format_word(self)
 
 
-def _compare(u, v, key, alternate):
+def _code(word, rank=None):
+    """A word as (digits, index where the period starts), digits mapped by
+    rank if given.  A finite word (or an orbit prefix with no period found)
+    gets its length as the index."""
+    digits = word.preperiod + word.period
+    if rank is not None:
+        digits = tuple(rank[d] for d in digits)
+    return digits, len(word.preperiod)
+
+
+def _compare_tail(word, k, bound, alternate=False):
+    """-1, 0 or 1 as the tail of a coded word from 0-based position k is below,
+    equal to or above a coded bound, in the lexicographic order or the
+    alternate one (odd positions of the tail compare reversed).  None when a
+    finite word or bound runs out before the two differ."""
+    w, w_loop = word
+    b, b_loop = bound
+    nw, nb = len(w), len(b)
+    # once both are inside their periods, one common period decides; when
+    # one of them is finite, it runs out first
+    period = lcm(nw - w_loop, nb - b_loop)
+    steps = max(w_loop - k, 0) + b_loop + period if period else nw + nb
+    i, j = k, 0
+    for n in range(steps):
+        if i == nw:
+            i = w_loop
+        if j == nb:
+            j = b_loop
+        if i == nw or j == nb:
+            return None
+        if w[i] != b[j]:
+            below = w[i] < b[j]
+            if alternate and n % 2 == 0:
+                below = not below
+            return LT if below else GT
+        i += 1
+        j += 1
+    return EQ if period else None
+
+
+def _comparable(u, v):
+    """The coded operands of a comparison: two infinite words, or two
+    finite words of one length, which the tail rule reads to the end
+    (None) exactly when they are equal."""
     if not isinstance(u, DigitString) or not isinstance(v, DigitString):
         raise TypeError("compare expects DigitString operands")
     if u.is_finite != v.is_finite:
         raise ValueError("cannot compare a finite word with an infinite one")
-    if u.is_finite:
-        horizon = len(u)
-        if horizon != len(v):
-            raise ValueError("finite words of different lengths are incomparable")
-    else:
-        horizon = (len(u.preperiod) + len(v.preperiod)
-                   + lcm(len(u.period), len(v.period)))
-    for i in range(horizon):
-        a, b = u.digit_at(i), v.digit_at(i)
-        if a == b:
-            continue
-        ka, kb = (key(a), key(b)) if key else (a, b)
-        less = ka < kb
-        if alternate and i % 2 == 0:
-            # odd 1-based position: the order on this digit is reversed
-            less = not less
-        return LT if less else GT
-    return EQ
+    if u.is_finite and len(u) != len(v):
+        raise ValueError("finite words of different lengths are incomparable")
+    return _code(u), _code(v)
 
 
-def lex_compare(u, v, key=None):
+def lex_compare(u, v):
     """Lexicographic comparison; finite words must have equal length."""
-    return _compare(u, v, key, alternate=False)
+    u, v = _comparable(u, v)
+    return _compare_tail(u, 0, v) or EQ
 
 
-def alt_compare(u, v, key=None):
+def alt_compare(u, v):
     """Alternate-order comparison: the digit at 1-based position k counts
     with sign (-1)^k, so odd positions compare reversed."""
-    return _compare(u, v, key, alternate=True)
+    u, v = _comparable(u, v)
+    return _compare_tail(u, 0, v, alternate=True) or EQ
 
 
 def alt_sort_key(word):

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from negabase.cli import main
 
@@ -230,3 +236,26 @@ def test_byte_determinism(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("unbuffered", [
+    False,  # the report waits in the buffer for the flush at exit
+    True,   # print itself hits the closed pipe
+])
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["branches", "--base", "phi", "--x", "-1/2", "--depth", "14"]
+    r, w = os.pipe()
+    os.close(r)   # no reader: the child's first write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "negabase.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -22,8 +22,9 @@ REDUCIBLE_MIN_POLY = (-1, -1, 0, -1, 1)
 BASES = {
     "phi": (PHI_MIN_POLY, 1, 2),
     "tribonacci": (TRIBONACCI_MIN_POLY, 1, 2),
-    # a non-dyadic bracket, rounded outward once
+    # non-dyadic brackets, rounded outward once
     "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "phi-wide": (PHI_MIN_POLY, Fraction(1, 3), Fraction(7, 3)),
     # uncertified: degree 4
     "tetranacci": (TETRANACCI_MIN_POLY, 1, 2),
     "reducible": (REDUCIBLE_MIN_POLY, 1, 2),
@@ -203,24 +204,21 @@ def test_field_axioms(a, b, c):
         assert (x * x.inverse() - 1).sign() == 0
 
 
-def test_refinement_soundness(phi):
-    from negabase._polys import eval_poly
-
-    poly = tuple(Fraction(c) for c in PHI_MIN_POLY)
-    for level in range(40):
-        lo, hi = phi.bracket(level)
-        assert lo < hi
-        assert eval_poly(poly, lo) * eval_poly(poly, hi) < 0
-    lo0, hi0 = phi.bracket(0)
-    lo40, hi40 = phi.bracket(40)
-    assert (hi40 - lo40) <= (hi0 - lo0) / 2 ** 40
-
-
-def test_refinement_halves_each_step(mu):
-    for level in range(10):
-        lo0, hi0 = mu.bracket(level)
-        lo1, hi1 = mu.bracket(level + 1)
-        assert hi1 - lo1 == (hi0 - lo0) / 2
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_dyadic_brackets_nest_around_beta(name):
+    poly, lo, hi = BASES[name]
+    ctx = field_from_poly(poly, lo, hi)
+    coarser = None
+    for bits in (64, 128, 256):
+        L, H = ctx.dyadic_bracket(bits)
+        # beta is irrational in every base here, so both ends are strict
+        assert bisection_sign(poly, lo, hi, (Fraction(-L, 2 ** bits), 1), bits + 64) == 1
+        assert bisection_sign(poly, lo, hi, (Fraction(-H, 2 ** bits), 1), bits + 64) == -1
+        assert H - L <= 3
+        if coarser:
+            cbits, cL, cH = coarser
+            assert cL << (bits - cbits) <= L and H <= cH << (bits - cbits)
+        coarser = bits, L, H
 
 
 def _random_coeffs(rng, d, height):
@@ -248,14 +246,18 @@ class TestFilter:
         phi = field_from_poly(PHI_MIN_POLY, 1, 2)
         before = phi.fallback_count()
         fib = [0, 1]
-        while len(fib) < 132:
+        while len(fib) < 402:
             fib.append(fib[-1] + fib[-2])
-        for n in range(20, 131):
+        for n in range(20, 401):
             coeffs = (fib[n + 1], -fib[n])
             x = phi.from_coeffs(coeffs)
-            assert x.sign() == (-1) ** n == bisection_sign(PHI_MIN_POLY, 1, 2, coeffs)
+            assert x.sign() == (-1) ** n
             assert x.floor() == (-1 if n % 2 else 0)
+            if n <= 130:
+                assert bisection_sign(PHI_MIN_POLY, 1, 2, coeffs) == (-1) ** n
         assert phi.fallback_count() > before
+        # n = 400 needs brackets finer than 512 bits: several doublings ran
+        assert phi.refinement_count() > 512
 
     def test_tribonacci_powers_force_the_fallback(self):
         # (1 + mu - mu^2)^n = (-1/mu)^n
@@ -279,6 +281,10 @@ class TestFilter:
         assert x.sign() == 0
         assert x.is_zero()
         assert ctx.fallback_count() == before + 1
+        # exact integers with a nonzero vector: the narrowing loop must stop
+        for k in (-3, 0, 3, 7):
+            assert (x + k).floor() == k
+            assert (x + k).ceil() == k
 
     def test_no_fallback_along_expansions(self):
         for name in ("phi", "tribonacci", "rt3", "tetranacci"):
