@@ -75,9 +75,9 @@ def minimal_alphabet(ctx):
     fb = ctx.floor_beta
     threshold = ctx.beta() * ctx.frac_beta()
     greedy = tuple(p for p in all_pair_digits(ctx)
-                   if p.b >= 1 or (threshold - p.a).sign() > 0)
+                   if p.b >= 1 or threshold.compare(p.a) > 0)
     lazy = tuple(PairDigit(fb - p.b, fb - p.a) for p in reversed(greedy))
-    full = (ctx.beta() * ctx.beta() - ctx.beta() * fb - fb).sign() > 0
+    full = (ctx.beta() * ctx.beta()).compare(ctx.beta() * fb + fb) > 0
     return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], full)
 
 

@@ -7,7 +7,7 @@ never as floats.
 
 Exit codes: 0 on success, 2 on parse or domain errors, 3 when a result
 is UNDECIDED or a period was not found within the orbit budget, 1 when
-standard output is closed before the report is written.
+standard output is closed before the report (or --help) is written.
 """
 
 import argparse
@@ -108,7 +108,7 @@ def _cmd_expand(args):
         # a prefix cut off by the orbit budget is not a value of x; its
         # exact value can be too long to print
         value = evaluate(ctx, exp.word)
-        evaluated, round_trip = coeff_vector(value), (value - x).sign() == 0
+        evaluated, round_trip = coeff_vector(value), value == x
     info = _expansion_info(exp)
     report = {
         "schema": SCHEMA_VERSION,
@@ -334,6 +334,11 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*a, **kw)
         self._negative_number_matcher = re.compile(r"^-(\d|b|\()")
 
+    def _print_message(self, message, file=None):
+        # argparse 3.11+ drops write errors; a closed stdout must reach main()
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _build_parser():
     parser = _Parser(
@@ -400,10 +405,12 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        code = _run(args)
-        sys.stdout.flush()
+        try:
+            code = _run(_build_parser().parse_args(argv))
+        finally:
+            # argparse's --help and usage errors exit from parse_args
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (`negabase ... | head -1`): stdout goes to devnull
         # so the flush at exit cannot fail again; exit 1 as Python does on EPIPE

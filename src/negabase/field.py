@@ -7,20 +7,23 @@ sum(num[i] * beta^i) / den, reduced modulo that polynomial and kept in
 lowest terms, so equality, sign, floor and ceiling are all decidable
 without any floating point.
 
-Sign and floor read one integer enclosure.  The context keeps a single
-isolating bracket of beta, two integers over one scale, tightened in place
-by bisection in integer arithmetic, and rounds it outward to dyadic
-brackets L/2^bits <= beta <= H/2^bits, one per precision asked for.  An
-integer interval Horner evaluation on the 64-bit bracket encloses the
+Sign, floor and comparison read one integer enclosure.  The context keeps
+a single isolating bracket of beta, two integers over one scale, tightened
+in place by bisection in integer arithmetic, and rounds it outward to
+dyadic brackets L/2^bits <= beta <= H/2^bits, one per precision asked for.
+An integer interval Horner evaluation on the 64-bit bracket encloses the
 value; when the enclosure excludes zero (for floor: when both its ends
 have the same floor) that is the answer.  When it straddles, an
 uncertified context first runs its exact zero test, then the same
-enclosure is taken at 128, 256, ... bits until it decides.
+enclosure is taken at 128, 256, ... bits until it decides.  A comparison
+encloses the unreduced cross-multiplied numerators, so one the filter
+decides builds no element; adding an integer needs no reduction.
 
 Non-integer rational bases are admitted as degree-one contexts whose
 arithmetic collapses to plain rationals.
 """
 
+import operator
 import threading
 from fractions import Fraction
 from functools import wraps
@@ -254,6 +257,41 @@ def _sum(ctx, n1, d1, n2, d2, negate):
     return ExactReal(ctx, t, e1 * d2)
 
 
+def _enclose(ctx, num, bits=_FILTER_BITS):
+    """(a, b, s) with a <= 2^s * sum(num[i] * beta^i) <= b, by interval
+    Horner evaluation in integers on the context's dyadic bracket of beta
+    at `bits` bits; exact, with s = 0, when only num[0] is nonzero."""
+    k = len(num) - 1
+    while k and not num[k]:
+        k -= 1
+    a = b = num[k]
+    if k:
+        # a cached bracket is read without the lock or a call
+        lo, hi = ctx._dyadic.get(bits) or ctx.dyadic_bracket(bits)
+        shift = 0
+        for c in num[k - 1::-1]:
+            if a >= 0:
+                a, b = a * lo, b * hi
+            elif b <= 0:
+                a, b = a * hi, b * lo
+            else:
+                a, b = a * hi, b * hi
+            shift += bits
+            if c:
+                c <<= shift
+                a += c
+                b += c
+    return a, b, bits * k
+
+
+def _order(op):
+    """The operator op(self, other) on elements, read off compare()."""
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else op(self.compare(o), 0)
+    return method
+
+
 class ExactReal:
     """An element of Q(beta): value = sum(num[i] * beta^i) / den, all exact.
 
@@ -263,9 +301,9 @@ class ExactReal:
     both as given; FieldContext.from_coeffs and element build elements
     from rationals.
 
-    sign() and floor() decide from an integer interval Horner enclosure on
-    the context's 64-bit dyadic bracket of beta, and fall back to the
-    exact path (zero test, then bisection) only when it straddles.
+    sign(), floor() and compare() decide from an integer interval Horner
+    enclosure on the context's 64-bit dyadic bracket of beta, and fall back
+    to the exact path (zero test, then bisection) only when it straddles.
     """
 
     __slots__ = ("context", "num", "den")
@@ -321,13 +359,18 @@ class ExactReal:
             return NotImplemented
         if self.num == o.num and self.den == o.den:
             return True
-        if self.context._certified:
-            return False
-        return (self - o).is_zero()
+        return not self.context._certified and self.compare(o) == 0
 
     # -- ring operations ------------------------------------------------------
 
+    def _shift(self, k):
+        # plus the integer k: gcd(den, num[0] + k * den, ...) == gcd(den, *num)
+        num = self.num
+        return ExactReal(self.context, (num[0] + k * self.den,) + num[1:], self.den)
+
     def __add__(self, other):
+        if isinstance(other, int):
+            return self._shift(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -336,6 +379,8 @@ class ExactReal:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self._shift(-other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -458,37 +503,9 @@ class ExactReal:
             raise ValueError("element is not rational")
         return Fraction(self.num[0], self.den)
 
-    def _enclosure(self, bits=_FILTER_BITS):
-        """(a, b, s) with a <= den * 2^s * value <= b, by interval Horner
-        evaluation in integers on the context's dyadic bracket of beta at
-        `bits` bits; exact, with s = 0, when the value is rational."""
-        num = self.num
-        k = len(num) - 1
-        while k and not num[k]:
-            k -= 1
-        a = b = num[k]
-        if k:
-            ctx = self.context
-            # a cached bracket is read without the lock or a call
-            lo, hi = ctx._dyadic.get(bits) or ctx.dyadic_bracket(bits)
-            shift = 0
-            for c in num[k - 1::-1]:
-                if a >= 0:
-                    a, b = a * lo, b * hi
-                elif b <= 0:
-                    a, b = a * hi, b * lo
-                else:
-                    a, b = a * hi, b * hi
-                shift += bits
-                if c:
-                    c <<= shift
-                    a += c
-                    b += c
-        return a, b, bits * k
-
     def sign(self):
         """Exact sign in {-1, 0, +1}; terminates for every element."""
-        a, b, s = self._enclosure()
+        a, b, s = _enclose(self.context, self.num)
         if a > 0:
             return 1
         if b < 0:
@@ -503,14 +520,14 @@ class ExactReal:
         bits = _FILTER_BITS
         while a <= 0 <= b:
             bits *= 2
-            a, b, _ = self._enclosure(bits)
+            a, b, _ = _enclose(ctx, self.num, bits)
         return 1 if a > 0 else -1
 
     def floor(self):
         """Greatest integer <= value: the filter when both ends of its
         enclosure have one floor, else an enclosure narrower than 1 and one
         exact comparison with the top integer it can hold."""
-        a, b, s = self._enclosure()
+        a, b, s = _enclose(self.context, self.num)
         m = self.den << s
         k = a // m
         if k == b // m:
@@ -519,7 +536,7 @@ class ExactReal:
         bits = _FILTER_BITS
         while b - a >= m:
             bits *= 2
-            a, b, s = self._enclosure(bits)
+            a, b, s = _enclose(self.context, self.num, bits)
             m = self.den << s
         k = b // m
         return k if (self - k).sign() >= 0 else k - 1
@@ -529,29 +546,23 @@ class ExactReal:
 
     # -- comparisons ------------------------------------------------------------
 
-    def __lt__(self, other):
+    def compare(self, other):
+        """Sign of self - other.  The filter reads the unreduced numerators
+        n1*d2 - n2*d1 over d1*d2 > 0; only a straddle builds the reduced
+        difference and takes the exact sign() path."""
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+            raise TypeError(f"cannot compare an element with {type(other).__name__}")
+        d1, d2 = self.den, o.den
+        a, b, s = _enclose(self.context, [n1 * d2 - n2 * d1 for n1, n2 in zip(self.num, o.num)])
+        if a > 0:
+            return 1
+        if b < 0:
+            return -1
+        return (self - o).sign() if s else 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
 
 
 def field_from_poly(coeffs, lo, hi):

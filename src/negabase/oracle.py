@@ -95,7 +95,7 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     digits -beta, -beta+1, -beta+2 of the squared-base alphabet.  Every
     returned value is checked by brute-force branch counting.
     """
-    if (ctx.beta() * ctx.beta() - 2 * ctx.beta() - 2).sign() <= 0:
+    if (ctx.beta() * ctx.beta()).compare(2 * ctx.beta() + 2) <= 0:
         raise FieldError("unique-representation sampling needs beta > 1 + sqrt(3)")
     fb = ctx.floor_beta
     rng = random.Random(seed)

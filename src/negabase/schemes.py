@@ -6,6 +6,8 @@ alternating algorithm that produces greedy and lazy digit strings in
 base -beta, the equivalent squared-base schemes over the pair-digit
 alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
 exact evaluation of eventually periodic digit strings.
+One exact rounding picks each greedy or lazy digit; the scan over the
+alphabet stays behind feasible_digits and the oracle as a check on it.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
@@ -39,13 +41,11 @@ class Interval:
     hi_closed: bool = True
 
     def contains(self, x):
-        s = (x - self.lo).sign()
+        s = x.compare(self.lo)
         if s < 0 or (s == 0 and not self.lo_closed):
             return False
-        s = (self.hi - x).sign()
-        if s < 0 or (s == 0 and not self.hi_closed):
-            return False
-        return True
+        s = self.hi.compare(x)
+        return s > 0 or (s == 0 and self.hi_closed)
 
     def __str__(self):
         left = "[" if self.lo_closed else "("
@@ -54,13 +54,11 @@ class Interval:
 
 
 def _subset(inner, outer):
-    s = (inner.lo - outer.lo).sign()
+    s = inner.lo.compare(outer.lo)
     if s < 0 or (s == 0 and inner.lo_closed and not outer.lo_closed):
         return False
-    s = (outer.hi - inner.hi).sign()
-    if s < 0 or (s == 0 and inner.hi_closed and not outer.hi_closed):
-        return False
-    return True
+    s = outer.hi.compare(inner.hi)
+    return s > 0 or (s == 0 and (outer.hi_closed or not inner.hi_closed))
 
 
 @context_cached
@@ -84,19 +82,33 @@ def digit_subinterval(ctx, a):
                     (ctx.element(a) + I.lo) * minus_binv, True, True)
 
 
-def _feasible_steps(y, descending=False):
+@context_cached
+def _step_data(ctx):
+    # -beta and the ends of I, read once per digit
+    I = interval_I(ctx)
+    return -ctx.beta(), I.lo, I.hi
+
+
+def _feasible_steps(y):
     """Yield (a, -beta*y - a) for every digit a whose remainder lies in I,
-    in ascending (or descending) digit order.  Callers that want one digit
-    stop at the first pair, so later digits are never tested."""
+    in ascending digit order, by testing each digit of the alphabet."""
     ctx = y.context
     I = interval_I(ctx)
-    l, r = I.lo, I.hi
     z = -(ctx.beta() * y)
-    fb = ctx.floor_beta
-    for a in (range(fb, -1, -1) if descending else range(fb + 1)):
+    for a in range(ctx.floor_beta + 1):
         w = z - a
-        if (w - l).sign() >= 0 and (r - w).sign() >= 0:
+        if I.contains(w):
             yield a, w
+
+
+def _digit_step(y, use_min):
+    """(a, -beta*y - a) for the smallest (use_min) or largest digit a whose
+    remainder lies in I: a = max(0, ceil(z - r)) = max(0, -floor(r - z)) or
+    min(floor(beta), floor(z - l)) with z = -beta*y.  y must lie in I."""
+    minus_beta, l, r = _step_data(y.context)
+    z = minus_beta * y
+    a = max(0, -(r - z).floor()) if use_min else min(y.context.floor_beta, (z - l).floor())
+    return a, z - a
 
 
 def feasible_digits(x):
@@ -116,13 +128,13 @@ def step_min_digit(x):
     single digits; the alternating greedy algorithm starts with it.
     """
     _require_in(interval_I(x.context), x)
-    return next(_feasible_steps(x))
+    return _digit_step(x, True)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
     _require_in(interval_I(x.context), x)
-    return next(_feasible_steps(x, descending=True))
+    return _digit_step(x, False)
 
 
 @dataclass(frozen=True)
@@ -139,9 +151,9 @@ class Expansion:
 
 
 def _endpoint_flag(I, x):
-    if (x - I.lo).sign() == 0:
+    if x == I.lo:
         return "l"
-    if (I.hi - x).sign() == 0:
+    if x == I.hi:
         return "r"
     return None
 
@@ -181,7 +193,7 @@ def _orbit(domain, x, step, start, key, depth, orbit_budget):
 def _alternating_step(state):
     # the state (use_min, y): smallest and largest feasible digit alternate
     use_min, y = state
-    a, w = next(_feasible_steps(y, descending=not use_min))
+    a, w = _digit_step(y, use_min)
     return a, (not use_min, w)
 
 
@@ -300,11 +312,10 @@ class Scheme:
                 raise ValueError(
                     f"cell {iv}: image {image} escapes the domain {self.domain}")
         cells = self.cells
-        if (cells[0].interval.lo - self.domain.lo).sign() != 0 \
-                or (cells[-1].interval.hi - self.domain.hi).sign() != 0:
+        if cells[0].interval.lo != self.domain.lo or cells[-1].interval.hi != self.domain.hi:
             raise ValueError("cells must span the domain")
         for a, b in zip(cells, cells[1:]):
-            if (a.interval.hi - b.interval.lo).sign() != 0 \
+            if a.interval.hi != b.interval.lo \
                     or a.interval.hi_closed == b.interval.lo_closed:
                 raise ValueError("cells do not tile the domain")
         return self
@@ -314,7 +325,7 @@ class Scheme:
         # left of x holds it
         for cell in self.cells[:-1]:
             iv = cell.interval
-            s = (iv.hi - x).sign()
+            s = iv.hi.compare(x)
             if s > 0 or (s == 0 and iv.hi_closed):
                 return cell
         return self.cells[-1]

@@ -8,7 +8,7 @@ with.
 
 from fractions import Fraction
 
-from negabase import DigitString
+from negabase import DigitString, feasible_digits
 
 
 def eval_int_poly(coeffs, x):
@@ -105,6 +105,20 @@ def reference_mul(min_poly, a, b):
             for i in range(d):
                 out[i] += c * rows[k][i]
     return tuple(out)
+
+
+def scan_expansion(x, depth, use_min=True):
+    """The first `depth` greedy (use_min) or lazy digits of x in base -beta,
+    by scanning: the smallest and the largest of feasible_digits, in turn."""
+    minus_beta = -x.context.beta()
+    digits = []
+    for _ in range(depth):
+        feasible = feasible_digits(x)
+        a = min(feasible) if use_min else max(feasible)
+        digits.append(a)
+        x = minus_beta * x - a
+        use_min = not use_min
+    return DigitString.finite(digits)
 
 
 def random_fraction(rng, lo, hi, denom=10**4):

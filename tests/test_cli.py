@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from negabase.cli import main
+from negabase.syntax import parse_base
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +229,16 @@ def test_order_verdict_eq():
     assert _order_verdict(g, l) == "EQ"
 
 
+def test_round_trip_by_equality_needs_no_fallback(capsys):
+    # the prefix's value misses x by about beta^-4000, so the sign of the
+    # difference would fall back; the equality test reads the vectors
+    ctx = parse_base("phi")
+    before = ctx.fallback_count()
+    assert main(["expand", "--base", "phi", "--x", "-1/2", "--depth", "4000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["round_trip"] is False
+    assert ctx.fallback_count() == before
+
+
 def test_byte_determinism(capsys):
     args = ["compare", "--base", "phi", "--x", "-1/2", "--json"]
     code1 = main(args)
@@ -249,13 +260,14 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["branches", "--base", "phi", "--x", "-1/2", "--depth", "14"]
-    r, w = os.pipe()
-    os.close(r)   # no reader: the child's first write to stdout fails
-    try:
-        proc = subprocess.run([sys.executable, "-m", "negabase.cli", *argv],
-                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(w)
-    assert proc.returncode == 1
-    assert proc.stderr == b""
+    # argparse prints --help and exits inside parse_args
+    for argv in (["branches", "--base", "phi", "--x", "-1/2", "--depth", "14"], ["--help"]):
+        r, w = os.pipe()
+        os.close(r)   # no reader: the child's first write to stdout fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "negabase.cli", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1, argv
+        assert proc.stderr == b"", argv

@@ -318,6 +318,61 @@ def _sample_elements(ctx, rng):
     return xs
 
 
+class TestCompare:
+    """compare() against the sign of the reduced difference, and integer
+    shifts against the element() forms."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_compare_is_the_sign_of_the_difference(self, name):
+        ctx = field_from_poly(*BASES[name])
+        b = ctx.beta()
+        xs = _sample_elements(ctx, random.Random(name)) + [b, -b, b * b]
+        for x in xs:
+            for y in xs + [0, 3, -2, Fraction(-7, 3)]:
+                assert x.compare(y) == (x - y).sign()
+        # pairs the 64-bit filter cannot split: beta against the lower end
+        # of a finer dyadic bracket, and, where beta is phi, F(n+1) against
+        # F(n)*beta, which differ by (-1/phi)^n
+        fib = [0, 1]
+        while len(fib) < 202:
+            fib.append(fib[-1] + fib[-2])
+        fib_pairs = [(ctx.element(fib[n + 1]), ctx.element(fib[n]) * b) for n in (60, 121, 200)]
+        straddles = [(b, ctx.element(Fraction(ctx.dyadic_bracket(bits)[0], 2 ** bits)))
+                     for bits in (128, 256)]
+        if name in ("phi", "phi-wide", "reducible"):
+            straddles += fib_pairs
+        for x, y in fib_pairs + straddles:
+            assert x.compare(y) == (x - y).sign() == -y.compare(x)
+        for x, y in straddles:
+            before = ctx.fallback_count()
+            x.compare(y)
+            assert ctx.fallback_count() > before
+        assert [x.compare(y) for x, y in straddles[:2]] == [1, 1]
+
+    def test_compare_decides_an_exact_zero_of_a_reducible_modulus(self):
+        ctx = field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)
+        b = ctx.beta()
+        before = ctx.fallback_count()
+        assert (b * b).compare(b + 1) == 0
+        assert not (b * b < b + 1) and b * b <= b + 1 and b * b >= b + 1
+        # different vectors, one value: == is decided exactly, not by vectors
+        assert b * b == b + 1 and b * b != b + 2 and (b * b).num != (b + 1).num
+        assert ctx.fallback_count() > before
+
+    @pytest.mark.parametrize("name", sorted(BASES) + ["7/4", "7/2"])
+    def test_integer_shifts(self, name):
+        if "/" in name:
+            ctx = rational_field(Fraction(name))
+        else:
+            ctx = field_from_poly(*BASES[name])
+        for x in _sample_elements(ctx, random.Random(name)):
+            for k in (0, 1, -1, 5, -12, 3**40, True, False):
+                e = ctx.element(k)
+                for got, want in ((x + k, x + e), (x - k, x - e), (k - x, e - x), (k + x, e + x)):
+                    assert (got.num, got.den) == (want.num, want.den)
+                    assert _lowest_terms(got)
+
+
 class TestIntegerVectors:
     """Integer-vector arithmetic against the Fraction reference."""
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_point
+from helpers import random_point, scan_expansion
 from negabase import (DigitString, DomainError, PairDigit, alt_compare,
                       build_beta2_scheme, build_ito_sadahiro_scheme,
                       build_positive_greedy_scheme, digit_subinterval,
@@ -72,6 +72,54 @@ class TestSteps:
     def test_outside_interval(self, phi):
         with pytest.raises(DomainError):
             step_min_digit(phi.element(5))
+
+
+# the one-rounding digit step against the scan over the alphabet
+ROUNDING_BASES = {
+    "phi": ((-1, -1, 1), 1, 2),
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
+    # (x^2 - x - 1)(x^2 + 1): uncertified, beta is phi
+    "reducible": ((-1, -1, 0, -1, 1), 1, 2),
+    "7/4": ((-7, 4), 1, 2),
+    "7/2": ((-7, 2), 3, 4),
+}
+
+
+def _rounding_points(ctx):
+    """l, r and the rational points p/q of I with q <= 13."""
+    I = interval_I(ctx)
+    fractions = {Fraction(p, q) for q in range(1, 14) for p in range(-q, q + 1)}
+    return [I.lo, I.hi] + [x for x in map(ctx.element, sorted(fractions)) if I.contains(x)]
+
+
+def _vector(step):
+    digit, remainder = step
+    return digit, remainder.num, remainder.den
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_BASES))
+def test_one_rounding_picks_the_extreme_feasible_digit(name):
+    ctx = field_from_poly(*ROUNDING_BASES[name])
+    minus_beta = -ctx.beta()
+    for x in _rounding_points(ctx):
+        # x and 30 remainders of its greedy orbit, followed by the scan
+        y = x
+        for i in range(31):
+            feasible = feasible_digits(y)
+            lo, hi = min(feasible), max(feasible)
+            assert _vector(step_min_digit(y)) == _vector((lo, minus_beta * y - lo)), (x, i)
+            assert _vector(step_max_digit(y)) == _vector((hi, minus_beta * y - hi)), (x, i)
+            y = minus_beta * y - (hi if i % 2 else lo)
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDING_BASES))
+def test_greedy_and_lazy_words_match_the_scan(name):
+    ctx = field_from_poly(*ROUNDING_BASES[name])
+    for x in _rounding_points(ctx):
+        assert greedy_neg_beta(x, depth=40).word == scan_expansion(x, 40, True), x
+        assert lazy_neg_beta(x, depth=40).word == scan_expansion(x, 40, False), x
 
 
 class TestGreedyLazy:
