@@ -1,24 +1,42 @@
 """Admissibility of digit strings as greedy, lazy or Ito-Sadahiro expansions.
 
-Every check is one rule (`words._compare_tail`): chosen tails of the word are
-compared, digit by digit, with a reference expansion in the lexicographic
-or the alternate order.
+Every check is one rule: chosen tails of the word are compared with a
+reference expansion (a bound) in the lexicographic or the alternate order.
 
 * Pair words, greedy: every orbit of the squared-base greedy map falls
   into (l, l+1].  A pair string is a greedy expansion exactly when every
   tail after one of the two critical digit shapes stays lexicographically
   below a reference expansion of the left-continuous map, computed when
-  first needed.  A reference with no detected period (rational bases)
-  makes comparisons that run past its prefix undecided.
+  first needed.
 * Pair words, lazy: the digitwise complement must be greedy-admissible.
 * Binary golden-ratio words, read two letters at a time, must be
   greedy-admissible pair words.
 * Binary golden-ratio Ito-Sadahiro words: every tail s satisfies
   d(l) <= s < d*(r) = 0 d(l) in the alternate order, where d(l) expands the
   left end of the domain (Ito & Sadahiro, Integers 2009).
+
+When the bounds are eventually periodic the rule is a finite automaton (the
+(-beta)-shift is sofic; Ito & Sadahiro 2009, Frougny & Lai 2009).  It reads
+the word right to left.  Its state holds, for every position j of the coded
+bounds, how the tail read so far compares with the bound from j: below,
+equal, above, or "runs out" when a finite word ends first.  Reading a letter
+x sets entry j to the sign of x - bound[j] where the letters differ, and
+copies entry j + 1 (the period wrapping round) where they agree; the
+alternate order negates both.  So the verdict for the tail after a critical
+digit is known when the pass reaches that digit: one table lookup per letter,
+and the last failing digit seen is the earliest one.  A finite word starts
+from the all-"runs out" state, an eventually periodic word from the fixed
+point of its reversed period.  The tables are built breadth first over every
+letter, once per base, and live on the AdmissibilityBound.
+
+A bound with no detected period (rational bases), or tables past a size
+budget, leave the fallback: each critical digit's tail is compared on its
+own with `words._compare_tail`, and a comparison that runs past the known
+prefix is undecided.  Either way, only the bounds whose critical digits
+occur in the word are computed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -26,8 +44,8 @@ from .field import context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, Scheme, SchemeCell,
                       _beta2_tables, all_pair_digits, build_ito_sadahiro_scheme,
                       interval_I, run_scheme)
-from .words import (DigitString, PairDigit, _code, _compare_tail,
-                    complement_pairs, format_word, psi_inverse)
+from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail,
+                    format_word, psi_inverse)
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -38,12 +56,53 @@ RULE_TOP = "top-digit"
 RULE_MID = "mid-digit"
 RULE_FACTOR = "forbidden-factor"
 
+# tail tables past this many entry computations (states x letters x bound
+# positions) are not built; the per-digit fallback answers instead
+_TAIL_TABLE_BUDGET = 1 << 20
 
-@dataclass(frozen=True)
+_BOTH = frozenset((RULE_TOP, RULE_MID))
+
+
 class Violation:
-    rule: str
-    position: int           # 1-based digit position where the rule fires
-    factor: str
+    """Where a rule fails: the rule, the 1-based digit position, and the
+    digits there as text (`factor`).  Equal violations agree in all three."""
+
+    __slots__ = ("rule", "position", "_factor", "_span")
+
+    def __init__(self, rule, position, factor):
+        self.rule = rule
+        self.position = position
+        self._factor = factor
+        self._span = None
+
+    @classmethod
+    def _at(cls, rule, position, word, start, length):
+        """A violation whose factor is the `length` digits of `word` from
+        0-based `start`, formatted the first time it is read."""
+        v = cls(rule, position, None)
+        v._span = (word, start, length)
+        return v
+
+    @property
+    def factor(self):
+        if self._factor is None:
+            self._factor = _factor_text(*self._span)
+        return self._factor
+
+    def _key(self):
+        return self.rule, self.position, self.factor
+
+    def __eq__(self, other):
+        if not isinstance(other, Violation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Violation(rule={self.rule!r}, position={self.position!r}, "
+                f"factor={self.factor!r})")
 
 
 @dataclass(frozen=True)
@@ -54,6 +113,10 @@ class AdmissibilityReport:
     @property
     def ok(self):
         return self.verdict in (ADMISSIBLE, PREFIX_OK)
+
+
+# the reports without a violation, shared (reports are immutable)
+_PLAIN = {v: AdmissibilityReport(v) for v in (ADMISSIBLE, PREFIX_OK, UNDECIDED)}
 
 
 @dataclass(frozen=True)
@@ -100,22 +163,108 @@ def restricted_scheme(ctx):
 
 
 @context_cached
-def _pair_ranks(ctx):
-    """Each minimal-alphabet digit's place in the value order, the rank of
-    the maximal digit, and the ranks of the digits -b*beta + floor(beta)."""
+def _pair_letters(ctx):
+    """Each minimal-alphabet digit's rank in the value order, keyed by the
+    greedy digit and, for lazy words, by its complement; and the rule of
+    each critical rank: the maximal digit, and -b*beta + floor(beta), b >= 1."""
     alpha = minimal_alphabet(ctx)
-    rank = {p: i for i, p in enumerate(alpha.greedy)}
-    mid = frozenset(rank[p] for p in alpha.greedy if p.b >= 1 and p.a == ctx.floor_beta)
-    return rank, len(alpha.greedy) - 1, mid
+    fb = ctx.floor_beta
+    greedy = {p: i for i, p in enumerate(alpha.greedy)}
+    lazy = {PairDigit(fb - p.b, fb - p.a): i for p, i in greedy.items()}
+    rules = {len(alpha.greedy) - 1: RULE_TOP}
+    rules.update((i, RULE_MID) for p, i in greedy.items() if p.b >= 1 and p.a == fb)
+    return greedy, lazy, rules
+
+
+def _tail_tables(bounds, letters, alternate, budget=None):
+    """Breadth-first closure of the tail states of eventually periodic
+    coded bounds over the letters 0..letters-1, read right to left.
+
+    A state has one entry per position of the concatenated bounds: LT, EQ or
+    GT as the tail read so far is below, equal to or above the bound from
+    there, or None when a finite word runs out first.  Returns the states,
+    the next-state table, where each bound starts in a state, and the two
+    start states (all None; all EQ).  None when `budget` entry computations
+    do not suffice."""
+    at, succ, firsts = [], [], []
+    for digits, loop in bounds:
+        first = len(at)
+        firsts.append(first)
+        at.extend(digits)
+        succ.extend(range(first + 1, first + len(digits)))
+        succ.append(first + loop)
+    flip = -1 if alternate else 1
+
+    def read(state, x):
+        out = []
+        for b, s in zip(at, succ):
+            c = (x > b) - (x < b) if x != b else state[s]
+            out.append(c if c is None else flip * c)
+        return tuple(out)
+
+    starts = ((None,) * len(at), (EQ,) * len(at))
+    states = list(dict.fromkeys(starts))
+    index = {v: i for i, v in enumerate(states)}
+    trans = []
+    while len(trans) < len(states):
+        if budget is not None and len(states) * letters * (len(at) + 1) > budget:
+            return None
+        row = []
+        for x in range(letters):
+            v = read(states[len(trans)], x)
+            if v not in index:
+                index[v] = len(states)
+                states.append(v)
+            row.append(index[v])
+        trans.append(tuple(row))
+    return states, trans, firsts, tuple(index[v] for v in starts)
+
+
+def _link(tables, outcome, letters):
+    """The tables as linked rows keyed by the actual letters: row[letter] is
+    (next row, outcome), the outcome being None or the rule that rejects
+    at this letter.  Returns the two start rows."""
+    states, trans, _, starts = tables
+    rows = [{} for _ in states]
+    for row, state, nxt in zip(rows, states, trans):
+        for letter, x in letters.items():
+            row[letter] = (rows[nxt[x]], outcome(state, x, states[nxt[x]]))
+    return tuple(rows[s] for s in starts)
+
+
+def _scan(starts, word):
+    """One right-to-left pass of linked rows over a word: the rule and
+    0-based position of the leftmost rejecting letter, or None, None."""
+    row, periodic = starts
+    pre, per = word.preperiod, word.period
+    if per:
+        row = periodic   # iterate to the state of per^omega; no entry changes twice
+        while True:
+            last = row
+            for x in reversed(per):
+                row = row[x][0]
+            if row is last:
+                break
+    rule = where = None
+    letters = pre + per
+    end = len(letters) - 1
+    for i, x in enumerate(reversed(letters)):
+        row, out = row[x]
+        if out is not None:
+            rule, where = out, end - i
+    return rule, where
 
 
 @dataclass(frozen=True)
 class AdmissibilityBound:
     """The two reference expansions the admissibility test compares
-    against.  Each is computed the first time it is read."""
+    against, and the tail automata built from them.  Each is computed the
+    first time it is read."""
 
     ctx: object
     orbit_budget: int
+    _automata: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @cached_property
     def top(self):
@@ -135,13 +284,48 @@ class AdmissibilityBound:
     def settled(self):
         return self.top.ok and self.mid.ok
 
+    def _expansion(self, rule):
+        return self.top if rule == RULE_TOP else self.mid
+
+    def _coded(self, rule):
+        return self._top_code if rule == RULE_TOP else self._mid_code
+
     @cached_property
     def _top_code(self):
-        return _code(self.top.word, _pair_ranks(self.ctx)[0])
+        return _code(self.top.word, _pair_letters(self.ctx)[0])
 
     @cached_property
     def _mid_code(self):
-        return _code(self.mid.word, _pair_ranks(self.ctx)[0])
+        return _code(self.mid.word, _pair_letters(self.ctx)[0])
+
+    def _tails(self, rules):
+        """Greedy and lazy start rows of the tail automaton for words whose
+        critical digits follow `rules` (in the order they occur), built from
+        those bounds only; None when one of them has no period."""
+        key = frozenset(rules)
+        if key not in self._automata:
+            tails = None
+            if all(self._expansion(rule).ok for rule in rules):
+                tails = self._build_tails(sorted(key))
+            self._automata[key] = tails
+        return self._automata[key]
+
+    def _build_tails(self, rules):
+        greedy, lazy, critical = _pair_letters(self.ctx)
+        tables = _tail_tables([self._coded(rule) for rule in rules], len(greedy),
+                              False, _TAIL_TABLE_BUDGET)
+        if tables is None:
+            return None
+        first = dict(zip(rules, tables[2]))
+
+        def outcome(state, x, _):
+            rule = critical.get(x)
+            if rule not in first:
+                return None
+            c = state[first[rule]]   # None: a finite word ends first
+            return rule if c is not None and c >= EQ else None   # nor is equality admissible
+
+        return _link(tables, outcome, greedy), _link(tables, outcome, lazy)
 
 
 def reference_bounds(ctx, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -157,59 +341,87 @@ def _reference_bounds(ctx, orbit_budget):
 def _factor_text(word, start, length):
     """The `length` digits from 0-based `start`, cut at the end of a finite word."""
     stop = start + length if word.period else min(start + length, len(word.preperiod))
-    return format_word(DigitString.finite(word.digit_at(i) for i in range(start, stop)))
+    return format_word(DigitString.finite(word.prefix(stop)[start:]))
+
+
+def _ranked(word, rank, lazy):
+    """The word coded by rank; a digit outside the alphabet is an error."""
+    try:
+        return _code(word, rank)
+    except KeyError as bad:
+        side = "lazy" if lazy else "greedy"
+        raise ValueError(
+            f"digit {bad.args[0]!r} outside the minimal {side} alphabet") from None
+
+
+def _by_critical_digit(coded, bounds, critical):
+    """The fallback for bounds with no period: each critical digit's tail
+    compared on its own, bounds computed as they are needed."""
+    undecided = False
+    for k, r in enumerate(coded[0], 1):   # k: the critical digit's 1-based position
+        rule = critical.get(r)
+        if rule is None:
+            continue
+        c = _compare_tail(coded, k, bounds._coded(rule))
+        if c is None:
+            undecided = True
+        elif c >= EQ:
+            return rule, k - 1, undecided
+    return None, None, undecided
+
+
+def _pair_check(word, ctx, bounds, lazy):
+    if bounds is None:
+        bounds = reference_bounds(ctx)
+    tails = bounds._automata.get(_BOTH)
+    if tails is None:
+        letters = _pair_letters(ctx)
+        critical = letters[2]
+        coded = _ranked(word, letters[lazy], lazy)
+        rules = tuple(dict.fromkeys(critical[r] for r in coded[0] if r in critical))
+        tails = bounds._tails(rules)
+        if tails is None:
+            return _pair_report(word, *_by_critical_digit(coded, bounds, critical))
+    try:
+        found = _scan(tails[lazy], word)
+    except KeyError:
+        _ranked(word, _pair_letters(ctx)[lazy], lazy)   # names the first digit outside
+        raise
+    return _pair_report(word, *found)
+
+
+def _pair_report(word, rule, where, undecided=False):
+    if rule is not None:
+        return AdmissibilityReport(REJECTED, Violation._at(rule, where + 1, word, where, 4))
+    if not word.period:
+        return _PLAIN[PREFIX_OK]
+    return _PLAIN[UNDECIDED if undecided else ADMISSIBLE]
 
 
 def is_admissible_greedy(word, ctx, bounds=None):
     """Admissibility of a pair-digit string over the minimal greedy
     alphabet: every tail after a critical digit must stay below its bound.
     A finite string can only be screened for violations within the word."""
-    if bounds is None:
-        bounds = reference_bounds(ctx)
-    rank, top_rank, mid_ranks = _pair_ranks(ctx)
-    try:
-        coded = _code(word, rank)
-    except KeyError as bad:
-        raise ValueError(
-            f"digit {bad.args[0]!r} outside the minimal greedy alphabet") from None
-    undecided = False
-    for k, r in enumerate(coded[0], 1):   # k: the trigger's 1-based position
-        if r == top_rank:
-            rule, bound = RULE_TOP, bounds._top_code
-        elif r in mid_ranks:
-            rule, bound = RULE_MID, bounds._mid_code
-        else:
-            continue
-        c = _compare_tail(coded, k, bound)
-        if c is None:
-            undecided = True
-        elif c >= 0:   # equality is not admissible either
-            return AdmissibilityReport(
-                REJECTED, Violation(rule, k, _factor_text(word, k - 1, 4)))
-    if not word.period:
-        return AdmissibilityReport(PREFIX_OK)
-    return AdmissibilityReport(UNDECIDED if undecided else ADMISSIBLE)
+    return _pair_check(word, ctx, bounds, False)
 
 
 def is_admissible_lazy(word, ctx, bounds=None):
-    """Lazy admissibility: the digitwise complement must be greedy-admissible."""
-    allowed = minimal_alphabet(ctx).lazy
-    for p in word.preperiod + word.period:
-        if p not in allowed:
-            raise ValueError(f"digit {p!r} outside the minimal lazy alphabet")
-    report = is_admissible_greedy(complement_pairs(word, ctx.floor_beta), ctx, bounds)
-    v = report.violation
-    if v is None:
-        return report
-    return replace(report, violation=replace(v, factor=_factor_text(word, v.position - 1, 4)))
+    """Lazy admissibility: the digitwise complement must be greedy-admissible.
+    The greedy tables are read through complemented letters, so no
+    complement word is built."""
+    return _pair_check(word, ctx, bounds, True)
 
 
 # -- binary golden-ratio words ---------------------------------------------------------
 
 def _require_binary(word):
-    for d in word.preperiod + word.period:
-        if d not in (0, 1):
-            raise ValueError(f"digit {d} is not binary")
+    digits = word.preperiod + word.period
+    if not _BINARY.issuperset(digits):
+        d = next(d for d in digits if d not in _BINARY)
+        raise ValueError(f"digit {d} is not binary")
+
+
+_BINARY = frozenset((0, 1))
 
 
 def golden_forbidden_factor_check(word):
@@ -238,32 +450,33 @@ def _golden_pairs(word, bits):
             return report
         k, length = report.violation.position, 8
     return AdmissibilityReport(
-        REJECTED, Violation(RULE_FACTOR, 2 * k - 1, _factor_text(word, 2 * k - 2, length)))
+        REJECTED, Violation._at(RULE_FACTOR, 2 * k - 1, word, 2 * k - 2, length))
 
 
 @context_cached
-def _ito_sadahiro_low(ctx):
-    """The coded expansion d(l) of the left end of the Ito-Sadahiro domain."""
+def _ito_sadahiro_tails(ctx):
+    """Start rows of the alternate-order tail automaton of d(l), the
+    expansion of the left end of the Ito-Sadahiro domain.  A letter is
+    rejected when the tail from it lies below d(l), or when it is a 0 before
+    a tail equal to d(l): the tail from that 0 is d*(r) itself."""
     scheme = build_ito_sadahiro_scheme(ctx)
-    return _code(run_scheme(scheme, scheme.domain.lo).word)
+    low = _code(run_scheme(scheme, scheme.domain.lo).word)
+    tables = _tail_tables([low], ctx.floor_beta + 1, True)
+
+    def outcome(state, x, after):
+        below = after[0] == LT or (x == 0 and state[0] == EQ)
+        return RULE_FACTOR if below else None
+
+    return _link(tables, outcome, {d: d for d in range(ctx.floor_beta + 1)})
 
 
 def ito_sadahiro_admissible(word):
     """Admissibility for the golden-ratio Ito-Sadahiro system: every tail s
-    satisfies d(l) <= s < d*(r) in the alternate order.  d(l) starts with the
-    top digit, so a tail that starts lower lies above it at its first letter.
-    d*(r) = 0 d(l) (d(l) = 1(0) is not purely periodic), so 0s is below d*(r)
-    exactly when s is above d(l): one comparison per tail settles both."""
+    satisfies d(l) <= s < d*(r) in the alternate order.  d*(r) = 0 d(l)
+    (d(l) = 1(0) is not purely periodic), so 0s is below d*(r) exactly when
+    s is above d(l): one comparison per tail settles both."""
     _require_binary(word)
-    low = _ito_sadahiro_low(phi_field())
-    coded = _code(word)
-    digits = coded[0]
-    for k, d in enumerate(digits):
-        c = _compare_tail(coded, k, low, alternate=True) if d == low[0][0] else 1
-        if c == 0 and k and digits[k - 1] == 0:
-            k -= 1   # the tail from the 0 before is d*(r) itself
-        elif c != -1:
-            continue
-        return AdmissibilityReport(
-            REJECTED, Violation(RULE_FACTOR, k + 1, _factor_text(word, k, 8)))
-    return AdmissibilityReport(ADMISSIBLE if word.period else PREFIX_OK)
+    rule, where = _scan(_ito_sadahiro_tails(phi_field()), word)
+    if rule is not None:
+        return AdmissibilityReport(REJECTED, Violation._at(rule, where + 1, word, where, 8))
+    return _PLAIN[ADMISSIBLE if word.period else PREFIX_OK]

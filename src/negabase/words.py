@@ -11,6 +11,7 @@ two-digit-at-a-time alphabet of the squared-base system.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 from typing import NamedTuple
 
@@ -28,6 +29,10 @@ class PairDigit(NamedTuple):
 
     def text(self):
         return f"{self.b}:{self.a}"
+
+
+# a PairDigit from a (b, a) tuple, without the Python-level constructor
+_pair_digit = partial(tuple.__new__, PairDigit)
 
 
 def pair_sort_key(p):
@@ -241,7 +246,7 @@ def psi_inverse(word):
             per = per + per
 
     def pairs(part):
-        return tuple(PairDigit(part[i], part[i + 1]) for i in range(0, len(part), 2))
+        return tuple(map(_pair_digit, zip(part[::2], part[1::2])))
 
     return DigitString(pairs(pre), pairs(per))
 

@@ -8,7 +8,9 @@ with.
 
 from fractions import Fraction
 
-from negabase import DigitString, feasible_digits
+from math import lcm
+
+from negabase import DigitString, PairDigit, feasible_digits, minimal_alphabet
 
 
 def eval_int_poly(coeffs, x):
@@ -192,3 +194,136 @@ def eventually_periodic_words(alphabet, max_total):
             for pre in all_words(alphabet, pre_len):
                 for per in all_words(alphabet, per_len):
                     yield DigitString(pre, per)
+
+
+# -- per-critical-digit admissibility reference ----------------------------------
+
+
+def tail_compare(word, start, bound, key=None, alternate=False):
+    """-1, 0 or 1 as word[start:] is below, equal to or above the bound, read
+    digit by digit (by `key`, and with odd positions reversed in the
+    alternate order); None when a finite word or bound ends before the two
+    differ."""
+    word_end = None if word.period else len(word.preperiod)
+    bound_end = None if bound.period else len(bound.preperiod)
+    # two infinite words that agree this far agree forever
+    horizon = (len(word.preperiod) + len(word.period) + len(bound.preperiod)
+               + max(len(word.period), 1) * max(len(bound.period), 1))
+    for n in range(horizon):
+        if word_end is not None and start + n >= word_end:
+            return None
+        if bound_end is not None and n >= bound_end:
+            return None
+        x, y = word.digit_at(start + n), bound.digit_at(n)
+        if key is not None:
+            x, y = key(x), key(y)
+        if x != y:
+            c = 1 if x > y else -1
+            return -c if alternate and n % 2 == 0 else c
+    return 0
+
+
+def factor_text(word, start, length):
+    """The `length` digits from 0-based `start` (cut at the end of a finite
+    word) as text: b:a pairs joined by dots, or one-character digits."""
+    stop = start + length if word.period else min(start + length, len(word.preperiod))
+    digits = [word.digit_at(i) for i in range(start, stop)]
+    if digits and isinstance(digits[0], tuple):
+        return ".".join(f"{b}:{a}" for b, a in digits)
+    return "".join(str(d) for d in digits)
+
+
+def report_tuple(report):
+    """An AdmissibilityReport as (verdict, rule, position, factor)."""
+    v = report.violation
+    if v is None:
+        return report.verdict, None, None, None
+    return report.verdict, v.rule, v.position, v.factor
+
+
+class PairReference:
+    """(verdict, rule, position, factor) of the greedy (lazy: complement)
+    pair check, by comparing the tail after each critical digit with its
+    bound on its own, unrolled digit by digit in the value order."""
+
+    def __init__(self, ctx, bounds):
+        self.fb = ctx.floor_beta
+        # -b*beta + a with 0 <= a < beta: b first (reversed), then a
+        order = sorted(minimal_alphabet(ctx).greedy, key=lambda p: (-p[0], p[1]))
+        self.rank = {p: i for i, p in enumerate(order)}.__getitem__
+        self.top = order[-1]
+        self.bounds = bounds
+
+    def __call__(self, word, lazy=False):
+        fb = self.fb
+        if lazy:
+            return self.reread(self(complement(word, fb)), word)
+        undecided = False
+        for k, d in enumerate(word.preperiod + word.period):
+            if d == self.top:
+                rule, bound = "top-digit", self.bounds.top.word
+            elif d[0] >= 1 and d[1] == fb:
+                rule, bound = "mid-digit", self.bounds.mid.word
+            else:
+                continue
+            c = tail_compare(word, k + 1, bound, self.rank)
+            if c is None:
+                undecided = True
+            elif c >= 0:
+                return "rejected", rule, k + 1, factor_text(word, k, 4)
+        if word.is_finite:
+            return "prefix-ok", None, None, None
+        return ("undecided" if undecided else "admissible"), None, None, None
+
+    @staticmethod
+    def reread(report, word):
+        """The report with its factor read from `word` (the complement's
+        report, for a lazy word)."""
+        verdict, rule, k, _ = report
+        return verdict, rule, k, None if rule is None else factor_text(word, k - 1, 4)
+
+
+def complement(word, fb):
+    return word.map_digits(lambda p: PairDigit(fb - p[0], fb - p[1]))
+
+
+def golden_reference(word, phi, bounds):
+    """The binary golden-ratio check: the word read two letters at a time
+    must avoid the pair 0:1 and pass the greedy pair check; an odd finite
+    word passes when one of its one-letter extensions does."""
+    if word.is_finite and len(word) % 2:
+        reports = [_golden_pairs_reference(word, DigitString.finite(word.preperiod + (d,)),
+                                           phi, bounds) for d in (0, 1)]
+        return next((r for r in reports if r[0] in ("admissible", "prefix-ok")), reports[0])
+    return _golden_pairs_reference(word, word, phi, bounds)
+
+
+def _golden_pairs_reference(word, bits, phi, bounds):
+    if bits.is_finite:
+        n_pre, n_per = len(bits) // 2, 0
+    else:   # pair up from an even start, over a common period of 2 and the word's
+        n_pre = (len(bits.preperiod) + 1) // 2
+        n_per = lcm(len(bits.period), 2) // 2
+    pair_at = lambda i: PairDigit(bits.digit_at(2 * i), bits.digit_at(2 * i + 1))
+    pairs = DigitString([pair_at(i) for i in range(n_pre)],
+                        [pair_at(n_pre + i) for i in range(n_per)])
+    seq = [pair_at(i) for i in range(n_pre + n_per)]
+    if PairDigit(0, 1) in seq:
+        k = seq.index(PairDigit(0, 1)) + 1
+        return "rejected", "forbidden-factor", 2 * k - 1, factor_text(word, 2 * k - 2, 2)
+    verdict, rule, k, _ = PairReference(phi, bounds)(pairs)
+    if rule is None:
+        return verdict, None, None, None
+    return "rejected", "forbidden-factor", 2 * k - 1, factor_text(word, 2 * k - 2, 8)
+
+
+def ito_sadahiro_reference(word, low):
+    """The golden-ratio Ito-Sadahiro check against d(l) = `low`: the first
+    tail below d(l), or the first 0 followed by d(l), rejects."""
+    for k in range(len(word.preperiod) + len(word.period)):
+        c = tail_compare(word, k, low, alternate=True)
+        if c == 0 and k and word.digit_at(k - 1) == 0:
+            return "rejected", "forbidden-factor", k, factor_text(word, k - 1, 8)
+        if c == -1:
+            return "rejected", "forbidden-factor", k + 1, factor_text(word, k, 8)
+    return ("admissible" if word.period else "prefix-ok"), None, None, None

@@ -5,17 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (eventually_periodic_words, forbidden_factor_reject,
-                     random_point)
+import negabase.admissibility as adm
+from helpers import (PairReference, all_words, eventually_periodic_words,
+                     forbidden_factor_reject, golden_reference,
+                     ito_sadahiro_reference, random_point, report_tuple)
 from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, DigitString,
-                      Interval, PairDigit, build_beta2_scheme,
+                      Interval, PairDigit, Violation, build_beta2_scheme,
                       build_ito_sadahiro_scheme, complement_pairs,
                       eval_neg_beta, field_from_poly,
                       golden_forbidden_factor_check, greedy_breakpoint,
                       interval_I, is_admissible_greedy, is_admissible_lazy,
-                      ito_sadahiro_admissible, minimal_alphabet, psi_inverse,
-                      rational_field, reference_bounds,
-                      restricted_scheme, run_scheme)
+                      ito_sadahiro_admissible, minimal_alphabet, phi_field,
+                      psi_inverse, rational_field, reference_bounds,
+                      restricted_scheme, run_scheme, tribonacci_field)
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
 
@@ -359,3 +361,217 @@ def test_admissible_words_unroll_to_admissible_prefixes(check):
         admitted += 1
         assert check(DigitString.finite(pre + per * 3)).verdict == PREFIX_OK, (pre, per)
     assert admitted > 100
+
+
+# -- the tail automaton against the per-critical-digit reference ------------------
+
+TAIL_BASES = {
+    "phi": (phi_field, 6),
+    "tribonacci": (tribonacci_field, 6),
+    "rt3": (lambda: field_from_poly((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)), 4),
+    "cubic": (lambda: field_from_poly((-1, 0, -3, 1), 3, 4), 4),
+    "tetranacci": (lambda: field_from_poly((-1, -1, -1, -1, 1), 1, 2), 4),
+}
+
+
+def words_up_to(alphabet, max_total):
+    """Every finite word and every u(v)^omega with |u| + |v| <= max_total."""
+    found = set(eventually_periodic_words(alphabet, max_total))
+    for n in range(1, max_total + 1):
+        found.update(DigitString.finite(w) for w in all_words(alphabet, n))
+    return found
+
+
+def row_count(starts):
+    """Distinct automaton rows reachable from the start rows."""
+    seen, stack = {}, list(starts)
+    while stack:
+        row = stack.pop()
+        if id(row) not in seen:
+            seen[id(row)] = row
+            stack.extend(nxt for nxt, _ in row.values())
+    return len(seen)
+
+
+def not_rejected_counts(ctx, n_max):
+    """How many pair words of each length 0..n_max are not REJECTED, by a
+    dynamic program over the greedy automaton read right to left."""
+    finite_start = reference_bounds(ctx)._tails(("top-digit", "mid-digit"))[0][0]
+    counts, rows = [1], {id(finite_start): (finite_start, 1)}
+    for _ in range(n_max):
+        nxt_rows = {}
+        for row, c in rows.values():
+            for nxt, out in row.values():
+                if out is None:
+                    prev = nxt_rows.get(id(nxt), (nxt, 0))[1]
+                    nxt_rows[id(nxt)] = (nxt, prev + c)
+        rows = nxt_rows
+        counts.append(sum(c for _, c in rows.values()))
+    return counts
+
+
+def real_root(coeffs, lo, hi, bits=80):
+    """The root of the integer polynomial in (lo, hi), by exact bisection."""
+    f = lambda x: sum(c * x ** i for i, c in enumerate(coeffs))
+    lo, hi = Fraction(lo), Fraction(hi)
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        if (f(lo) > 0) == (f(mid) > 0):
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+class TestTailAutomaton:
+    @pytest.mark.parametrize("name", sorted(TAIL_BASES))
+    def test_pair_reports_match_the_reference(self, name):
+        make, max_total = TAIL_BASES[name]
+        ctx = make()
+        bounds = reference_bounds(ctx)
+        assert bounds.settled
+        reference = PairReference(ctx, bounds)
+        # the lazy words are the complements of the greedy ones
+        for w in words_up_to(minimal_alphabet(ctx).greedy, max_total):
+            want = reference(w)
+            assert report_tuple(is_admissible_greedy(w, ctx, bounds)) == want, (name, w)
+            mirror = complement_pairs(w, ctx.floor_beta)
+            assert (report_tuple(is_admissible_lazy(mirror, ctx, bounds))
+                    == reference.reread(want, mirror)), (name, mirror)
+
+    def test_binary_reports_match_the_reference(self, phi):
+        bounds = reference_bounds(phi)
+        scheme = build_ito_sadahiro_scheme(phi)
+        low = run_scheme(scheme, scheme.domain.lo).word
+        for w in words_up_to((0, 1), 10):
+            assert (report_tuple(golden_forbidden_factor_check(w))
+                    == golden_reference(w, phi, bounds)), w
+            assert report_tuple(ito_sadahiro_admissible(w)) == ito_sadahiro_reference(w, low), w
+
+    def test_bounds_with_no_period_fall_back(self):
+        # 7/2: the reference orbits are cut by the budget, so tails that run
+        # into them are undecided; words carry critical digits followed by
+        # pieces of a bound, so every outcome occurs
+        ctx = rational_field(Fraction(7, 2))
+        bounds = reference_bounds(ctx, orbit_budget=40)
+        assert not bounds.top.ok and not bounds.mid.ok
+        alpha = minimal_alphabet(ctx)
+        fb = ctx.floor_beta
+        mids = [p for p in alpha.greedy if p.b >= 1 and p.a == fb]
+        reference = PairReference(ctx, bounds)
+        rng = random.Random(71)
+        verdicts = set()
+        for _ in range(400):
+            def piece():
+                if rng.random() < 0.4:
+                    return [rng.choice(alpha.greedy)]
+                crit = rng.choice([alpha.max_greedy] + mids)
+                bound = bounds.top.word if crit == alpha.max_greedy else bounds.mid.word
+                return [crit] + list(bound.preperiod[:rng.randrange(0, 45)])
+            pre = [d for _ in range(rng.randrange(0, 4)) for d in piece()]
+            per = [d for _ in range(rng.randrange(0, 3)) for d in piece()]
+            w = DigitString(tuple(pre), tuple(per))
+            got = report_tuple(is_admissible_greedy(w, ctx, bounds))
+            assert got == reference(w), w
+            verdicts.add(got[0])
+            mirror = complement_pairs(w, fb)
+            got = report_tuple(is_admissible_lazy(mirror, ctx, bounds))
+            assert got == reference(mirror, lazy=True), mirror
+        assert verdicts == {ADMISSIBLE, REJECTED, PREFIX_OK, UNDECIDED}
+        assert bounds._tails(("top-digit", "mid-digit")) is None
+
+    def test_tables_over_budget_fall_back(self, phi, mu, monkeypatch):
+        monkeypatch.setattr(adm, "_TAIL_TABLE_BUDGET", 10)
+        for ctx, letters in ((phi, (A, B, C)), (mu, (A, B, C, D))):
+            bounds = adm.AdmissibilityBound(ctx, 10_000)
+            reference = PairReference(ctx, bounds)
+            for w in words_up_to(letters, 4):
+                assert report_tuple(is_admissible_greedy(w, ctx, bounds)) == reference(w), w
+            assert bounds._tails(("top-digit", "mid-digit")) is None
+
+    def test_state_counts_stay_small(self, phi):
+        # 8 for phi, 12 for Tribonacci, 17 for Tetranacci; a blow-up shows here
+        for make, _ in TAIL_BASES.values():
+            ctx = make()
+            greedy_rows, lazy_rows = reference_bounds(ctx)._tails(("top-digit", "mid-digit"))
+            assert row_count(greedy_rows) == row_count(lazy_rows) <= 24
+        assert row_count(adm._ito_sadahiro_tails(phi)) <= 12
+
+    def test_automata_freed_with_the_context(self):
+        ctx = field_from_poly((-1, -1, 1), 1, 2)
+        assert is_admissible_greedy(DigitString.finite((B, C)), ctx).verdict == REJECTED
+        assert is_admissible_lazy(DigitString((B,), (C,)), ctx).verdict == REJECTED
+        assert reference_bounds(ctx)._automata
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
+    def test_first_digit_outside_the_alphabet_is_named(self, phi):
+        bad = PairDigit(1, 2)
+        word = DigitString((A, D, B, bad), (C,))
+        for bounds in (reference_bounds(phi), adm.AdmissibilityBound(phi, 10_000)):
+            with pytest.raises(ValueError, match=r"PairDigit\(b=0, a=1\) outside the minimal greedy"):
+                is_admissible_greedy(word, phi, bounds)
+            with pytest.raises(ValueError, match=r"PairDigit\(b=1, a=0\) outside the minimal lazy"):
+                is_admissible_lazy(DigitString((B, A, bad), (C,)), phi, bounds)
+
+    def test_trigger_free_words_compute_no_bound(self, monkeypatch):
+        ctx = rational_field(Fraction(7, 4))
+        monkeypatch.setattr(adm, "run_scheme", lambda *a, **k: pytest.fail("bound computed"))
+        bounds = adm.AdmissibilityBound(ctx, 10_000)
+        # 1:0 and 0:0 are not critical digits for 7/4
+        words = (DigitString((A,), (C,)), DigitString.finite((A, C, C)))
+        for w in words:
+            assert is_admissible_greedy(w, ctx, bounds).verdict in (ADMISSIBLE, PREFIX_OK)
+            mirror = complement_pairs(w, ctx.floor_beta)
+            assert is_admissible_lazy(mirror, ctx, bounds).verdict in (ADMISSIBLE, PREFIX_OK)
+
+
+class TestLazyViolationText:
+    def test_text_is_formatted_only_when_read(self, phi, monkeypatch):
+        calls = []
+        real = adm._factor_text
+        monkeypatch.setattr(adm, "_factor_text", lambda *a: calls.append(a) or real(*a))
+        rejected = [is_admissible_greedy(DigitString.finite((A, B, C, A)), phi),
+                    is_admissible_lazy(DigitString.finite((C, B, D)), phi),
+                    golden_forbidden_factor_check(DigitString.finite((1, 0, 0, 1))),
+                    ito_sadahiro_admissible(DigitString.finite((1, 0, 1, 1)))]
+        assert all(r.verdict == REJECTED for r in rejected) and calls == []
+        v = rejected[0].violation
+        assert (v.rule, v.position) == ("mid-digit", 2) and calls == []
+        assert v.factor == "1:1.0:0.1:0" and len(calls) == 1
+        assert v.factor == "1:1.0:0.1:0" and len(calls) == 1
+
+    def test_equality_is_rule_position_and_factor(self, phi):
+        v = is_admissible_greedy(DigitString.finite((A, B, C, A)), phi).violation
+        assert v == Violation("mid-digit", 2, "1:1.0:0.1:0")
+        assert hash(v) == hash(Violation("mid-digit", 2, "1:1.0:0.1:0"))
+        assert v != Violation("mid-digit", 2, "1:1.0:0")
+        assert v != Violation("top-digit", 2, "1:1.0:0.1:0")
+        assert repr(v) == "Violation(rule='mid-digit', position=2, factor='1:1.0:0.1:0')"
+
+
+ENTROPY_BASES = {
+    "phi": (phi_field, (-1, -1, 1), 1, 2),
+    "tribonacci": (tribonacci_field, (-1, -1, -1, 1), 1, 2),
+    "cubic": (lambda: field_from_poly((-1, 0, -3, 1), 3, 4), (-1, 0, -3, 1), 3, 4),
+}
+
+
+class TestEntropy:
+    @pytest.mark.parametrize("name", sorted(ENTROPY_BASES))
+    def test_growth_rate_is_beta_squared(self, name):
+        # the (-beta)-shift has entropy log(beta^2) per pair letter
+        make, poly, lo, hi = ENTROPY_BASES[name]
+        counts = not_rejected_counts(make(), 40)
+        beta = real_root(poly, lo, hi)
+        assert abs(counts[40] / counts[39] - beta * beta) < 1e-4
+
+    @pytest.mark.parametrize("name,n_max", [("phi", 8), ("tribonacci", 8), ("cubic", 4)])
+    def test_counts_match_brute_force(self, name, n_max):
+        ctx = ENTROPY_BASES[name][0]()
+        letters = minimal_alphabet(ctx).greedy
+        brute = [sum(is_admissible_greedy(DigitString.finite(w), ctx).verdict != REJECTED
+                     for w in all_words(letters, n)) for n in range(n_max + 1)]
+        assert not_rejected_counts(ctx, n_max) == brute
