@@ -8,6 +8,9 @@ is the empty tuple).  Everything here is exact; no floats.
 from fractions import Fraction
 from math import isqrt
 
+# rational_roots enumerates divisors only of end coefficients up to this size
+_ROOT_SIZE_LIMIT = 10**12
+
 
 def trim(coeffs):
     cs = list(coeffs)
@@ -161,7 +164,7 @@ def _divisors(n):
     return out
 
 
-def rational_roots(p, size_limit=10**12):
+def rational_roots(p):
     """All rational roots of an integer-coefficient polynomial.
 
     Returns None when the constant or leading coefficient is too large
@@ -182,7 +185,7 @@ def rational_roots(p, size_limit=10**12):
     if len(ints) == 1:
         return roots
     c0, cn = ints[0], ints[-1]
-    if abs(c0) > size_limit or abs(cn) > size_limit:
+    if abs(c0) > _ROOT_SIZE_LIMIT or abs(cn) > _ROOT_SIZE_LIMIT:
         return None
     for num in _divisors(c0):
         for den in _divisors(cn):

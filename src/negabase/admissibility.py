@@ -41,9 +41,9 @@ from functools import cached_property
 from typing import Optional
 
 from .field import context_cached, phi_field
-from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, Scheme, SchemeCell,
-                      _beta2_tables, all_pair_digits, build_ito_sadahiro_scheme,
-                      interval_I, run_scheme)
+from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
+                      all_pair_digits, build_ito_sadahiro_scheme, interval_I,
+                      run_scheme)
 from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail,
                     format_word, psi_inverse)
 
@@ -155,11 +155,8 @@ def restricted_scheme(ctx):
     if pairs_all[:n] != alpha.greedy:
         raise AssertionError("minimal alphabet is not an initial segment")
     l = interval_I(ctx).lo
-    highs = gammas[1:n] + (l + 1,)
-    cells = tuple(SchemeCell(Interval(gammas[i], highs[i], False, True),
-                             alpha.greedy[i], values_all[i]) for i in range(n))
-    return Scheme(ctx.beta() * ctx.beta(), Interval(l, l + 1, False, True),
-                  cells).validate()
+    return _tiled_scheme(ctx.beta() * ctx.beta(), Interval(l, l + 1, False, True),
+                         gammas[1:n], alpha.greedy, values_all[:n], True)
 
 
 @context_cached

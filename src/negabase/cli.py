@@ -29,7 +29,7 @@ from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, build_beta2_scheme,
                       eval_neg_beta, greedy_neg_beta, interval_I,
                       lazy_neg_beta, run_scheme)
 from .syntax import ParseError, coeff_vector, parse_base, parse_element
-from .words import DigitString, alt_compare, format_word, parse_word
+from .words import DigitString, _code, _compare_tail, format_word, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -246,19 +246,11 @@ def _cmd_unique(args):
 _ORDER_TEXT = {-1: "LT", 0: "EQ", 1: "GT"}
 
 
-def _order_verdict(a, b, probe=60):
-    """Alternate-order verdict between two expansions, 'UNDECIDED' when a
-    missing period leaves the comparison unsettled."""
-    if a.ok and b.ok and not a.word.is_finite and not b.word.is_finite:
-        return _ORDER_TEXT[alt_compare(a.word, b.word)]
-    n = probe
-    for exp in (a, b):
-        if exp.word.is_finite:
-            n = min(n, len(exp.word))
-    u = DigitString.finite(a.word.prefix(n))
-    v = DigitString.finite(b.word.prefix(n))
-    c = alt_compare(u, v)
-    return _ORDER_TEXT[c] if c != 0 else "UNDECIDED"
+def _order_verdict(a, b):
+    """Alternate-order verdict between two expansions over every digit
+    known, 'UNDECIDED' when a finite prefix runs out before they differ."""
+    c = _compare_tail(_code(a.word), 0, _code(b.word), alternate=True)
+    return "UNDECIDED" if c is None else _ORDER_TEXT[c]
 
 
 def _cmd_branches(args):

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .field import ExactReal, FieldError
-from .schemes import DomainError, _feasible_steps, eval_neg_beta, interval_I
+from .schemes import _feasible_steps, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -28,9 +28,7 @@ class BranchBudgetError(RuntimeError):
 def _walk(x, depth, node_budget):
     """Breadth-first over the extendable prefixes of x: all of length
     `depth`, in the order found."""
-    I = interval_I(x.context)
-    if not I.contains(x):
-        raise DomainError(f"x = {x.as_text()} outside {I}")
+    _require_in(interval_I(x.context), x)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     level = [((), x)]

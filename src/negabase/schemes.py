@@ -5,7 +5,8 @@ one-step digit choices (smallest and largest feasible digit), the
 alternating algorithm that produces greedy and lazy digit strings in
 base -beta, the equivalent squared-base schemes over the pair-digit
 alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
-exact evaluation of eventually periodic digit strings.
+exact evaluation of eventually periodic digit strings.  Every scheme is
+one tiling of its domain: cut points, and the side each cell is closed on.
 One exact rounding picks each greedy or lazy digit; the scan over the
 alphabet stays behind feasible_digits and the oracle as a check on it.
 
@@ -344,72 +345,56 @@ class Scheme:
         return cell.digit, self.base * x - cell.value
 
 
+def _tiled_scheme(base, domain, cuts, digits, values, right_closed):
+    """The scheme whose cells cut the domain at the increasing cuts, one
+    digit and value per cell.  Each cell is closed on its right end, or on
+    its left end when right_closed is false; the two end cells are closed
+    where the domain is."""
+    ends = (domain.lo, *cuts, domain.hi)
+    last = len(cuts)
+    cells = tuple(
+        SchemeCell(Interval(lo, hi, domain.lo_closed if i == 0 else not right_closed,
+                            domain.hi_closed if i == last else right_closed), d, v)
+        for i, (lo, hi, d, v) in enumerate(zip(ends, ends[1:], digits, values)))
+    return Scheme(base, domain, cells).validate()
+
+
 def build_beta2_scheme(ctx, kind):
     """The squared-base scheme whose digit string maps under the pair
-    morphism to the greedy (resp. lazy) digits in base -beta."""
+    morphism to the greedy (resp. lazy) digits in base -beta: cells
+    [gamma_i, gamma_{i+1}) (resp. (delta_{i-1}, delta_i]) over I."""
     pairs, values, gammas, deltas = _beta2_tables(ctx)
-    I = interval_I(ctx)
-    base = ctx.beta() * ctx.beta()
-    cells = []
-    last = len(pairs) - 1
     if kind == "greedy":
-        for i, p in enumerate(pairs):
-            hi = I.hi if i == last else gammas[i + 1]
-            cells.append(SchemeCell(Interval(gammas[i], hi, True, i == last),
-                                    p, values[i]))
+        cuts, right_closed = gammas[1:], False
     elif kind == "lazy":
-        for i, p in enumerate(pairs):
-            lo = I.lo if i == 0 else deltas[i - 1]
-            cells.append(SchemeCell(Interval(lo, deltas[i], i == 0, True),
-                                    p, values[i]))
+        cuts, right_closed = deltas[:-1], True
     else:
         raise ValueError("kind must be 'greedy' or 'lazy'")
-    return Scheme(base, I, tuple(cells)).validate()
+    return _tiled_scheme(ctx.beta() * ctx.beta(), interval_I(ctx), cuts, pairs,
+                         values, right_closed)
 
 
 def build_ito_sadahiro_scheme(ctx):
     """The classical Ito-Sadahiro system: D(x) = floor(-beta*x + beta/(beta+1))
     on [-beta/(beta+1), 1/(beta+1))."""
     beta = ctx.beta()
-    fb = ctx.floor_beta
     inv = (beta + 1).inverse()
-    lo = -(beta * inv)
-    hi = inv
-    domain = Interval(lo, hi, True, False)
     binv = beta.inverse()
-
-    def cut(k):
-        # right end of the digit-k cell: the x with -beta*x + beta/(beta+1) = k
-        return (beta * inv - k) * binv
-
-    cells = []
-    upper = cut(fb)
-    cells.append(SchemeCell(Interval(lo, upper, True, True), fb, ctx.element(fb)))
-    for k in range(fb - 1, 0, -1):
-        nxt = cut(k)
-        cells.append(SchemeCell(Interval(upper, nxt, False, True), k, ctx.element(k)))
-        upper = nxt
-    cells.append(SchemeCell(Interval(upper, hi, False, False), 0, ctx.element(0)))
-    return Scheme(-beta, domain, tuple(cells)).validate()
+    digits = range(ctx.floor_beta, -1, -1)
+    # the digit-k cell ends where -beta*x + beta/(beta+1) = k
+    cuts = [(beta * inv - k) * binv for k in digits[:-1]]
+    return _tiled_scheme(-beta, Interval(-(beta * inv), inv, True, False), cuts,
+                         digits, map(ctx.element, digits), True)
 
 
 def build_positive_greedy_scheme(ctx):
     """The classical positive-base greedy scheme D(x) = floor(beta*x) on
     [0, 1); used for order-preservation checks against the negative case."""
-    beta = ctx.beta()
-    fb = ctx.floor_beta
-    binv = beta.inverse()
-    domain = Interval(ctx.element(0), ctx.element(1), True, False)
-    cells = []
-    for k in range(fb + 1):
-        lo = ctx.element(k) * binv
-        if k == fb:
-            cells.append(SchemeCell(Interval(lo, ctx.element(1), True, False),
-                                    k, ctx.element(k)))
-        else:
-            hi = ctx.element(k + 1) * binv
-            cells.append(SchemeCell(Interval(lo, hi, True, False), k, ctx.element(k)))
-    return Scheme(beta, domain, tuple(cells)).validate()
+    binv = ctx.beta().inverse()
+    digits = range(ctx.floor_beta + 1)
+    cuts = [ctx.element(k) * binv for k in digits[1:]]
+    return _tiled_scheme(ctx.beta(), Interval(ctx.element(0), ctx.element(1), True, False),
+                         cuts, digits, map(ctx.element, digits), False)
 
 
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):

@@ -143,12 +143,15 @@ def has_factor(word, factor):
     """Does the (finite or eventually periodic) word contain the finite factor?"""
     factor = tuple(factor)
     L = len(factor)
-    if word.is_finite:
-        digits = word.preperiod
-        return any(digits[i:i + L] == factor for i in range(len(digits) - L + 1))
-    starts = len(word.preperiod) + len(word.period)
-    return any(tuple(word.digit_at(i + j) for j in range(L)) == factor
-               for i in range(starts))
+    digits = word.preperiod
+    starts = len(digits) - L + 1
+    if not word.is_finite:
+        # a factor of an eventually periodic word starts in its preperiod or
+        # first period: unroll the word once, far enough to read it
+        starts = len(digits) + len(word.period)
+        digits += word.period * -(-(len(word.period) + L - 1) // len(word.period))
+    # the length-L windows digits[i:i+L], i < starts, column by column
+    return factor in zip(*[digits[j:j + max(starts, 0)] for j in range(L)])
 
 
 def period_is_rotation_of(word, cycle):

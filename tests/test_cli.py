@@ -123,6 +123,10 @@ class TestAdmissible:
         code, rep = run_json(capsys, "admissible", "--binary-golden", "0(011101)")
         assert code == 0 and rep["accepted"] is True
 
+    def test_binary_checks_refuse_other_bases(self, capsys):
+        code, _, err = run_cli(capsys, "admissible", "--base", "7/4", "--binary-is", "100")
+        assert code == 2 and "golden-ratio presets" in err
+
     def test_pairs_lazy_level(self, capsys):
         code, out, _ = run_cli(capsys, "admissible", "--base", "phi",
                                "--pairs", "0:0.1:1", "--level", "pairs-lazy")
@@ -216,6 +220,18 @@ class TestCompare:
     def test_outside_is_domain(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--base", "phi", "--x", "-1")
         assert code == 2 and "Ito-Sadahiro domain" in err
+
+    def test_verdict_reads_every_known_digit(self, capsys):
+        # the words first differ past digit 60: at depth 120 the verdict is
+        # decided, not UNDECIDED
+        code, rep = run_json(capsys, "compare", "--base", "tribonacci", "--x", "3/10",
+                             "--depth", "120")
+        assert code == 0 and rep["status"] == "OK"
+        assert rep["alternate_order"] == {"lazy_vs_is": "LT", "is_vs_greedy": "LT"}
+        # equal known digits stay undecided
+        code, rep = run_json(capsys, "compare", "--base", "tribonacci", "--x", "3/10",
+                             "--depth", "60")
+        assert code == 3 and rep["alternate_order"]["is_vs_greedy"] == "UNDECIDED"
 
 
 def test_order_verdict_eq():

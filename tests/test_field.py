@@ -177,6 +177,22 @@ class TestArithmetic:
         x = mu.beta() / Fraction(3, 2)
         assert (x * Fraction(3, 2) - mu.beta()).sign() == 0
 
+    def test_division_by_elements(self, mu):
+        m = mu.beta()
+        x = mu.from_coeffs([Fraction(2, 3), Fraction(-1, 5), 1])
+        assert (x / m) * m == x
+        assert (m * m) / m == m
+        assert 1 / m == m.inverse()
+        assert (3 / x) * x == 3
+
+    def test_inverse_modulo_a_factor_of_a_reducible_modulus(self):
+        ctx = field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)
+        b = ctx.beta()
+        # beta^2 + 1 shares the factor x^2 + 1 with the modulus, so it is
+        # inverted modulo the other factor, x^2 - x - 1
+        x = b * b + 1
+        assert x * x.inverse() == 1
+
     def test_context_mismatch(self, phi, mu):
         with pytest.raises(ContextMismatchError):
             phi.beta() + mu.beta()

@@ -190,6 +190,14 @@ class TestBeta2Schemes:
         assert [c.interval.lo_closed for c in cells] == [True, False, False, False]
         assert [c.interval.hi_closed for c in cells] == [True] * 4
 
+    def test_lazy_breakpoints_are_the_lazy_cell_ends(self, phi, mu):
+        from negabase import lazy_breakpoint
+
+        for ctx in (phi, mu, rational_field(Fraction(14, 5))):
+            cells = build_beta2_scheme(ctx, "lazy").cells
+            assert [c.interval.hi for c in cells] == [
+                lazy_breakpoint(ctx, c.digit) for c in cells]
+
     def test_discontinuity_count(self, phi):
         # (#A)^2 - 1 interior breakpoints
         scheme = build_beta2_scheme(phi, "greedy")
