@@ -6,10 +6,7 @@ is the empty tuple).  Everything here is exact; no floats.
 """
 
 from fractions import Fraction
-from math import isqrt
-
-# rational_roots enumerates divisors only of end coefficients up to this size
-_ROOT_SIZE_LIMIT = 10**12
+from math import gcd, lcm
 
 
 def trim(coeffs):
@@ -105,93 +102,94 @@ def eval_poly(p, x):
     return acc
 
 
-def _sign_variations(values):
-    count = 0
-    prev = 0
-    for v in values:
-        s = (v > 0) - (v < 0)
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def sign_at(p, n, scale):
+    """Sign of the integer polynomial p at n/scale, scale > 0, in integers."""
+    acc, power = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * power
+        power *= scale
+    return (acc > 0) - (acc < 0)
 
 
-def sturm_root_count(p, lo, hi):
-    """Number of distinct real roots of squarefree p in (lo, hi].
-
-    Assumes p(lo) != 0; with p(hi) != 0 the endpoint question vanishes
-    and the count is for the open interval as well.
-    """
-    chain = [trim(p), derivative(p)]
-    while chain[-1]:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(neg(rem))
-    at_lo = [eval_poly(q, lo) for q in chain]
-    at_hi = [eval_poly(q, hi) for q in chain]
-    return _sign_variations(at_lo) - _sign_variations(at_hi)
+def _integer_multiple(p):
+    """p times the positive rational that makes it integer with content 1."""
+    den = lcm(*[c.denominator for c in p])
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def to_integer_primitive(p):
-    """Scale a rational polynomial to integer coefficients with content 1."""
+    """Scale a rational polynomial to integer coefficients with content 1
+    and a positive leading coefficient."""
     if not p:
         return ()
-    from math import gcd, lcm
-
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    ints = _integer_multiple(p)
+    return ints if ints[-1] > 0 else tuple(-c for c in ints)
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return out
+def sturm_chain(p):
+    """Sturm sequence of a squarefree nonconstant p: p, p', then negated
+    remainders, each scaled to integers by a positive factor, which keeps
+    every sign."""
+    chain = [trim(p), derivative(p)]
+    while True:
+        rem = divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            return tuple(_integer_multiple(q) for q in chain)
+        chain.append(neg(rem))
 
 
-def rational_roots(p):
-    """All rational roots of an integer-coefficient polynomial.
+def _variations(chain, n, scale):
+    count = prev = 0
+    for q in chain:
+        s = sign_at(q, n, scale)
+        if s:
+            count += prev == -s
+            prev = s
+    return count
 
-    Returns None when the constant or leading coefficient is too large
-    for divisor enumeration; callers must then cope without the list.
+
+def sturm_root_count(chain, lo, hi):
+    """Number of distinct real roots in the half-open (lo, hi] of the
+    squarefree polynomial with Sturm sequence `chain`.  The count holds
+    even when lo or hi is itself a root."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_variations(chain, lo.numerator, lo.denominator)
+            - _variations(chain, hi.numerator, hi.denominator))
+
+
+def rational_roots(chain):
+    """Every rational root, ascending, of the squarefree polynomial p =
+    chain[0] with Sturm sequence `chain`.
+
+    A rational root of p has a denominator dividing L, the leading
+    coefficient of p, and two fractions with denominators at most L lie at
+    least 1/L^2 apart.  So bisection isolates each real root in a dyadic
+    (lo, hi] narrower than 1/L^2, and the one fraction with denominator at
+    most L nearest its midpoint is the only candidate to test, if it lies
+    in (lo, hi].
     """
-    p = trim(Fraction(c) for c in p)
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    ints = to_integer_primitive(p)
+    p = chain[0]
+    lead = abs(p[-1])
+    # Cauchy's bound: every root lies in (-top, top]
+    top = 1 << (1 + -(-max(map(abs, p[:-1])) // lead)).bit_length()
     roots = []
-    # strip powers of x
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    c0, cn = ints[0], ints[-1]
-    if abs(c0) > _ROOT_SIZE_LIMIT or abs(cn) > _ROOT_SIZE_LIMIT:
-        return None
-    for num in _divisors(c0):
-        for den in _divisors(cn):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and eval_poly(ints, cand) == 0:
-                    roots.append(cand)
+    # (a, V(a), b, V(b), s): the interval (a/s, b/s] and its variation counts
+    todo = [(-top, _variations(chain, -top, 1), top, _variations(chain, top, 1), 1)]
+    while todo:
+        a, va, b, vb, s = todo.pop()
+        if va == vb:
+            continue
+        if va - vb == 1 and (b - a) * lead * lead < s:
+            x = Fraction(a + b, 2 * s).limit_denominator(lead)
+            n, d = x.numerator, x.denominator
+            if a * d < n * s <= b * d and sign_at(p, n, d) == 0:
+                roots.append(x)
+            continue
+        m, s = a + b, 2 * s
+        vm = _variations(chain, m, s)
+        todo += [(m, vm, 2 * b, vb, s), (2 * a, va, m, vm, s)]
     return roots
 
 

@@ -425,17 +425,13 @@ def golden_forbidden_factor_check(word):
     """Can this binary string be the greedy expansion of a point of the
     invariant subinterval for the golden-ratio base?  Read two letters at a
     time, it must be a greedy-admissible pair word.  A finite word of odd
-    length passes when one of its two one-letter extensions does."""
+    length is read with a 0 appended: that extension passes whenever the
+    1-extension does, since a last 0 plus 1 is the pair 0:1, outside the
+    alphabet, and 1:0 ranks below 1:1 and is not a critical digit."""
     _require_binary(word)
+    bits = word
     if word.is_finite and len(word) % 2:
-        reports = [_golden_pairs(word, DigitString.finite(word.preperiod + (d,)))
-                   for d in (0, 1)]
-        return next((r for r in reports if r.ok), reports[0])
-    return _golden_pairs(word, word)
-
-
-def _golden_pairs(word, bits):
-    """Greedy pair check of the even or infinite `bits`, reported on `word`."""
+        bits = DigitString.finite(word.preperiod + (0,))
     phi = phi_field()
     pairs = psi_inverse(bits)
     try:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: expand, admissible, alphabet, unique, compare.  Output is
-human text by default or a self-describing JSON report with --json;
-exact values are always serialized as rational coefficient vectors,
-never as floats.
+Subcommands: expand, admissible, alphabet, unique, branches, compare.
+Output is human text by default or a self-describing JSON report with
+--json; exact values are always serialized as rational coefficient
+vectors, never as floats.
 
 Exit codes: 0 on success, 2 on parse or domain errors, 3 when a result
 is UNDECIDED or a period was not found within the orbit budget, 1 when

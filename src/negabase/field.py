@@ -149,10 +149,10 @@ class FieldContext:
                 return self._dyadic[bits]
             a, b, scale = self._bracket
             p = P.to_integer_primitive(self._modulus)
-            s_lo = _sign_at(p, a, scale)
+            s_lo = P.sign_at(p, a, scale)
             while (b - a) << bits > scale:
                 m = a + b   # the midpoint, over 2 * scale
-                s = _sign_at(p, m, 2 * scale)
+                s = P.sign_at(p, m, 2 * scale)
                 if s == 0:
                     a = b = m   # the midpoint is beta, which is rational
                 elif s == s_lo:
@@ -232,11 +232,6 @@ def _reduced_powers(modulus):
 
 def _rational_sign(q):
     return (q > 0) - (q < 0)
-
-
-def _sign_at(p, n, scale):
-    """Sign of the integer polynomial p at n/scale, scale > 0, in integers."""
-    return _rational_sign(sum(c * n ** i * scale ** (len(p) - 1 - i) for i, c in enumerate(p)))
 
 
 def _sum(ctx, n1, d1, n2, d2, negate):
@@ -351,6 +346,9 @@ class ExactReal:
         return out
 
     def __hash__(self):
+        # equal elements of an uncertified context may differ in (num, den)
+        if not self.context._certified:
+            return hash(self.context)
         return hash((self.context, self.num, self.den))
 
     def __eq__(self, other):
@@ -487,7 +485,7 @@ class ExactReal:
         if not any(self.num):
             return True
         ctx = self.context
-        if ctx._certified or ctx.degree == 1:
+        if ctx._certified:
             return False
         g = P.gcd_poly(P.trim(self.coeffs), ctx._modulus)
         if P.degree(g) < 1:
@@ -590,35 +588,29 @@ def field_from_poly(coeffs, lo, hi):
     if _rational_sign(v_lo) == _rational_sign(v_hi):
         raise FieldError("no sign change on the isolating interval")
     sq = P.squarefree_part(p)
-    n = P.sturm_root_count(sq, lo, hi)
+    chain = P.sturm_chain(sq)
+    n = P.sturm_root_count(chain, lo, hi)
     if n != 1:
         raise FieldError(f"isolating interval contains {n} roots, expected exactly 1")
     if hi <= 1:
         raise FieldError("bracketed root is not greater than 1")
     if lo < 1:
-        if P.eval_poly(sq, 1) == 0:
+        if P.sturm_root_count(chain, 1, hi) != 1:
             raise FieldError("bracketed root is not greater than 1")
-        if P.sturm_root_count(sq, Fraction(1), hi) == 1:
-            lo = Fraction(1)
-        else:
-            raise FieldError("bracketed root is not greater than 1")
-    k = lo.numerator // lo.denominator + 1
-    while k < hi:
-        if lo < k and P.eval_poly(sq, Fraction(k)) == 0:
-            raise FieldError(f"base {k} is an integer; integer bases are not supported")
-        k += 1
+        lo = Fraction(1)
 
+    # the modulus is sq without its rational roots, or x - rho when beta
+    # is the rational rho; a squarefree modulus of degree at most 3 with
+    # no rational root is irreducible
     modulus = sq
-    roots = P.rational_roots(sq)
-    if roots is not None:
-        for rho in roots:
-            if lo < rho < hi:
-                modulus = (-rho, Fraction(1))
-                break
-            modulus = P.divmod_poly(modulus, (-rho, Fraction(1)))[0]
-    certified = P.degree(modulus) == 1 or (roots is not None and P.degree(modulus) in (2, 3))
-    return FieldContext(tuple(int(c) for c in P.to_integer_primitive(p)), modulus,
-                        (lo, hi), certified)
+    for rho in P.rational_roots(chain):
+        if lo < rho < hi:
+            if rho.denominator == 1:
+                raise FieldError(f"base {rho} is an integer; integer bases are not supported")
+            modulus = (-rho, Fraction(1))
+            break
+        modulus = P.divmod_poly(modulus, (-rho, Fraction(1)))[0]
+    return FieldContext(P.to_integer_primitive(p), modulus, (lo, hi), P.degree(modulus) <= 3)
 
 
 def rational_field(value):

@@ -8,7 +8,7 @@ with.
 
 from fractions import Fraction
 
-from math import lcm
+from math import isqrt, lcm
 
 from negabase import DigitString, PairDigit, feasible_digits, minimal_alphabet
 
@@ -18,6 +18,33 @@ def eval_int_poly(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def divisor_rational_roots(coeffs):
+    """The set of rational roots of a nonzero integer polynomial by the
+    rational root theorem: 0 for each factor x, then every +-u/v with u
+    dividing the lowest and v the highest remaining coefficient."""
+    cs = list(coeffs)
+    while not cs[-1]:
+        cs.pop()
+    roots = set()
+    while not cs[0]:
+        roots.add(Fraction(0))
+        cs.pop(0)
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    n = len(cs) - 1
+    for u in divisors(cs[0]):
+        for v in divisors(cs[-1]):
+            for w in (u, -u):
+                # v^n * p(w/v), in integers
+                if sum(c * w ** i * v ** (n - i) for i, c in enumerate(cs)) == 0:
+                    roots.add(Fraction(w, v))
+    return roots
 
 
 def bisection_sign(min_poly, lo, hi, element_coeffs, rounds=256):
@@ -139,21 +166,6 @@ def random_point(rng, interval, denom=10**4, interior=True):
 # -- factor scanning on eventually periodic words -------------------------------
 
 
-def has_factor(word, factor):
-    """Does the (finite or eventually periodic) word contain the finite factor?"""
-    factor = tuple(factor)
-    L = len(factor)
-    digits = word.preperiod
-    starts = len(digits) - L + 1
-    if not word.is_finite:
-        # a factor of an eventually periodic word starts in its preperiod or
-        # first period: unroll the word once, far enough to read it
-        starts = len(digits) + len(word.period)
-        digits += word.period * -(-(len(word.period) + L - 1) // len(word.period))
-    # the length-L windows digits[i:i+L], i < starts, column by column
-    return factor in zip(*[digits[j:j + max(starts, 0)] for j in range(L)])
-
-
 def period_is_rotation_of(word, cycle):
     """Does the word end in the periodic repetition of (a rotation of) cycle?"""
     if word.is_finite:
@@ -169,11 +181,24 @@ def period_is_rotation_of(word, cycle):
 def forbidden_factor_reject(word, factors, cycles):
     """Independent forbidden-factor predicate: True when the word must be
     rejected (contains a finite forbidden factor, or eventually repeats
-    one of the forbidden cycles)."""
+    one of the forbidden cycles).
+
+    A factor of an eventually periodic word starts in its preperiod or
+    first period, so the word is unrolled once, far enough to read the
+    longest factor, and every length-L window of that prefix, a factor of
+    the word, goes into one set per factor length L."""
+    digits, per = word.preperiod, word.period
+    if per:
+        longest = max(map(len, factors), default=1)
+        digits += per * -(-(len(per) + longest - 1) // len(per))
+    windows = {}
     for f in factors:
-        if has_factor(word, f):
+        L = len(f)
+        if L not in windows:
+            windows[L] = set(zip(*[digits[j:] for j in range(L)]))
+        if tuple(f) in windows[L]:
             return True
-    if not word.is_finite:
+    if per:
         for cyc in cycles:
             if period_is_rotation_of(word, cyc):
                 return True

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -295,6 +296,16 @@ class TestGoldenBinary:
                     and not forbidden_factor_reject(pairs, PHI_GREEDY_FACTORS,
                                                     PHI_GREEDY_CYCLES))
             assert (golden_forbidden_factor_check(w).verdict == ADMISSIBLE) == want, w
+
+    def test_odd_words_match_the_two_extension_rule(self, phi):
+        # the reference tries both one-letter extensions; the check reads
+        # only the 0-extension
+        bounds = reference_bounds(phi)
+        for length in range(1, 16, 2):
+            for bits in itertools.product((0, 1), repeat=length):
+                w = DigitString.finite(bits)
+                assert (report_tuple(golden_forbidden_factor_check(w))
+                        == golden_reference(w, phi, bounds)), bits
 
     def test_block_where_the_period_repeats(self):
         # the even block 00 of (001)^omega starts in the second copy

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bisection_floor, bisection_sign, reference_mul
+import negabase._polys as P
+from helpers import (bisection_floor, bisection_sign, divisor_rational_roots,
+                     reference_mul)
 from negabase import (ContextMismatchError, FieldError, build_beta2_scheme,
                       build_ito_sadahiro_scheme, field_from_poly,
                       greedy_neg_beta, interval_I, lazy_neg_beta, phi_field,
@@ -65,6 +67,11 @@ class TestConstruction:
         # root of 2x - 1 is 1/2
         with pytest.raises(FieldError, match="greater than 1"):
             field_from_poly((-1, 2), 0, 1)
+        # brackets reaching past 1: the root 1/2, and the root 1 itself
+        with pytest.raises(FieldError, match="greater than 1"):
+            field_from_poly((-1, 2), 0, 2)
+        with pytest.raises(FieldError, match="greater than 1"):
+            field_from_poly((-1, 1), 0, 2)
 
     def test_rational_base(self):
         q = rational_field(Fraction(7, 4))
@@ -87,6 +94,52 @@ class TestConstruction:
     def test_context_equality(self):
         assert phi_field() == field_from_poly(PHI_MIN_POLY, 1, 2)
         assert phi_field() != tribonacci_field()
+
+    def test_wide_brackets_and_large_coefficients_build_fast(self, monkeypatch):
+        # a scan of the bracket's integers or a divisor search of the end
+        # coefficients would evaluate the polynomial far more often
+        evaluate, calls = P.eval_poly, []
+
+        def counted(p, x):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise AssertionError("more than 10 000 polynomial evaluations")
+            return evaluate(p, x)
+
+        monkeypatch.setattr(P, "eval_poly", counted)
+        wide = field_from_poly((-3, 0, 1), 1, 10**12)
+        assert wide.floor_beta == 1 and wide.isolating_interval == (1, 10**12)
+        # degree 2 with no rational root: certified, whatever the coefficients
+        big = field_from_poly((-735134400, -1, 735134400), 1, 2)
+        assert big.floor_beta == 1 and big._certified
+        with pytest.raises(FieldError, match="base 3 is an integer"):
+            field_from_poly((-9, 0, 1), 1, 10**12)
+        assert not field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)._certified
+
+
+class TestRationalRoots:
+    def test_sturm_isolation_matches_a_divisor_search(self):
+        # planted roots: 0 (the first bisection point), other dyadic
+        # bisection points and random fractions, some of them repeated,
+        # times a random factor of degree at most 3
+        rng = random.Random(2026_10)
+        dyadic = [Fraction(k, 2 ** j) for j in range(4) for k in range(-8, 9)]
+        planted, tested = set(), 0
+        for _ in range(1200):
+            poly = tuple(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 4)))
+            poly = P.trim(poly) or (Fraction(1),)
+            for _ in range(rng.randint(0, 3)):
+                x = (rng.choice(dyadic) if rng.random() < 0.5
+                     else Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+                planted.add(x)
+                poly = P.mul(poly, (Fraction(-x.numerator), Fraction(x.denominator)))
+            if P.degree(poly) < 1:
+                continue
+            want = sorted(divisor_rational_roots([int(c) for c in poly]))
+            assert P.rational_roots(P.sturm_chain(P.squarefree_part(poly))) == want, poly
+            tested += 1
+        assert tested >= 1000
+        assert Fraction(0) in planted and Fraction(-3, 8) in planted
 
 
 class TestSign:
@@ -184,6 +237,15 @@ class TestArithmetic:
         assert (m * m) / m == m
         assert 1 / m == m.inverse()
         assert (3 / x) * x == 3
+
+    def test_equal_elements_hash_equally(self):
+        # in an uncertified context equal elements can have different vectors
+        ctx = field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)
+        u = ctx.beta() ** 2 + 1
+        one = u * u.inverse()
+        assert one.num != ctx.one().num and one == ctx.one()
+        assert hash(one) == hash(ctx.one())
+        assert len({one, ctx.one()}) == 1
 
     def test_inverse_modulo_a_factor_of_a_reducible_modulus(self):
         ctx = field_from_poly(REDUCIBLE_MIN_POLY, 1, 2)
