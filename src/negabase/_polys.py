@@ -129,15 +129,18 @@ def to_integer_primitive(p):
 
 
 def sturm_chain(p):
-    """Sturm sequence of a squarefree nonconstant p: p, p', then negated
-    remainders, each scaled to integers by a positive factor, which keeps
-    every sign."""
-    chain = [trim(p), derivative(p)]
+    """Sturm sequence of the squarefree part q of a nonconstant p: q, q',
+    then negated remainders, each scaled to integers by a positive factor.
+    As rem(-a, b) = -rem(a, b) = rem(-a, -b), these are the remainders of
+    q and q' signed + + - - repeating; when p = q they also show the gcd."""
     while True:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            return tuple(_integer_multiple(q) for q in chain)
-        chain.append(neg(rem))
+        seq = [trim(p), derivative(p)]
+        while seq[-1]:
+            seq.append(divmod_poly(seq[-2], seq[-1])[1])
+        seq.pop()
+        if degree(seq[-1]) < 1:
+            return tuple(_integer_multiple(q if k % 4 < 2 else neg(q)) for k, q in enumerate(seq))
+        p = divmod_poly(p, seq[-1])[0]
 
 
 def _variations(chain, n, scale):

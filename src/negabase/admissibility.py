@@ -419,6 +419,7 @@ def _require_binary(word):
 
 
 _BINARY = frozenset((0, 1))
+_GOLDEN_OUTSIDE = PairDigit(0, 1)
 
 
 def golden_forbidden_factor_check(word):
@@ -434,11 +435,12 @@ def golden_forbidden_factor_check(word):
         bits = DigitString.finite(word.preperiod + (0,))
     phi = phi_field()
     pairs = psi_inverse(bits)
-    try:
-        report = is_admissible_greedy(pairs, phi)
-    except ValueError:   # the pair 0:1 lies outside the minimal alphabet
-        k, length = (pairs.preperiod + pairs.period).index(PairDigit(0, 1)) + 1, 2
+    letters = pairs.preperiod + pairs.period
+    # the first 0:1, the one pair outside phi's minimal alphabet, is the verdict
+    if _GOLDEN_OUTSIDE in letters:
+        k, length = letters.index(_GOLDEN_OUTSIDE) + 1, 2
     else:
+        report = is_admissible_greedy(pairs, phi)
         if report.violation is None:
             return report
         k, length = report.violation.position, 8

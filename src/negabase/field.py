@@ -279,6 +279,23 @@ def _enclose(ctx, num, bits=_FILTER_BITS):
     return a, b, bits * k
 
 
+def _dyadic_bounds(x):
+    """(lo, hi) with lo <= 2^64 * x <= hi, read off the filter's enclosure."""
+    a, b, s = _enclose(x.context, x.num)
+    m = x.den << s
+    return (a << _FILTER_BITS) // m, -((-b << _FILTER_BITS) // m)
+
+
+@context_cached
+def _lattice_powers(ctx):
+    """For a monic integer modulus of degree >= 2, the lattice kernel's
+    lo[i] <= 2^64 * beta^i <= lo[i] + gap, i below the degree; else None."""
+    if ctx.degree < 2 or ctx._table_den != 1:
+        return None
+    bounds = [_dyadic_bounds(ctx.from_coeffs(_x_power(i))) for i in range(ctx.degree)]
+    return tuple(lo for lo, _ in bounds), max(hi - lo for lo, hi in bounds)
+
+
 def _order(op):
     """The operator op(self, other) on elements, read off compare()."""
     def method(self, other):
@@ -587,8 +604,7 @@ def field_from_poly(coeffs, lo, hi):
         raise FieldError("bracket endpoint is a root; shrink the interval")
     if _rational_sign(v_lo) == _rational_sign(v_hi):
         raise FieldError("no sign change on the isolating interval")
-    sq = P.squarefree_part(p)
-    chain = P.sturm_chain(sq)
+    chain = P.sturm_chain(p)
     n = P.sturm_root_count(chain, lo, hi)
     if n != 1:
         raise FieldError(f"isolating interval contains {n} roots, expected exactly 1")
@@ -599,10 +615,10 @@ def field_from_poly(coeffs, lo, hi):
             raise FieldError("bracketed root is not greater than 1")
         lo = Fraction(1)
 
-    # the modulus is sq without its rational roots, or x - rho when beta
-    # is the rational rho; a squarefree modulus of degree at most 3 with
-    # no rational root is irreducible
-    modulus = sq
+    # the modulus is the squarefree part without its rational roots, or
+    # x - rho when beta is the rational rho; a squarefree modulus of degree
+    # at most 3 with no rational root is irreducible
+    modulus = P.monic(tuple(map(Fraction, chain[0])))
     for rho in P.rational_roots(chain):
         if lo < rho < hi:
             if rho.denominator == 1:

@@ -7,19 +7,32 @@ base -beta, the equivalent squared-base schemes over the pair-digit
 alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
 exact evaluation of eventually periodic digit strings.  Every scheme is
 one tiling of its domain: cut points, and the side each cell is closed on.
-One exact rounding picks each greedy or lazy digit; the scan over the
-alphabet stays behind feasible_digits and the oracle as a check on it.
+One exact rounding picks each greedy or lazy digit off the kernel below;
+the alphabet scan stays behind feasible_digits and the oracle as a check.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
 Orbits of points with large denominators need not repeat within the
 budget; those come back as finite prefixes with an explicit status.
+
+When beta is an algebraic integer (a monic integer modulus of degree at
+least 2), the remainders of x stay in (1/D)*Z[beta], D = den(x), and every
+orbit, greedy and lazy as two tilings of I, runs on a lattice kernel over
+the integer vectors of D*y: the base is an integer matrix, and the cell is
+read off one dot product with 64-bit bounds of the powers of beta, the
+exact cell search deciding where the bounds straddle a cut.  Periods are
+the same: the vectors are in bijection with the reduced (num, den).
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from math import gcd
+from operator import mul, sub
 from typing import Optional
 
-from .field import ExactReal, context_cached
+from .field import ExactReal, _dyadic_bounds, _lattice_powers, context_cached
 from .words import DigitString, PairDigit, pair_sort_key
 
 DEFAULT_ORBIT_BUDGET = 10_000
@@ -191,28 +204,45 @@ def _orbit(domain, x, step, start, key, depth, orbit_budget):
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
 
 
-def _alternating_step(state):
+@context_cached
+def _alternating_schemes(ctx):
+    """The largest- and the smallest-digit steps as tilings of I: cut at the
+    right ends of I_fb, ..., I_1, resp. the left ends of I_fb-1, ..., I_0."""
+    digits = range(ctx.floor_beta, -1, -1)
+    subs = [digit_subinterval(ctx, a) for a in digits]
+    return tuple(_tiled_scheme(-ctx.beta(), interval_I(ctx), cuts, digits,
+                               map(ctx.element, digits), right_closed)
+                 for cuts, right_closed in (([iv.hi for iv in subs[:-1]], True),
+                                            ([iv.lo for iv in subs[1:]], False)))
+
+
+def _alternating(x, use_min, depth, orbit_budget):
     # the state (use_min, y): smallest and largest feasible digit alternate
-    use_min, y = state
-    a, w = _digit_step(y, use_min)
-    return a, (not use_min, w)
+    ctx = x.context
+    if _lattice_powers(ctx) is None:
+        steps = [lambda y, m=m: _digit_step(y, m) for m in (False, True)]
+        start, key = x, lambda s: (s[0], s[1].num, s[1].den)
+    else:
+        steps = [s._lattice_step(x.den) for s in _alternating_schemes(ctx)]
+        start, key = x.num, tuple
 
+    def step(state):
+        use_min, y = state
+        a, w = steps[use_min](y)
+        return a, (not use_min, w)
 
-def _alternating_key(state):
-    return state[0], state[1].num, state[1].den
+    return _orbit(interval_I(ctx), x, step, (use_min, start), key, depth, orbit_budget)
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Greedy digits of x in base -beta: the alternate-order maximum of
     all representations.  depth=None detects the eventual period."""
-    return _orbit(interval_I(x.context), x, _alternating_step, (True, x),
-                  _alternating_key, depth, orbit_budget)
+    return _alternating(x, True, depth, orbit_budget)
 
 
 def lazy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Lazy digits of x in base -beta: the alternate-order minimum."""
-    return _orbit(interval_I(x.context), x, _alternating_step, (False, x),
-                  _alternating_key, depth, orbit_budget)
+    return _alternating(x, False, depth, orbit_budget)
 
 
 def symmetric_partner(x):
@@ -321,19 +351,53 @@ class Scheme:
                 raise ValueError("cells do not tile the domain")
         return self
 
-    def _cell(self, x):
+    def _index(self, x):
         # the cells tile the domain, so the first whose right end is not
         # left of x holds it
-        for cell in self.cells[:-1]:
+        for i, cell in enumerate(self.cells[:-1]):
             iv = cell.interval
             s = iv.hi.compare(x)
             if s > 0 or (s == 0 and iv.hi_closed):
-                return cell
-        return self.cells[-1]
+                return i
+        return len(self.cells) - 1
+
+    @cached_property
+    def _lattice(self):
+        # the kernel's table: the base as matrix rows, 64-bit bounds of the
+        # cuts made monotone for bisection, the digits and value vectors;
+        # None unless beta is an algebraic integer and all lie in Z[beta]
+        ctx, cells = self.base.context, self.cells
+        if _lattice_powers(ctx) is None or self.base.den != 1 or any(c.value.den != 1 for c in cells):
+            return None
+        rows = zip(*[(self.base * ctx.from_coeffs((0,) * j + (1,))).num for j in range(ctx.degree)])
+        bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
+        lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
+        hi = tuple(accumulate([hi for _, hi in bounds], max))
+        return tuple(rows), lo, hi, tuple(c.digit for c in cells), tuple(c.value.num for c in cells)
+
+    def _lattice_step(self, D):
+        """The kernel's step(v) -> (digit, w) on the integer vectors v of
+        y = v/D; the exact cell search decides where the bounds straddle."""
+        ctx = self.base.context
+        rows, lo, hi, digits, values = self._lattice
+        powers, gap = _lattice_powers(ctx)
+        lo, hi = [D * c for c in lo], [D * c for c in hi]
+        values = [tuple(D * c for c in value) for value in values]
+
+        def step(v):
+            t = sum(map(mul, v, powers))   # 2^64 * D * y, up to e
+            e = gap * sum(map(abs, v))
+            k = bisect_left(hi, t - e)     # the cuts surely below y
+            if k != bisect_right(lo, t + e):
+                g = gcd(D, *v)
+                k = self._index(ExactReal(ctx, tuple(c // g for c in v), D // g))
+            return digits[k], tuple(sum(map(mul, row, v)) - c for row, c in zip(rows, values[k]))
+
+        return step
 
     def locate(self, x):
         _require_in(self.domain, x)
-        return self._cell(x)
+        return self.cells[self._index(x)]
 
     def step(self, x):
         cell = self.locate(x)
@@ -341,7 +405,7 @@ class Scheme:
 
     def _step_inside(self, x):
         # domain membership is an invariant of the orbit; skip re-checking
-        cell = self._cell(x)
+        cell = self.cells[self._index(x)]
         return cell.digit, self.base * x - cell.value
 
 
@@ -400,7 +464,10 @@ def build_positive_greedy_scheme(ctx):
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    return _orbit(scheme.domain, x, scheme._step_inside, x, _coeffs, depth,
+    if scheme._lattice is None:
+        return _orbit(scheme.domain, x, scheme._step_inside, x, _coeffs, depth,
+                      orbit_budget)
+    return _orbit(scheme.domain, x, scheme._lattice_step(x.den), x.num, tuple, depth,
                   orbit_budget)
 
 

@@ -1,7 +1,7 @@
 """Text syntax for bases and field elements.
 
-Bases: `phi`, `tribonacci`, `root(<integer poly in x>, <lo>, <hi>)`, or a
-non-integer rational literal such as `7/4` or `2.8`.
+Bases: `phi`, `tribonacci`, `root(<integer poly in x>, <lo>, <hi>)` with
+constant ends such as `2.7` or `10^7`, or a non-integer rational: `7/4`, `2.8`.
 
 Elements of Q(beta): polynomials in `b` with rational coefficients, e.g.
 `-1/2`, `b/2 - 1`, `(b^2-1)/3`.  Implicit multiplication (`2b`) works.
@@ -171,10 +171,22 @@ def parse_element(text, ctx):
 
 
 def parse_rational(text):
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational literal {text!r}") from None
+
+
+def _bracket_end(text):
+    # a constant expression such as 10^7, else a rational literal such as 1e5
+    try:
+        value = parse_polynomial(text, "x")
+        if P.degree(value) < 1:
+            return value[0] if value else Fraction(0)
+    except ParseError:
+        pass
+    return parse_rational(text)
 
 
 def _split_root_args(body):
@@ -209,7 +221,7 @@ def parse_base(text):
         coeffs = parse_polynomial(args[0], "x")
         if any(c.denominator != 1 for c in coeffs):
             raise ParseError("root(...) needs an integer-coefficient polynomial")
-        lo, hi = parse_rational(args[1]), parse_rational(args[2])
+        lo, hi = _bracket_end(args[1]), _bracket_end(args[2])
         return field_from_poly(tuple(int(c) for c in coeffs), lo, hi)
     q = parse_rational(text)
     return rational_field(q)

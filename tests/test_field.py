@@ -141,6 +141,29 @@ class TestRationalRoots:
         assert tested >= 1000
         assert Fraction(0) in planted and Fraction(-3, 8) in planted
 
+    def test_sturm_chain_is_the_signed_remainder_sequence(self):
+        # the chain built the textbook way: p, p', then the negated
+        # remainder of the previous two, each up to a positive factor
+        rng = random.Random(2026_11)
+        for _ in range(300):
+            p = P.squarefree_part(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(2, 7)))
+                                  + (Fraction(rng.choice((-3, -1, 1, 2))),))
+            want = [p, P.derivative(p)]
+            while True:
+                rem = P.divmod_poly(want[-2], want[-1])[1]
+                if not rem:
+                    break
+                want.append(P.neg(rem))
+            got = P.sturm_chain(p)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert tuple(Fraction(c, abs(g[-1])) for c in g) == tuple(c / abs(w[-1]) for c in w)
+            # a repeated factor is divided out first: the chain of p^2 is
+            # that of p, up to one sign
+            twice = P.sturm_chain(P.mul(p, p))
+            sign = 1 if twice[0][-1] * got[0][-1] > 0 else -1
+            assert [tuple(sign * c for c in q) for q in twice] == list(got)
+
 
 class TestSign:
     def test_phi_identity_is_zero(self, phi):

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from helpers import random_point, scan_expansion
-from negabase import (DigitString, DomainError, PairDigit, alt_compare,
-                      build_beta2_scheme, build_ito_sadahiro_scheme,
-                      build_positive_greedy_scheme, digit_subinterval,
-                      eval_beta2_pairs, eval_neg_beta,
+from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
+                      alt_compare, build_beta2_scheme,
+                      build_ito_sadahiro_scheme, build_positive_greedy_scheme,
+                      digit_subinterval, eval_beta2_pairs, eval_neg_beta,
                       eval_pos_beta, feasible_digits, field_from_poly,
-                      greedy_neg_beta, interval_I, lazy_neg_beta, lex_compare,
+                      greedy_breakpoint, greedy_neg_beta, interval_I,
+                      lazy_breakpoint, lazy_neg_beta, lex_compare,
                       pair_predecessor, pair_successor, psi_expand,
-                      rational_field, run_scheme, step_max_digit,
-                      step_min_digit, symmetric_partner)
+                      rational_field, restricted_scheme, run_scheme,
+                      step_max_digit, step_min_digit, symmetric_partner)
+from negabase.field import _lattice_powers
+from negabase.schemes import _alternating_schemes, _digit_step
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
 
@@ -407,3 +411,137 @@ class TestOrderPreservation:
             if dx == dy:
                 continue
             assert lex_compare(dx, dy) == -1
+
+
+# -- the lattice kernel against the exact step ----------------------------------
+
+# every algebraic-integer base of the tests: a monic integer modulus
+LATTICE_BASES = {
+    "phi": ((-1, -1, 1), 1, 2),
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
+    "reducible": ((-1, -1, 0, -1, 1), 1, 2),
+    "cubic": ((-1, 0, -3, 1), 3, 4),
+    # sqrt(3) is not a Pisot number: the orbits run to the budget
+    "sqrt3": ((-3, 0, 1), 1, 2),
+}
+ORBIT_DEPTH, ORBIT_BUDGET = 24, 150
+
+
+def _schemes(ctx):
+    return {"is": build_ito_sadahiro_scheme(ctx),
+            "beta2-greedy": build_beta2_scheme(ctx, "greedy"),
+            "beta2-lazy": build_beta2_scheme(ctx, "lazy"),
+            "positive": build_positive_greedy_scheme(ctx),
+            "restricted": restricted_scheme(ctx)}
+
+
+def _tie_points(ctx):
+    """(kind, x) for the points whose first step in the orbit `kind` is an
+    exact tie: the ends of every digit subinterval, among them l and r, and
+    the beta^2 breakpoints.  At l and r the tie is an end of the digit range,
+    where the kernel has no cut."""
+    pairs = all_pair_digits(ctx)
+    points = []
+    for a in range(ctx.floor_beta + 1):
+        iv = digit_subinterval(ctx, a)
+        points += [("greedy", iv.lo), ("lazy", iv.hi)]
+    points += [("beta2-greedy", greedy_breakpoint(ctx, p)) for p in pairs[1:]]
+    points += [("beta2-lazy", lazy_breakpoint(ctx, p)) for p in pairs[:-1]]
+    return points
+
+
+def _exact_orbit(step, start, key, depth=None):
+    """The word and status of a test-side loop of an exact step, whose states
+    are keyed as the exact path keys them."""
+    digits, state = [], start
+    if depth is not None:
+        for _ in range(depth):
+            d, state = step(state)
+            digits.append(d)
+        return DigitString.finite(digits), "ok"
+    seen = {key(state): 0}
+    for n in range(1, ORBIT_BUDGET + 1):
+        d, state = step(state)
+        digits.append(d)
+        i = seen.setdefault(key(state), n)
+        if i < n:
+            return DigitString.periodic(digits[:i], digits[i:]), "ok"
+    return DigitString.finite(digits), "period-not-found"
+
+
+def _exact_alternating(state):
+    use_min, y = state
+    a, w = _digit_step(y, use_min)
+    return a, (not use_min, w)
+
+
+def _exact(kind, scheme, x, depth):
+    if scheme is None:
+        return _exact_orbit(_exact_alternating, (kind == "greedy", x),
+                            lambda s: (s[0], s[1].num, s[1].den), depth)
+    return _exact_orbit(scheme.step, x, lambda y: (y.num, y.den), depth)
+
+
+def _kernel(kind, scheme, x, depth):
+    if scheme is None:
+        fn = greedy_neg_beta if kind == "greedy" else lazy_neg_beta
+        exp = fn(x, depth=depth, orbit_budget=ORBIT_BUDGET)
+    else:
+        exp = run_scheme(scheme, x, depth=depth, orbit_budget=ORBIT_BUDGET)
+    return exp.word, exp.status
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_kernel_matches_the_exact_step(name):
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    schemes = _schemes(ctx)
+    kernels = [*schemes.values(), *_alternating_schemes(ctx)]
+    assert all(s._lattice is not None for s in kernels)
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    points = [x for _, x in _tie_points(ctx)] + rationals
+    domains = {"greedy": interval_I(ctx), "lazy": interval_I(ctx)}
+    domains.update((kind, s.domain) for kind, s in schemes.items())
+    for kind, domain in domains.items():
+        scheme = schemes.get(kind)
+        for x in filter(domain.contains, points):
+            for depth in (ORBIT_DEPTH, None):
+                assert _kernel(kind, scheme, x, depth) == _exact(kind, scheme, x, depth), \
+                    (kind, x, depth)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_kernel_falls_back_next_to_the_cut_points(name):
+    # an exact tie is no fallback: its difference is an exact rational.  A
+    # point off a cut by beta - L/2^128 < 2^-128, L/2^128 the lower end of
+    # a dyadic bracket of beta, is beyond the 64-bit bounds of the kernel
+    # and of the exact filter alike, which counts its fallback.  Next to l
+    # and r, the domain test is what falls back
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    schemes = _schemes(ctx)
+    domains = {"greedy": interval_I(ctx), "lazy": interval_I(ctx)}
+    eps = ctx.beta() - Fraction(ctx.dyadic_bracket(128)[0], 2 ** 128)
+    for kind, tie in _tie_points(ctx):
+        scheme = schemes.get(kind)
+        for x in filter((scheme.domain if scheme else domains[kind]).contains,
+                        (tie - eps, tie + eps)):
+            before = ctx.fallback_count()
+            got = _kernel(kind, scheme, x, ORBIT_DEPTH)
+            after = ctx.fallback_count()
+            assert after > before, (kind, x)
+            assert got == _exact(kind, scheme, x, ORBIT_DEPTH), (kind, x)
+
+
+@pytest.mark.parametrize("args", [((-7, 4), 1, 2), ((-1, -3, 2), 1, 2)])
+def test_rational_and_non_monic_bases_keep_the_exact_path(args):
+    # 7/4 and root(2x^2-3x-1, 1, 2): no lattice Z[beta] holds their orbits
+    ctx = field_from_poly(*args)
+    assert _lattice_powers(ctx) is None
+    schemes = _schemes(ctx)
+    assert all(s._lattice is None for s in [*schemes.values(), *_alternating_schemes(ctx)])
+    x = ctx.element(Fraction(-1, 3))
+    for kind in ("greedy", "lazy", "is", "beta2-greedy", "beta2-lazy"):
+        scheme = schemes.get(kind)
+        assert _kernel(kind, scheme, x, ORBIT_DEPTH) == _exact(kind, scheme, x, ORBIT_DEPTH)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,15 @@ class TestParseBase:
         assert ctx == phi_field()
         ctx = parse_base("root(x^2 - 2x - 2, 2.7, 2.8)")
         assert ctx.min_poly == (-2, -2, 1)
+
+    def test_bracket_end_with_a_power(self):
+        ctx = parse_base("root(x^2-3, 1, 10^7)")
+        assert ctx.isolating_interval == (1, 10 ** 7)
+        assert parse_base("root(x^2-3, 3/2^1, 2)").isolating_interval == (Fraction(3, 2), 2)
+        # the stripped literal is quoted
+        for end in ("10^x", "1/0", "x"):
+            with pytest.raises(ParseError, match=f"^bad rational literal '{re.escape(end)}'$"):
+                parse_base(f"root(x^2-3, 1, {end})")
 
     def test_rational_literals(self):
         assert parse_base("7/4").beta().as_fraction() == Fraction(7, 4)
