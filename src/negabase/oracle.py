@@ -9,13 +9,20 @@ into a one-step test, the same one the greedy/lazy algorithms use; the
 enumeration keeps every usable digit instead of choosing one, which
 makes it an oracle for their digit choices and for uniqueness
 experiments.
+
+The test is the oracle's own, not the tilings it checks.  When beta is an
+algebraic integer, it runs on the orbit kernel's lattice: one dot product
+per digit with 64-bit bounds, the exact test deciding where they straddle
+l or r.  Other bases scan the alphabet in exact arithmetic.
 """
 
 import random
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
-from .field import ExactReal, FieldError
-from .schemes import _feasible_steps, _require_in, eval_neg_beta, interval_I
+from .field import _FILTER_BITS, ExactReal, FieldError, _dyadic_bounds, _lattice_powers
+from .schemes import _alternating_schemes, _feasible_steps, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -31,12 +38,14 @@ def _walk(x, depth, node_budget):
     _require_in(interval_I(x.context), x)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    level = [((), x)]
+    steps, start = (_feasible_steps, x) if _lattice_powers(x.context) is None \
+        else (_lattice_steps(x), x.num)
+    level = [((), start)]
     nodes = 0
     for _ in range(depth):
         nxt = []
         for prefix, y in level:
-            for a, w in _feasible_steps(y):
+            for a, w in steps(y):
                 nxt.append((prefix + (a,), w))
                 nodes += 1
                 if nodes > node_budget:
@@ -44,6 +53,41 @@ def _walk(x, depth, node_budget):
                         f"more than {node_budget} branch nodes at depth {depth}")
         level = nxt
     return [p for p, _ in level]
+
+
+def _lattice_steps(x):
+    """_feasible_steps on the integer vectors v of y = v/D, D = den(x), for
+    an algebraic-integer beta: every digit a is tested for -beta*y - a in I
+    by one dot product of z = (-beta)*v with 64-bit bounds of the powers of
+    beta, against 64-bit bounds of D*l and D*r; I.contains decides exactly
+    where they straddle l or r."""
+    ctx, D = x.context, x.den
+    I = interval_I(ctx)
+    powers, gap = _lattice_powers(ctx)
+    rows = _alternating_schemes(ctx)[0]._lattice[0]   # -beta as a matrix
+    (l_lo, l_hi), (r_lo, r_hi) = ((D * lo, D * hi) for lo, hi in map(_dyadic_bounds, (I.lo, I.hi)))
+    unit = D << _FILTER_BITS   # the digit 1 at the scale of t
+    digits = range(ctx.floor_beta + 1)
+
+    def steps(v):
+        z = [sum(map(mul, row, v)) for row in rows]
+        t = sum(map(mul, z, powers))   # 2^64 * D * (-beta*y), up to e
+        e = gap * sum(map(abs, z))
+        z0 = z[0]
+        for a in digits:
+            lo, hi = t - e - a * unit, t + e - a * unit
+            if hi < l_lo or lo > r_hi:
+                continue
+            z[0] = z0 - a * D
+            w = tuple(z)
+            if lo < l_hi or hi > r_lo:
+                ctx._count_kernel_fallback()
+                g = gcd(D, *w)
+                if not I.contains(ExactReal(ctx, tuple(c // g for c in w), D // g)):
+                    continue
+            yield a, w
+
+    return steps
 
 
 def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
@@ -61,11 +105,11 @@ def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
 def extremal_prefix(x, depth, which="max", node_budget=DEFAULT_NODE_BUDGET):
     """The alternate-order maximal (or minimal) extendable prefix; the
     maximum matches the greedy digits, the minimum the lazy ones."""
-    prefixes = enumerate_prefixes(x, depth, node_budget)
+    prefixes = _walk(x, depth, node_budget)
     if which == "max":
-        return prefixes[-1]
+        return max(prefixes, key=alt_sort_key)
     if which == "min":
-        return prefixes[0]
+        return min(prefixes, key=alt_sort_key)
     raise ValueError("which must be 'max' or 'min'")
 
 

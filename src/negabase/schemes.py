@@ -8,7 +8,8 @@ alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
 exact evaluation of eventually periodic digit strings.  Every scheme is
 one tiling of its domain: cut points, and the side each cell is closed on.
 One exact rounding picks each greedy or lazy digit off the kernel below;
-the alphabet scan stays behind feasible_digits and the oracle as a check.
+the alphabet scan stays behind feasible_digits and, off the lattice, the
+oracle, as a check.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
@@ -20,8 +21,9 @@ least 2), the remainders of x stay in (1/D)*Z[beta], D = den(x), and every
 orbit, greedy and lazy as two tilings of I, runs on a lattice kernel over
 the integer vectors of D*y: the base is an integer matrix, and the cell is
 read off one dot product with 64-bit bounds of the powers of beta, the
-exact cell search deciding where the bounds straddle a cut.  Periods are
-the same: the vectors are in bijection with the reduced (num, den).
+exact cell search deciding where the bounds straddle a cut, counted by
+the context's kernel_fallback_count().  Periods are the same: the vectors
+are in bijection with the reduced (num, den).
 """
 
 from bisect import bisect_left, bisect_right
@@ -389,6 +391,7 @@ class Scheme:
             e = gap * sum(map(abs, v))
             k = bisect_left(hi, t - e)     # the cuts surely below y
             if k != bisect_right(lo, t + e):
+                ctx._count_kernel_fallback()
                 g = gcd(D, *v)
                 k = self._index(ExactReal(ctx, tuple(c // g for c in v), D // g))
             return digits[k], tuple(sum(map(mul, row, v)) - c for row, c in zip(rows, values[k]))

@@ -150,6 +150,25 @@ def scan_expansion(x, depth, use_min=True):
     return DigitString.finite(digits)
 
 
+# every algebraic-integer base of the tests: a monic integer modulus
+LATTICE_BASES = {
+    "phi": ((-1, -1, 1), 1, 2),
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
+    "reducible": ((-1, -1, 0, -1, 1), 1, 2),
+    "cubic": ((-1, 0, -3, 1), 3, 4),
+    # sqrt(3) is not a Pisot number: the orbits run to the budget
+    "sqrt3": ((-3, 0, 1), 1, 2),
+}
+
+
+def tie_offset(ctx):
+    """beta - L/2^128 < 2^-128, L/2^128 the lower end of a dyadic bracket of
+    beta: a point this far off a cut is beyond every 64-bit bound."""
+    return ctx.beta() - Fraction(ctx.dyadic_bracket(128)[0], 2 ** 128)
+
+
 def random_fraction(rng, lo, hi, denom=10**4):
     return Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(rng.randrange(denom + 1), denom)
 

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import random_point
+from helpers import LATTICE_BASES, random_point, tie_offset
 from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
                       PairDigit, count_representation_branches,
-                      enumerate_prefixes, eval_beta2_pairs, eval_neg_beta,
-                      extremal_prefix, greedy_neg_beta, interval_I,
-                      lazy_neg_beta, rational_field, sample_unique_numbers)
+                      digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
+                      eval_neg_beta, extremal_prefix, field_from_poly,
+                      greedy_neg_beta, interval_I, lazy_neg_beta,
+                      rational_field, sample_unique_numbers)
+from negabase.field import _lattice_powers
+from negabase.oracle import DEFAULT_NODE_BUDGET, _walk
+from negabase.schemes import _feasible_steps
 
 B, C = PairDigit(1, 1), PairDigit(0, 0)
 
@@ -99,6 +104,66 @@ class TestExtremal:
     def test_bad_which(self, phi):
         with pytest.raises(ValueError):
             extremal_prefix(phi.zero(), 3, "median")
+
+
+# -- the walk on the lattice against the alphabet scan ---------------------------
+
+def _scan_walk(x, depth):
+    """The extendable prefixes of x in the walk's order, by a test-side
+    breadth-first loop over _feasible_steps, and the number of nodes."""
+    level, nodes = [((), x)], 0
+    for _ in range(depth):
+        level = [(p + (a,), w) for p, y in level for a, w in _feasible_steps(y)]
+        nodes += len(level)
+    return [p for p, _ in level], nodes
+
+
+def _walk_points(ctx):
+    """Every end of a digit subinterval (l and r among them), where the
+    children meet l or r exactly, and every p/q with q <= 7 in I."""
+    I = interval_I(ctx)
+    subs = [digit_subinterval(ctx, a) for a in range(ctx.floor_beta + 1)]
+    ends = [e for iv in subs for e in (iv.lo, iv.hi)]
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    return ends + [x for x in rationals if I.contains(x)]
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_walk_matches_the_alphabet_scan(name):
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    assert _lattice_powers(ctx) is not None
+    for i, x in enumerate(_walk_points(ctx)):
+        depth = 8 + i % 3
+        assert _walk(x, depth, DEFAULT_NODE_BUDGET) == _scan_walk(x, depth)[0], (x, depth)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_walk_falls_back_next_to_l_and_r(name):
+    # beta - L/2^128 off the end of a digit subinterval, a child lies that
+    # close to l or r: no 64-bit bound decides it, and the walk counts its
+    # exact fallback
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    I, eps = interval_I(ctx), tie_offset(ctx)
+    for a in range(ctx.floor_beta + 1):
+        iv = digit_subinterval(ctx, a)
+        for x in filter(I.contains, (iv.lo - eps, iv.lo + eps, iv.hi - eps, iv.hi + eps)):
+            before = ctx.kernel_fallback_count()
+            assert _walk(x, 10, DEFAULT_NODE_BUDGET) == _scan_walk(x, 10)[0], (a, x)
+            assert ctx.kernel_fallback_count() > before, (a, x)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_walk_budget(name):
+    # the budget counts the nodes of the scan, and the error text is the same
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    x = max(_walk_points(ctx), key=lambda y: _scan_walk(y, 10)[1])
+    prefixes, nodes = _scan_walk(x, 10)
+    assert _walk(x, 10, nodes) == prefixes
+    for budget in (nodes - 1, nodes // 2):
+        with pytest.raises(BranchBudgetError) as err:
+            _walk(x, 10, budget)
+        assert str(err.value) == f"more than {budget} branch nodes at depth 10"
 
 
 class TestUniqueSampling:

@@ -4,11 +4,12 @@ from math import gcd
 
 import pytest
 
-from helpers import random_point, scan_expansion
+from helpers import LATTICE_BASES, random_point, scan_expansion, tie_offset
 from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
-                      digit_subinterval, eval_beta2_pairs, eval_neg_beta,
+                      count_representation_branches, digit_subinterval,
+                      eval_beta2_pairs, eval_neg_beta,
                       eval_pos_beta, feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
                       lazy_breakpoint, lazy_neg_beta, lex_compare,
@@ -415,17 +416,6 @@ class TestOrderPreservation:
 
 # -- the lattice kernel against the exact step ----------------------------------
 
-# every algebraic-integer base of the tests: a monic integer modulus
-LATTICE_BASES = {
-    "phi": ((-1, -1, 1), 1, 2),
-    "tribonacci": ((-1, -1, -1, 1), 1, 2),
-    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
-    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
-    "reducible": ((-1, -1, 0, -1, 1), 1, 2),
-    "cubic": ((-1, 0, -3, 1), 3, 4),
-    # sqrt(3) is not a Pisot number: the orbits run to the budget
-    "sqrt3": ((-3, 0, 1), 1, 2),
-}
 ORBIT_DEPTH, ORBIT_BUDGET = 24, 150
 
 
@@ -522,7 +512,7 @@ def test_lattice_kernel_falls_back_next_to_the_cut_points(name):
     ctx = field_from_poly(*LATTICE_BASES[name])
     schemes = _schemes(ctx)
     domains = {"greedy": interval_I(ctx), "lazy": interval_I(ctx)}
-    eps = ctx.beta() - Fraction(ctx.dyadic_bracket(128)[0], 2 ** 128)
+    eps = tie_offset(ctx)
     for kind, tie in _tie_points(ctx):
         scheme = schemes.get(kind)
         for x in filter((scheme.domain if scheme else domains[kind]).contains,
@@ -532,6 +522,34 @@ def test_lattice_kernel_falls_back_next_to_the_cut_points(name):
             after = ctx.fallback_count()
             assert after > before, (kind, x)
             assert got == _exact(kind, scheme, x, ORBIT_DEPTH), (kind, x)
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci"])
+def test_kernel_fallback_count(name):
+    # the kernel's own undecided steps: none along the orbits and oracle
+    # walks of interior points; at least one at every exact tie off l and r
+    # and next to it, where the bounds straddle a cut
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    I = interval_I(ctx)
+    schemes = _schemes(ctx)
+    rng = random.Random(name)
+    for _ in range(20):
+        x = random_point(rng, I)
+        for kind in ("greedy", "lazy", *schemes):
+            scheme = schemes.get(kind)
+            if scheme is None or scheme.domain.contains(x):
+                _kernel(kind, scheme, x, 40)
+        count_representation_branches(x, 10)
+    assert ctx.kernel_fallback_count() == 0
+    eps = tie_offset(ctx)
+    for kind, tie in _tie_points(ctx):
+        if tie in (I.lo, I.hi):
+            continue
+        scheme = schemes.get(kind)
+        for x in filter((scheme.domain if scheme else I).contains, (tie - eps, tie, tie + eps)):
+            before = ctx.kernel_fallback_count()
+            _kernel(kind, scheme, x, 1)
+            assert ctx.kernel_fallback_count() > before, (kind, x)
 
 
 @pytest.mark.parametrize("args", [((-7, 4), 1, 2), ((-1, -3, 2), 1, 2)])
