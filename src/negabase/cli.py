@@ -36,12 +36,22 @@ SCHEMA_VERSION = 1
 _EXIT_SOFT = {"PERIOD_NOT_FOUND", "UNDECIDED"}
 
 
+def _budget(name, default):
+    try:
+        value = int(os.environ.get(name, default))
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(f"{name} must be a positive integer, got {os.environ[name]!r}")
+    return value
+
+
 def _orbit_budget():
-    return int(os.environ.get("NEGABASE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET))
+    return _budget("NEGABASE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET)
 
 
 def _node_budget():
-    return int(os.environ.get("NEGABASE_NODE_BUDGET", DEFAULT_NODE_BUDGET))
+    return _budget("NEGABASE_NODE_BUDGET", DEFAULT_NODE_BUDGET)
 
 
 def _base_info(text, ctx):

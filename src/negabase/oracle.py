@@ -10,19 +10,18 @@ enumeration keeps every usable digit instead of choosing one, which
 makes it an oracle for their digit choices and for uniqueness
 experiments.
 
-The test is the oracle's own, not the tilings it checks.  When beta is an
-algebraic integer, it runs on the orbit kernel's lattice: one dot product
-per digit with 64-bit bounds, the exact test deciding where they straddle
-l or r.  Other bases scan the alphabet in exact arithmetic.
+The test is the oracle's own, not the tilings it checks: every digit is
+tested against I.  The walk reads each node's children off
+schemes._children, which on an algebraic-integer base runs on the orbit
+kernel's lattice, with the kernel's exact fallback where its bounds
+straddle l or r, and elsewhere scans the alphabet in exact arithmetic.
 """
 
 import random
 from dataclasses import dataclass
-from math import gcd
-from operator import mul
 
-from .field import _FILTER_BITS, ExactReal, FieldError, _dyadic_bounds, _lattice_powers
-from .schemes import _alternating_schemes, _feasible_steps, _require_in, eval_neg_beta, interval_I
+from .field import ExactReal, FieldError
+from .schemes import _children, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -38,8 +37,7 @@ def _walk(x, depth, node_budget):
     _require_in(interval_I(x.context), x)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    steps, start = (_feasible_steps, x) if _lattice_powers(x.context) is None \
-        else (_lattice_steps(x), x.num)
+    steps, start = _children(x)
     level = [((), start)]
     nodes = 0
     for _ in range(depth):
@@ -53,41 +51,6 @@ def _walk(x, depth, node_budget):
                         f"more than {node_budget} branch nodes at depth {depth}")
         level = nxt
     return [p for p, _ in level]
-
-
-def _lattice_steps(x):
-    """_feasible_steps on the integer vectors v of y = v/D, D = den(x), for
-    an algebraic-integer beta: every digit a is tested for -beta*y - a in I
-    by one dot product of z = (-beta)*v with 64-bit bounds of the powers of
-    beta, against 64-bit bounds of D*l and D*r; I.contains decides exactly
-    where they straddle l or r."""
-    ctx, D = x.context, x.den
-    I = interval_I(ctx)
-    powers, gap = _lattice_powers(ctx)
-    rows = _alternating_schemes(ctx)[0]._lattice[0]   # -beta as a matrix
-    (l_lo, l_hi), (r_lo, r_hi) = ((D * lo, D * hi) for lo, hi in map(_dyadic_bounds, (I.lo, I.hi)))
-    unit = D << _FILTER_BITS   # the digit 1 at the scale of t
-    digits = range(ctx.floor_beta + 1)
-
-    def steps(v):
-        z = [sum(map(mul, row, v)) for row in rows]
-        t = sum(map(mul, z, powers))   # 2^64 * D * (-beta*y), up to e
-        e = gap * sum(map(abs, z))
-        z0 = z[0]
-        for a in digits:
-            lo, hi = t - e - a * unit, t + e - a * unit
-            if hi < l_lo or lo > r_hi:
-                continue
-            z[0] = z0 - a * D
-            w = tuple(z)
-            if lo < l_hi or hi > r_lo:
-                ctx._count_kernel_fallback()
-                g = gcd(D, *w)
-                if not I.contains(ExactReal(ctx, tuple(c // g for c in w), D // g)):
-                    continue
-            yield a, w
-
-    return steps
 
 
 def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
@@ -139,6 +102,9 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     """
     if (ctx.beta() * ctx.beta()).compare(2 * ctx.beta() + 2) <= 0:
         raise FieldError("unique-representation sampling needs beta > 1 + sqrt(3)")
+    for name, n in (("samples", samples), ("word_length", word_length)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1")
     fb = ctx.floor_beta
     rng = random.Random(seed)
     out = []

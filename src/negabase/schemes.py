@@ -7,9 +7,9 @@ base -beta, the equivalent squared-base schemes over the pair-digit
 alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
 exact evaluation of eventually periodic digit strings.  Every scheme is
 one tiling of its domain: cut points, and the side each cell is closed on.
-One exact rounding picks each greedy or lazy digit off the kernel below;
-the alphabet scan stays behind feasible_digits and, off the lattice, the
-oracle, as a check.
+The greedy and lazy digits are picked on every base by two tilings of I,
+cut at the ends of the digit subintervals; the alphabet scan stays behind
+feasible_digits and the brute-force oracle, as a check.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
@@ -18,12 +18,13 @@ budget; those come back as finite prefixes with an explicit status.
 
 When beta is an algebraic integer (a monic integer modulus of degree at
 least 2), the remainders of x stay in (1/D)*Z[beta], D = den(x), and every
-orbit, greedy and lazy as two tilings of I, runs on a lattice kernel over
-the integer vectors of D*y: the base is an integer matrix, and the cell is
-read off one dot product with 64-bit bounds of the powers of beta, the
-exact cell search deciding where the bounds straddle a cut, counted by
-the context's kernel_fallback_count().  Periods are the same: the vectors
-are in bijection with the reduced (num, den).
+orbit and the oracle's walk run on a lattice kernel over the integer
+vectors of D*y: the base is an integer matrix, and a cut or an end of I is
+tested by one dot product with 64-bit bounds of the powers of beta, the
+exact test deciding where the bounds straddle, counted by the context's
+kernel_fallback_count().  Other bases step the reduced (num, den) of y.
+Periods are the same: the vectors are in bijection with the reduced
+(num, den).
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from operator import mul, sub
+from operator import mul
 from typing import Optional
 
-from .field import ExactReal, _dyadic_bounds, _lattice_powers, context_cached
+from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
 from .words import DigitString, PairDigit, pair_sort_key
 
 DEFAULT_ORBIT_BUDGET = 10_000
@@ -98,13 +99,6 @@ def digit_subinterval(ctx, a):
                     (ctx.element(a) + I.lo) * minus_binv, True, True)
 
 
-@context_cached
-def _step_data(ctx):
-    # -beta and the ends of I, read once per digit
-    I = interval_I(ctx)
-    return -ctx.beta(), I.lo, I.hi
-
-
 def _feasible_steps(y):
     """Yield (a, -beta*y - a) for every digit a whose remainder lies in I,
     in ascending digit order, by testing each digit of the alphabet."""
@@ -117,14 +111,48 @@ def _feasible_steps(y):
             yield a, w
 
 
-def _digit_step(y, use_min):
-    """(a, -beta*y - a) for the smallest (use_min) or largest digit a whose
-    remainder lies in I: a = max(0, ceil(z - r)) = max(0, -floor(r - z)) or
-    min(floor(beta), floor(z - l)) with z = -beta*y.  y must lie in I."""
-    minus_beta, l, r = _step_data(y.context)
-    z = minus_beta * y
-    a = max(0, -(r - z).floor()) if use_min else min(y.context.floor_beta, (z - l).floor())
-    return a, z - a
+def _reduced(ctx, v, D):
+    """The exact fallback of the lattice kernel and walk, where their 64-bit
+    bounds straddle: counted, and y = v/D in lowest terms."""
+    ctx._count_kernel_fallback()
+    g = gcd(D, *v)
+    return ExactReal(ctx, tuple(c // g for c in v), D // g)
+
+
+def _children(x):
+    """(steps, start): start is the state of x, and steps(state) yields
+    (a, state') for every digit a with -beta*y - a in I, ascending.  Off the
+    lattice this is _feasible_steps on y itself.  On it a state is the
+    integer vector v of D*y, D = den(x), and each digit is tested by one dot
+    product of z = (-beta)*v with 64-bit bounds of the powers of beta,
+    against 64-bit bounds of D*l and D*r; I.contains decides exactly where
+    they straddle l or r."""
+    ctx, D = x.context, x.den
+    if _lattice_powers(ctx) is None:
+        return _feasible_steps, x
+    I = interval_I(ctx)
+    powers, gap = _lattice_powers(ctx)
+    rows = _alternating_schemes(ctx)[0]._lattice[0]   # -beta as a matrix
+    (l_lo, l_hi), (r_lo, r_hi) = ((D * lo, D * hi) for lo, hi in map(_dyadic_bounds, (I.lo, I.hi)))
+    unit = D << _FILTER_BITS   # the digit 1 at the scale of t
+    digits = range(ctx.floor_beta + 1)
+
+    def steps(v):
+        z = [sum(map(mul, row, v)) for row in rows]
+        t = sum(map(mul, z, powers))   # 2^64 * D * (-beta*y), up to e
+        e = gap * sum(map(abs, z))
+        z0 = z[0]
+        for a in digits:
+            lo, hi = t - e - a * unit, t + e - a * unit
+            if hi < l_lo or lo > r_hi:
+                continue
+            z[0] = z0 - a * D
+            w = tuple(z)
+            if (lo < l_hi or hi > r_lo) and not I.contains(_reduced(ctx, w, D)):
+                continue
+            yield a, w
+
+    return steps, x.num
 
 
 def feasible_digits(x):
@@ -143,14 +171,12 @@ def step_min_digit(x):
     This is the digit choice that is greatest in the alternate order on
     single digits; the alternating greedy algorithm starts with it.
     """
-    _require_in(interval_I(x.context), x)
-    return _digit_step(x, True)
+    return _alternating_schemes(x.context)[1].step(x)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    _require_in(interval_I(x.context), x)
-    return _digit_step(x, False)
+    return _alternating_schemes(x.context)[0].step(x)
 
 
 @dataclass(frozen=True)
@@ -174,11 +200,11 @@ def _endpoint_flag(I, x):
     return None
 
 
-def _orbit(domain, x, step, start, key, depth, orbit_budget):
+def _orbit(domain, x, step, start, depth, orbit_budget):
     """Digits along the orbit of `start` under step(state) -> (digit, state).
 
     With a depth, exactly that many digits.  Otherwise the states are
-    hashed by key(state) and the first repeat closes the period; no repeat
+    hashed as they are and the first repeat closes the period; no repeat
     within orbit_budget steps leaves a finite prefix marked
     period-not-found.  x is the point of `domain` the orbit starts from.
     """
@@ -193,16 +219,15 @@ def _orbit(domain, x, step, start, key, depth, orbit_budget):
             d, state = step(state)
             digits.append(d)
         return Expansion(DigitString.finite(digits), STATUS_OK, endpoint)
-    seen = {key(state): 0}
+    seen = {state: 0}
     for _ in range(orbit_budget):
         d, state = step(state)
         digits.append(d)
-        k = key(state)
-        if k in seen:
-            i = seen[k]
+        if state in seen:
+            i = seen[state]
             return Expansion(DigitString.periodic(digits[:i], digits[i:]),
                              STATUS_OK, endpoint)
-        seen[k] = len(digits)
+        seen[state] = len(digits)
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
 
 
@@ -220,20 +245,14 @@ def _alternating_schemes(ctx):
 
 def _alternating(x, use_min, depth, orbit_budget):
     # the state (use_min, y): smallest and largest feasible digit alternate
-    ctx = x.context
-    if _lattice_powers(ctx) is None:
-        steps = [lambda y, m=m: _digit_step(y, m) for m in (False, True)]
-        start, key = x, lambda s: (s[0], s[1].num, s[1].den)
-    else:
-        steps = [s._lattice_step(x.den) for s in _alternating_schemes(ctx)]
-        start, key = x.num, tuple
+    (step_max, start), (step_min, _) = (s._stepper(x) for s in _alternating_schemes(x.context))
 
     def step(state):
         use_min, y = state
-        a, w = steps[use_min](y)
+        a, w = (step_min if use_min else step_max)(y)
         return a, (not use_min, w)
 
-    return _orbit(interval_I(ctx), x, step, (use_min, start), key, depth, orbit_budget)
+    return _orbit(interval_I(x.context), x, step, (use_min, start), depth, orbit_budget)
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -377,10 +396,22 @@ class Scheme:
         hi = tuple(accumulate([hi for _, hi in bounds], max))
         return tuple(rows), lo, hi, tuple(c.digit for c in cells), tuple(c.value.num for c in cells)
 
-    def _lattice_step(self, D):
-        """The kernel's step(v) -> (digit, w) on the integer vectors v of
-        y = v/D; the exact cell search decides where the bounds straddle."""
-        ctx = self.base.context
+    def _stepper(self, x):
+        """(step, start): step(state) -> (digit, state') along the orbit of x,
+        on hashable states.  On the lattice a state is the integer vector v
+        of D*y, D = den(x), and the cell is read off one dot product, the
+        exact cell search deciding where the bounds straddle; else it is the
+        reduced (num, den) of y."""
+        ctx, base, cells = self.base.context, self.base, self.cells
+        if self._lattice is None:
+            def step(s):
+                y = ExactReal(ctx, *s)
+                cell = cells[self._index(y)]
+                w = base * y - cell.value
+                return cell.digit, (w.num, w.den)
+
+            return step, (x.num, x.den)
+        D = x.den
         rows, lo, hi, digits, values = self._lattice
         powers, gap = _lattice_powers(ctx)
         lo, hi = [D * c for c in lo], [D * c for c in hi]
@@ -391,12 +422,10 @@ class Scheme:
             e = gap * sum(map(abs, v))
             k = bisect_left(hi, t - e)     # the cuts surely below y
             if k != bisect_right(lo, t + e):
-                ctx._count_kernel_fallback()
-                g = gcd(D, *v)
-                k = self._index(ExactReal(ctx, tuple(c // g for c in v), D // g))
+                k = self._index(_reduced(ctx, v, D))
             return digits[k], tuple(sum(map(mul, row, v)) - c for row, c in zip(rows, values[k]))
 
-        return step
+        return step, x.num
 
     def locate(self, x):
         _require_in(self.domain, x)
@@ -404,11 +433,6 @@ class Scheme:
 
     def step(self, x):
         cell = self.locate(x)
-        return cell.digit, self.base * x - cell.value
-
-    def _step_inside(self, x):
-        # domain membership is an invariant of the orbit; skip re-checking
-        cell = self.cells[self._index(x)]
         return cell.digit, self.base * x - cell.value
 
 
@@ -467,15 +491,7 @@ def build_positive_greedy_scheme(ctx):
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    if scheme._lattice is None:
-        return _orbit(scheme.domain, x, scheme._step_inside, x, _coeffs, depth,
-                      orbit_budget)
-    return _orbit(scheme.domain, x, scheme._lattice_step(x.den), x.num, tuple, depth,
-                  orbit_budget)
-
-
-def _coeffs(y):
-    return y.num, y.den
+    return _orbit(scheme.domain, x, *scheme._stepper(x), depth, orbit_budget)
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -108,6 +108,19 @@ class TestExpand:
         assert code == 2 and rep["status"] == "ERROR"
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("NEGABASE_ORBIT_BUDGET", ("expand", "--base", "phi", "--x", "0")),
+    ("NEGABASE_NODE_BUDGET", ("branches", "--base", "phi", "--x", "0", "--depth", "4"))])
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_budget_variables_take_positive_integers(capsys, monkeypatch, name, argv, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {name} must be a positive integer, got {value!r}\n"
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["status"] == "ERROR" and name in rep["error"]
+
+
 class TestAdmissible:
     def test_pairs_reject(self, capsys):
         code, out, _ = run_cli(capsys, "admissible", "--base", "phi",
@@ -191,6 +204,13 @@ class TestUnique:
     def test_below_threshold(self, capsys):
         code, _, err = run_cli(capsys, "unique", "--base", "1.5")
         assert code == 2 and "sqrt(3)" in err
+
+    @pytest.mark.parametrize("option, name", [("--samples", "samples"),
+                                              ("--length", "word_length")])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nothing_to_sample_exit_2(self, capsys, option, name, value):
+        code, out, err = run_cli(capsys, "unique", "--base", "2.8", option, value)
+        assert code == 2 and not out and err == f"error: {name} must be at least 1\n"
 
 
 class TestBranches:

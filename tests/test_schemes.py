@@ -17,7 +17,7 @@ from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       rational_field, restricted_scheme, run_scheme,
                       step_max_digit, step_min_digit, symmetric_partner)
 from negabase.field import _lattice_powers
-from negabase.schemes import _alternating_schemes, _digit_step
+from negabase.schemes import _alternating_schemes
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
 
@@ -462,9 +462,10 @@ def _exact_orbit(step, start, key, depth=None):
 
 
 def _exact_alternating(state):
+    # the alphabet scan, not the tilings: the extreme feasible digit
     use_min, y = state
-    a, w = _digit_step(y, use_min)
-    return a, (not use_min, w)
+    a = (min if use_min else max)(feasible_digits(y))
+    return a, (not use_min, -(y.context.beta() * y) - a)
 
 
 def _exact(kind, scheme, x, depth):
@@ -483,12 +484,10 @@ def _kernel(kind, scheme, x, depth):
     return exp.word, exp.status
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
-def test_lattice_kernel_matches_the_exact_step(name):
-    ctx = field_from_poly(*LATTICE_BASES[name])
+def _assert_orbits_match_the_exact_steps(ctx):
+    # every kind, by depth and by period, from every tie point and every
+    # p/q, q <= 7, of its domain
     schemes = _schemes(ctx)
-    kernels = [*schemes.values(), *_alternating_schemes(ctx)]
-    assert all(s._lattice is not None for s in kernels)
     rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
                  for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
     points = [x for _, x in _tie_points(ctx)] + rationals
@@ -500,6 +499,13 @@ def test_lattice_kernel_matches_the_exact_step(name):
             for depth in (ORBIT_DEPTH, None):
                 assert _kernel(kind, scheme, x, depth) == _exact(kind, scheme, x, depth), \
                     (kind, x, depth)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_kernel_matches_the_exact_step(name):
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    assert all(s._lattice is not None for s in [*_schemes(ctx).values(), *_alternating_schemes(ctx)])
+    _assert_orbits_match_the_exact_steps(ctx)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
@@ -552,14 +558,12 @@ def test_kernel_fallback_count(name):
             assert ctx.kernel_fallback_count() > before, (kind, x)
 
 
-@pytest.mark.parametrize("args", [((-7, 4), 1, 2), ((-1, -3, 2), 1, 2)])
+@pytest.mark.parametrize("args", [((-7, 4), 1, 2), ((-1, -3, 2), 1, 2),
+                                  ((-14, 5), 2, 3), ((-7, 2), 3, 4)])
 def test_rational_and_non_monic_bases_keep_the_exact_path(args):
-    # 7/4 and root(2x^2-3x-1, 1, 2): no lattice Z[beta] holds their orbits
+    # 7/4, root(2x^2-3x-1, 1, 2), 14/5 and 7/2: no lattice Z[beta] holds
+    # their orbits, so greedy and lazy step the tilings in exact arithmetic
     ctx = field_from_poly(*args)
     assert _lattice_powers(ctx) is None
-    schemes = _schemes(ctx)
-    assert all(s._lattice is None for s in [*schemes.values(), *_alternating_schemes(ctx)])
-    x = ctx.element(Fraction(-1, 3))
-    for kind in ("greedy", "lazy", "is", "beta2-greedy", "beta2-lazy"):
-        scheme = schemes.get(kind)
-        assert _kernel(kind, scheme, x, ORBIT_DEPTH) == _exact(kind, scheme, x, ORBIT_DEPTH)
+    assert all(s._lattice is None for s in [*_schemes(ctx).values(), *_alternating_schemes(ctx)])
+    _assert_orbits_match_the_exact_steps(ctx)
