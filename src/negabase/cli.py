@@ -407,6 +407,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    # exact values of any length parse and print; library callers keep the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:   # 0: the interpreter has no limit on int <-> str conversion
+        sys.set_int_max_str_digits(0)
     try:
         try:
             code = _run(_build_parser().parse_args(argv))
@@ -418,6 +422,9 @@ def main(argv=None):
         # so the flush at exit cannot fail again; exit 1 as Python does on EPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -10,8 +10,8 @@ enumeration keeps every usable digit instead of choosing one, which
 makes it an oracle for their digit choices and for uniqueness
 experiments.
 
-The test is the oracle's own, not the tilings it checks: every digit is
-tested against I.  The walk reads each node's children off
+The test is the oracle's own, not the squared-base tilings it checks:
+every digit is tested against I.  The walk reads each node's children off
 schemes._children, which on an algebraic-integer base runs on the orbit
 kernel's lattice, with the kernel's exact fallback where its bounds
 straddle l or r, and elsewhere scans the alphabet in exact arithmetic.

@@ -1,15 +1,13 @@
 """Digit maps and transformations for negative-base expansions.
 
 Covers the representable interval I and its digit subintervals, the two
-one-step digit choices (smallest and largest feasible digit), the
-alternating algorithm that produces greedy and lazy digit strings in
-base -beta, the equivalent squared-base schemes over the pair-digit
-alphabet, the Ito-Sadahiro scheme, a minimal positive-base scheme, and
-exact evaluation of eventually periodic digit strings.  Every scheme is
-one tiling of its domain: cut points, and the side each cell is closed on.
-The greedy and lazy digits are picked on every base by two tilings of I,
-cut at the ends of the digit subintervals; the alphabet scan stays behind
-feasible_digits and the brute-force oracle, as a check.
+one-step digit choices (smallest and largest feasible digit, by a scan of
+the alphabet, as in feasible_digits and the brute-force oracle), the
+squared-base schemes over the pair-digit alphabet, whose pair digits read
+two letters each are the greedy and lazy digits in base -beta (the
+paper's theorem), the Ito-Sadahiro scheme, a minimal positive-base scheme,
+and exact evaluation of eventually periodic digit strings.  Every scheme
+is one tiling of its domain: cut points, and the side each cell is closed on.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
@@ -36,7 +34,7 @@ from operator import mul
 from typing import Optional
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, PairDigit, pair_sort_key
+from .words import DigitString, PairDigit, pair_sort_key, psi_expand
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -132,13 +130,14 @@ def _children(x):
         return _feasible_steps, x
     I = interval_I(ctx)
     powers, gap = _lattice_powers(ctx)
-    rows = _alternating_schemes(ctx)[0]._lattice[0]   # -beta as a matrix
+    top = ctx._power_table[0]   # beta^d in the power basis
     (l_lo, l_hi), (r_lo, r_hi) = ((D * lo, D * hi) for lo, hi in map(_dyadic_bounds, (I.lo, I.hi)))
     unit = D << _FILTER_BITS   # the digit 1 at the scale of t
     digits = range(ctx.floor_beta + 1)
 
     def steps(v):
-        z = [sum(map(mul, row, v)) for row in rows]
+        # -beta*v: the companion shift, the top coefficient folded by beta^d
+        z = [-(c + v[-1] * t) for c, t in zip((0, *v[:-1]), top)]
         t = sum(map(mul, z, powers))   # 2^64 * D * (-beta*y), up to e
         e = gap * sum(map(abs, z))
         z0 = z[0]
@@ -171,12 +170,14 @@ def step_min_digit(x):
     This is the digit choice that is greatest in the alternate order on
     single digits; the alternating greedy algorithm starts with it.
     """
-    return _alternating_schemes(x.context)[1].step(x)
+    _require_in(interval_I(x.context), x)
+    return next(_feasible_steps(x))
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    return _alternating_schemes(x.context)[0].step(x)
+    _require_in(interval_I(x.context), x)
+    return list(_feasible_steps(x))[-1]
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,6 @@ class Expansion:
         return self.status == STATUS_OK
 
 
-def _endpoint_flag(I, x):
-    if x == I.lo:
-        return "l"
-    if x == I.hi:
-        return "r"
-    return None
-
-
 def _orbit(domain, x, step, start, depth, orbit_budget):
     """Digits along the orbit of `start` under step(state) -> (digit, state).
 
@@ -209,7 +202,7 @@ def _orbit(domain, x, step, start, depth, orbit_budget):
     period-not-found.  x is the point of `domain` the orbit starts from.
     """
     _require_in(domain, x)
-    endpoint = _endpoint_flag(domain, x)
+    endpoint = "l" if x == domain.lo else "r" if x == domain.hi else None
     digits = []
     state = start
     if depth is not None:
@@ -231,39 +224,27 @@ def _orbit(domain, x, step, start, depth, orbit_budget):
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
 
 
-@context_cached
-def _alternating_schemes(ctx):
-    """The largest- and the smallest-digit steps as tilings of I: cut at the
-    right ends of I_fb, ..., I_1, resp. the left ends of I_fb-1, ..., I_0."""
-    digits = range(ctx.floor_beta, -1, -1)
-    subs = [digit_subinterval(ctx, a) for a in digits]
-    return tuple(_tiled_scheme(-ctx.beta(), interval_I(ctx), cuts, digits,
-                               map(ctx.element, digits), right_closed)
-                 for cuts, right_closed in (([iv.hi for iv in subs[:-1]], True),
-                                            ([iv.lo for iv in subs[1:]], False)))
-
-
-def _alternating(x, use_min, depth, orbit_budget):
-    # the state (use_min, y): smallest and largest feasible digit alternate
-    (step_max, start), (step_min, _) = (s._stepper(x) for s in _alternating_schemes(x.context))
-
-    def step(state):
-        use_min, y = state
-        a, w = (step_min if use_min else step_max)(y)
-        return a, (not use_min, w)
-
-    return _orbit(interval_I(x.context), x, step, (use_min, start), depth, orbit_budget)
+def _pair_orbit(x, kind, depth, orbit_budget):
+    # the theorem: greedy (lazy) digits are the beta^2 greedy (lazy) pair digits,
+    # two letters each; a finite word is cut back to the depth or the budget
+    n = orbit_budget if depth is None else depth
+    exp = run_scheme(build_beta2_scheme(x.context, kind), x,
+                     None if depth is None else -(-n // 2), -(-orbit_budget // 2))
+    word = psi_expand(exp.word)
+    if word.is_finite:
+        word = DigitString.finite(word.preperiod[:n])
+    return Expansion(word, exp.status, exp.endpoint)
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Greedy digits of x in base -beta: the alternate-order maximum of
     all representations.  depth=None detects the eventual period."""
-    return _alternating(x, True, depth, orbit_budget)
+    return _pair_orbit(x, "greedy", depth, orbit_budget)
 
 
 def lazy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Lazy digits of x in base -beta: the alternate-order minimum."""
-    return _alternating(x, False, depth, orbit_budget)
+    return _pair_orbit(x, "lazy", depth, orbit_budget)
 
 
 def symmetric_partner(x):
@@ -450,6 +431,7 @@ def _tiled_scheme(base, domain, cuts, digits, values, right_closed):
     return Scheme(base, domain, cells).validate()
 
 
+@context_cached
 def build_beta2_scheme(ctx, kind):
     """The squared-base scheme whose digit string maps under the pair
     morphism to the greedy (resp. lazy) digits in base -beta: cells

@@ -19,7 +19,7 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^(),")
-# each power is expanded by repeated products, so large exponents are refused
+# powers are expanded by repeated products: larger exponents and degrees are refused
 _MAX_EXPONENT = 100
 
 
@@ -97,6 +97,13 @@ class _PolyParser:
             else:
                 return acc
 
+    @staticmethod
+    def mul(p, q):
+        out = P.mul(p, q)
+        if P.degree(out) > _MAX_EXPONENT:
+            raise ParseError(f"degree {P.degree(out)} is above {_MAX_EXPONENT}")
+        return out
+
     def term(self):
         acc = self.factor()
         while True:
@@ -105,7 +112,7 @@ class _PolyParser:
                 self.take()
                 rhs = self.factor()
                 if val == "*":
-                    acc = P.mul(acc, rhs)
+                    acc = self.mul(acc, rhs)
                 else:
                     if P.degree(rhs) > 0:
                         raise ParseError("division by a non-constant expression")
@@ -113,7 +120,7 @@ class _PolyParser:
                         raise ParseError("division by zero")
                     acc = P.scale(acc, 1 / rhs[0])
             elif kind == "num" or kind == "name" or (kind == "op" and val == "("):
-                acc = P.mul(acc, self.factor())   # implicit multiplication
+                acc = self.mul(acc, self.factor())   # implicit multiplication
             else:
                 return acc
 
@@ -134,7 +141,7 @@ class _PolyParser:
                 raise ParseError(f"exponent {eval_} is above {_MAX_EXPONENT}")
             out = (Fraction(1),)
             for _ in range(int(eval_)):
-                out = P.mul(out, base)
+                out = self.mul(out, base)
             return out
         return base
 
@@ -156,18 +163,15 @@ class _PolyParser:
 
 
 def parse_polynomial(text, var):
-    return _PolyParser(_tokenize(text), var).parse()
+    try:
+        return _PolyParser(_tokenize(text), var).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_element(text, ctx):
     """Parse a rational polynomial in `b` as an element of the field."""
-    try:
-        coeffs = parse_polynomial(text, "b")
-    except ParseError:
-        raise
-    except Exception as exc:  # pragma: no cover
-        raise ParseError(str(exc)) from exc
-    return ctx.from_coeffs(coeffs or (Fraction(0),))
+    return ctx.from_coeffs(parse_polynomial(text, "b") or (Fraction(0),))
 
 
 def parse_rational(text):

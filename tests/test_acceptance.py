@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from helpers import forbidden_factor_reject, random_point
+from helpers import forbidden_factor_reject, random_point, scan_expansion
 from negabase import (ADMISSIBLE, REJECTED, DigitString, PairDigit,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
@@ -90,8 +90,8 @@ def test_c03_theorem_consistency():
             x = random_point(rng, I, interior=False)
             got_g = psi_expand(run_scheme(gs, x, depth=25).word).preperiod
             got_l = psi_expand(run_scheme(ls, x, depth=25).word).preperiod
-            assert got_g == greedy_neg_beta(x, depth=50).word.preperiod
-            assert got_l == lazy_neg_beta(x, depth=50).word.preperiod
+            assert got_g == scan_expansion(x, 50, True).preperiod
+            assert got_l == scan_expansion(x, 50, False).preperiod
 
 
 @criterion(4, "greedy/lazy digitwise symmetry across the interval midpoint")

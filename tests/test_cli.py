@@ -121,6 +121,48 @@ def test_budget_variables_take_positive_integers(capsys, monkeypatch, name, argv
     assert code == 2 and rep["status"] == "ERROR" and name in rep["error"]
 
 
+def _nested(core):
+    return "(" * 3000 + core + ")" * 3000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("alphabet", "--base", f"root({_nested('x')}^2-3, 1, 2)"), "expression nested too deeply"),
+    (("alphabet", "--base", "root(((x+1)^100)^100-3, 1, 2)"), "degree 200 is above 100"),
+    # a bracket end that is no constant expression is read as a rational literal
+    (("alphabet", "--base", f"root(x^2-3, 1, {_nested('2')})"), "bad rational literal"),
+    (("alphabet", "--base", "root(x^2-3, 1, ((x+2)^100)^100)"), "bad rational literal"),
+    (("expand", "--base", "phi", "--x", _nested("b"), "--depth", "2"), "expression nested too deeply"),
+    (("expand", "--base", "phi", "--x", "(((b+1)^100)^100)", "--depth", "2"), "degree 200 is above 100"),
+], ids=["base-nesting", "base-degree", "end-nesting", "end-degree", "x-nesting", "x-degree"])
+def test_parse_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and not out and err.startswith(f"error: {message}")
+    code, rep = run_json(capsys, *argv)
+    assert code == 2
+    assert rep == {"schema": 1, "command": argv[0], "status": "ERROR", "error": rep["error"]}
+    assert rep["error"].startswith(message)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no int <-> str limit")
+class TestExactValuesOfAnySize:
+    # each command lifts the interpreter's 4300-digit limit and restores it
+    def test_long_decimal(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, rep = run_json(capsys, "expand", "--base", "phi", "--x", "0." + "3" * 5000,
+                             "--depth", "3")
+        assert code == 0 and rep["x"]["coeffs"][0] == "3" * 5000 + "/1" + "0" * 5000
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_long_unique_sample(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, rep = run_json(capsys, "unique", "--base", "2.8", "--samples", "1",
+                             "--length", "2000", "--depth", "2")
+        assert code == 0 and len(rep["samples"][0]["word"]) == 2 + 2 * 2000   # pair digits
+        assert len(rep["samples"][0]["value"][0]) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestAdmissible:
     def test_pairs_reject(self, capsys):
         code, out, _ = run_cli(capsys, "admissible", "--base", "phi",

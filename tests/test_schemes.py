@@ -9,7 +9,7 @@ from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
                       count_representation_branches, digit_subinterval,
-                      eval_beta2_pairs, eval_neg_beta,
+                      enumerate_prefixes, eval_beta2_pairs, eval_neg_beta,
                       eval_pos_beta, feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
                       lazy_breakpoint, lazy_neg_beta, lex_compare,
@@ -17,7 +17,6 @@ from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       rational_field, restricted_scheme, run_scheme,
                       step_max_digit, step_min_digit, symmetric_partner)
 from negabase.field import _lattice_powers
-from negabase.schemes import _alternating_schemes
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
 
@@ -109,10 +108,11 @@ def test_one_rounding_picks_the_extreme_feasible_digit(name):
     ctx = field_from_poly(*ROUNDING_BASES[name])
     minus_beta = -ctx.beta()
     for x in _rounding_points(ctx):
-        # x and 30 remainders of its greedy orbit, followed by the scan
+        # x and 30 remainders of its greedy orbit; the oracle's depth-1
+        # prefixes are the feasible digits
         y = x
         for i in range(31):
-            feasible = feasible_digits(y)
+            feasible = [a for a, in enumerate_prefixes(y, 1)]
             lo, hi = min(feasible), max(feasible)
             assert _vector(step_min_digit(y)) == _vector((lo, minus_beta * y - lo)), (x, i)
             assert _vector(step_max_digit(y)) == _vector((hi, minus_beta * y - hi)), (x, i)
@@ -166,6 +166,22 @@ class TestGreedyLazy:
         exp = greedy_neg_beta(x, orbit_budget=40)
         assert exp.status == "period-not-found"
         assert exp.word.is_finite and len(exp.word) == 40
+
+    def test_odd_budget_runs_a_whole_pair(self, phi):
+        # a budget of B digits runs ceil(B/2) pair steps: at budget 5 the
+        # greedy period of -1/2 closes at digit 6; a prefix cut off by the
+        # budget keeps exactly B digits
+        x = phi.element(Fraction(-1, 2))
+        period = DigitString((), (1, 1, 1, 0, 0, 0))
+        expected = {4: (DigitString.finite((1, 1, 1, 0)), "period-not-found"),
+                    5: (period, "ok"), 6: (period, "ok")}
+        for budget, want in expected.items():
+            exp = greedy_neg_beta(x, orbit_budget=budget)
+            assert (exp.word, exp.status) == want, budget
+        for budget in (4, 5, 6):
+            exp = lazy_neg_beta(x, orbit_budget=budget)
+            assert exp.status == "period-not-found"
+            assert exp.word == DigitString.finite((1, 0, 0, 1, 1, 1)[:budget])
 
     def test_outside_interval(self, phi):
         with pytest.raises(DomainError):
@@ -312,12 +328,13 @@ class TestTheoremConsistency:
             I = interval_I(ctx)
             gs = build_beta2_scheme(ctx, "greedy")
             ls = build_beta2_scheme(ctx, "lazy")
-            for _ in range(20):
-                x = random_point(rng, I, interior=False)
+            # random points, then every digit-subinterval end and beta^2 breakpoint
+            points = [random_point(rng, I, interior=False) for _ in range(20)]
+            for x in points + [x for _, x in _tie_points(ctx)]:
                 g2 = psi_expand(run_scheme(gs, x, depth=15).word)
                 l2 = psi_expand(run_scheme(ls, x, depth=15).word)
-                assert g2.preperiod == greedy_neg_beta(x, depth=30).word.preperiod
-                assert l2.preperiod == lazy_neg_beta(x, depth=30).word.preperiod
+                assert g2.preperiod == scan_expansion(x, 30, True).preperiod
+                assert l2.preperiod == scan_expansion(x, 30, False).preperiod
 
     def test_symmetry_of_greedy_and_lazy(self, phi, mu, seven_quarters):
         rng = random.Random(29)
@@ -504,7 +521,7 @@ def _assert_orbits_match_the_exact_steps(ctx):
 @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
 def test_lattice_kernel_matches_the_exact_step(name):
     ctx = field_from_poly(*LATTICE_BASES[name])
-    assert all(s._lattice is not None for s in [*_schemes(ctx).values(), *_alternating_schemes(ctx)])
+    assert all(s._lattice is not None for s in _schemes(ctx).values())
     _assert_orbits_match_the_exact_steps(ctx)
 
 
@@ -565,5 +582,5 @@ def test_rational_and_non_monic_bases_keep_the_exact_path(args):
     # their orbits, so greedy and lazy step the tilings in exact arithmetic
     ctx = field_from_poly(*args)
     assert _lattice_powers(ctx) is None
-    assert all(s._lattice is None for s in [*_schemes(ctx).values(), *_alternating_schemes(ctx)])
+    assert all(s._lattice is None for s in _schemes(ctx).values())
     _assert_orbits_match_the_exact_steps(ctx)
