@@ -2,11 +2,11 @@
 
 Work happens in the field Q(beta) for an algebraic base beta > 1, so all
 digit choices, breakpoint tests and period detections are exact.  The
-greedy and lazy expansions come both from the alternating two-map
-algorithm in base -beta and from equivalent single-map schemes in base
-beta^2 over a non-integer pair alphabet; the package also decides which
-digit strings are admissible as such expansions and brute-force-counts
-representations for uniqueness experiments.
+greedy and lazy expansions in base -beta are read off the greedy and lazy
+single-map schemes in base beta^2 over a non-integer pair alphabet, two
+digits per pair digit; the package also decides which digit strings are
+admissible as such expansions and brute-force-counts representations for
+uniqueness experiments.
 """
 
 from .admissibility import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED,

@@ -88,13 +88,6 @@ def gcd_poly(p, q):
     return monic(a)
 
 
-def squarefree_part(p):
-    g = gcd_poly(p, derivative(p))
-    if degree(g) < 1:
-        return monic(p)
-    return monic(divmod_poly(p, g)[0])
-
-
 def eval_poly(p, x):
     acc = Fraction(0)
     for c in reversed(p):

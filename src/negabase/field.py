@@ -298,10 +298,8 @@ def _dyadic_bounds(x):
 
 @context_cached
 def _lattice_powers(ctx):
-    """For a monic integer modulus of degree >= 2, the lattice kernel's
-    lo[i] <= 2^64 * beta^i <= lo[i] + gap, i below the degree; else None."""
-    if ctx.degree < 2 or ctx._table_den != 1:
-        return None
+    """The orbit kernel's lo[i] <= 2^64 * beta^i <= lo[i] + gap, i below the
+    degree: exact, with gap 0, on a degree-one (rational) context."""
     bounds = [_dyadic_bounds(ctx.from_coeffs(_x_power(i))) for i in range(ctx.degree)]
     return tuple(lo for lo, _ in bounds), max(hi - lo for lo, hi in bounds)
 

@@ -12,9 +12,9 @@ experiments.
 
 The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
-schemes._children, which on an algebraic-integer base runs on the orbit
-kernel's lattice, with the kernel's exact fallback where its bounds
-straddle l or r, and elsewhere scans the alphabet in exact arithmetic.
+schemes._children, which runs on the orbit kernel's integer states on
+every base, with the kernel's exact fallback where its bounds straddle l
+or r.
 """
 
 import random
@@ -37,10 +37,11 @@ def _walk(x, depth, node_budget):
     _require_in(interval_I(x.context), x)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    steps, start = _children(x)
-    level = [((), start)]
+    children, start = _children(x)
+    level, D = [((), start)], x.den
     nodes = 0
     for _ in range(depth):
+        steps, D = children(D)
         nxt = []
         for prefix, y in level:
             for a, w in steps(y):

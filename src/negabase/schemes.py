@@ -14,22 +14,20 @@ orbit of remainders is hashed and the first repeat closes the period.
 Orbits of points with large denominators need not repeat within the
 budget; those come back as finite prefixes with an explicit status.
 
-When beta is an algebraic integer (a monic integer modulus of degree at
-least 2), the remainders of x stay in (1/D)*Z[beta], D = den(x), and every
-orbit and the oracle's walk run on a lattice kernel over the integer
-vectors of D*y: the base is an integer matrix, and a cut or an end of I is
-tested by one dot product with 64-bit bounds of the powers of beta, the
-exact test deciding where the bounds straddle, counted by the context's
-kernel_fallback_count().  Other bases step the reduced (num, den) of y.
-Periods are the same: the vectors are in bijection with the reduced
-(num, den).
+Every orbit and the oracle's walk run on one integer kernel, on every
+base: y = v/D with v an integer vector, the base times a common
+denominator L an integer matrix, and each cut or end of I tested by one
+dot product with 64-bit bounds of the powers of beta, the exact test
+deciding where they straddle (counted by kernel_fallback_count()).  On an
+algebraic-integer base L = 1 and D stays den(x); elsewhere an orbit state
+is y in lowest terms.  Either way a value has one state.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Optional
 
@@ -117,41 +115,49 @@ def _reduced(ctx, v, D):
     return ExactReal(ctx, tuple(c // g for c in v), D // g)
 
 
+@context_cached
+def _walk_table(ctx):
+    # beta^d = top/M, M the denominator of the modulus; 64-bit bounds of l and r
+    top, I = ctx.beta() ** ctx.degree, interval_I(ctx)
+    return top.den, top.num, (*_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi))
+
+
 def _children(x):
-    """(steps, start): start is the state of x, and steps(state) yields
-    (a, state') for every digit a with -beta*y - a in I, ascending.  Off the
-    lattice this is _feasible_steps on y itself.  On it a state is the
-    integer vector v of D*y, D = den(x), and each digit is tested by one dot
-    product of z = (-beta)*v with 64-bit bounds of the powers of beta,
-    against 64-bit bounds of D*l and D*r; I.contains decides exactly where
-    they straddle l or r."""
-    ctx, D = x.context, x.den
-    if _lattice_powers(ctx) is None:
-        return _feasible_steps, x
+    """(level, start): start is v with x = v/D, D = den(x); level(D) returns
+    (steps, D*M) for a level of nodes v/D: steps(v) yields (a, w) for every
+    digit a with -beta*v/D - a = w/(D*M) in I, ascending, each tested by one
+    dot product of M*(-beta)*v with 64-bit bounds as in the kernel.  The walk
+    hashes no node, so none is reduced."""
+    ctx = x.context
     I = interval_I(ctx)
     powers, gap = _lattice_powers(ctx)
-    top = ctx._power_table[0]   # beta^d in the power basis
-    (l_lo, l_hi), (r_lo, r_hi) = ((D * lo, D * hi) for lo, hi in map(_dyadic_bounds, (I.lo, I.hi)))
-    unit = D << _FILTER_BITS   # the digit 1 at the scale of t
+    M, top, (ll, lh, rl, rh) = _walk_table(ctx)
     digits = range(ctx.floor_beta + 1)
 
-    def steps(v):
-        # -beta*v: the companion shift, the top coefficient folded by beta^d
-        z = [-(c + v[-1] * t) for c, t in zip((0, *v[:-1]), top)]
-        t = sum(map(mul, z, powers))   # 2^64 * D * (-beta*y), up to e
-        e = gap * sum(map(abs, z))
-        z0 = z[0]
-        for a in digits:
-            lo, hi = t - e - a * unit, t + e - a * unit
-            if hi < l_lo or lo > r_hi:
-                continue
-            z[0] = z0 - a * D
-            w = tuple(z)
-            if (lo < l_hi or hi > r_lo) and not I.contains(_reduced(ctx, w, D)):
-                continue
-            yield a, w
+    def level(D):
+        E = D * M
+        l_lo, l_hi, r_lo, r_hi = E * ll, E * lh, E * rl, E * rh
+        unit = E << _FILTER_BITS   # the digit 1 at the scale of t
 
-    return steps, x.num
+        def steps(v):
+            # the companion shift, the top coefficient folded by M*beta^d
+            z = [-(M * c + v[-1] * t) for c, t in zip((0, *v[:-1]), top)]
+            t = sum(map(mul, z, powers))   # 2^64 * E * (-beta*y), up to e
+            e = gap * sum(map(abs, z))
+            z0 = z[0]
+            for a in digits:
+                lo, hi = t - e - a * unit, t + e - a * unit
+                if hi < l_lo or lo > r_hi:
+                    continue
+                z[0] = z0 - a * E
+                w = tuple(z)
+                if (lo < l_hi or hi > r_lo) and not I.contains(_reduced(ctx, w, E)):
+                    continue
+                yield a, w
+
+        return steps, E
+
+    return level, x.num
 
 
 def feasible_digits(x):
@@ -365,48 +371,45 @@ class Scheme:
 
     @cached_property
     def _lattice(self):
-        # the kernel's table: the base as matrix rows, 64-bit bounds of the
-        # cuts made monotone for bisection, the digits and value vectors;
-        # None unless beta is an algebraic integer and all lie in Z[beta]
-        ctx, cells = self.base.context, self.cells
-        if _lattice_powers(ctx) is None or self.base.den != 1 or any(c.value.den != 1 for c in cells):
-            return None
-        rows = zip(*[(self.base * ctx.from_coeffs((0,) * j + (1,))).num for j in range(ctx.degree)])
+        # the kernel's table over one common denominator L: L*base as matrix
+        # rows, 64-bit bounds of the cuts made monotone for bisection, the
+        # digits, L*(cell values) as integer vectors, L, and k, which every
+        # common factor of a next state (w, D*L) divides when v/D is reduced
+        ctx, cells, d = self.base.context, self.cells, self.base.context.degree
+        ys = [self.base * ctx.beta() ** j for j in range(d)] + [c.value for c in cells]
+        L = lcm(*(y.den for y in ys))
+        ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
         bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
         lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
         hi = tuple(accumulate([hi for _, hi in bounds], max))
-        return tuple(rows), lo, hi, tuple(c.digit for c in cells), tuple(c.value.num for c in cells)
+        k = 1 if L == 1 else (L * lcm(*(c.value.den for c in cells))
+                              * self.base.inverse().den * ctx._table_den)
+        return tuple(zip(*ys[:d])), lo, hi, tuple(c.digit for c in cells), tuple(ys[d:]), L, k
 
     def _stepper(self, x):
         """(step, start): step(state) -> (digit, state') along the orbit of x,
-        on hashable states.  On the lattice a state is the integer vector v
-        of D*y, D = den(x), and the cell is read off one dot product, the
-        exact cell search deciding where the bounds straddle; else it is the
-        reduced (num, den) of y."""
-        ctx, base, cells = self.base.context, self.base, self.cells
-        if self._lattice is None:
-            def step(s):
-                y = ExactReal(ctx, *s)
-                cell = cells[self._index(y)]
-                w = base * y - cell.value
-                return cell.digit, (w.num, w.den)
-
-            return step, (x.num, x.den)
-        D = x.den
-        rows, lo, hi, digits, values = self._lattice
+        on hashable states (v, D), y = v/D; the cell is read off one dot
+        product, the exact cell search deciding where the bounds straddle."""
+        ctx = self.base.context
+        rows, lo, hi, digits, values, L, k = self._lattice
         powers, gap = _lattice_powers(ctx)
-        lo, hi = [D * c for c in lo], [D * c for c in hi]
-        values = [tuple(D * c for c in value) for value in values]
 
-        def step(v):
+        def step(s):
+            v, D = s
             t = sum(map(mul, v, powers))   # 2^64 * D * y, up to e
             e = gap * sum(map(abs, v))
-            k = bisect_left(hi, t - e)     # the cuts surely below y
-            if k != bisect_right(lo, t + e):
-                k = self._index(_reduced(ctx, v, D))
-            return digits[k], tuple(sum(map(mul, row, v)) - c for row, c in zip(rows, values[k]))
+            i = bisect_left(hi, -((e - t) // D))   # the cuts surely below y
+            if i != bisect_right(lo, (t + e) // D):
+                i = self._index(_reduced(ctx, v, D))
+            w = tuple(sum(map(mul, row, v)) - D * c for row, c in zip(rows, values[i]))
+            if L != 1:   # lowest terms: a common factor of w and D*L divides k
+                D *= L
+                g = gcd(gcd(k, D), *w)
+                if g != 1:
+                    w, D = tuple(c // g for c in w), D // g
+            return digits[i], (w, D)
 
-        return step, x.num
+        return step, (x.num, x.den)
 
     def locate(self, x):
         _require_in(self.domain, x)

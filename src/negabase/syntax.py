@@ -19,8 +19,9 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^(),")
-# powers are expanded by repeated products: larger exponents and degrees are refused
+# powers are expanded by repeated products: larger exponents, degrees and sizes are refused
 _MAX_EXPONENT = 100
+_MAX_POWER_BITS = 1 << 16
 
 
 def _tokenize(text):
@@ -139,6 +140,9 @@ class _PolyParser:
                 raise ParseError("exponent must be a nonnegative integer")
             if eval_ > _MAX_EXPONENT:
                 raise ParseError(f"exponent {eval_} is above {_MAX_EXPONENT}")
+            size = max((abs(c.numerator) + c.denominator).bit_length() for c in base or (0,))
+            if eval_ * size > _MAX_POWER_BITS:
+                raise ParseError(f"a power of about {eval_ * size} bits is above {_MAX_POWER_BITS}")
             out = (Fraction(1),)
             for _ in range(int(eval_)):
                 out = self.mul(out, base)

@@ -163,10 +163,23 @@ LATTICE_BASES = {
 }
 
 
+# rational and non-monic bases: no lattice Z[beta] holds their orbits
+OFF_LATTICE_BASES = {
+    "seven-quarters": ((-7, 4), 1, 2),
+    "non-monic": ((-1, -3, 2), 1, 2),
+    "fourteen-fifths": ((-14, 5), 2, 3),
+    "seven-halves": ((-7, 2), 3, 4),
+    "ten-thirds": ((-10, 3), 3, 4),
+    "non-monic-wide": ((-2, -5, 2), 2, 3),
+}
+
+
 def tie_offset(ctx):
     """beta - L/2^128 < 2^-128, L/2^128 the lower end of a dyadic bracket of
-    beta: a point this far off a cut is beyond every 64-bit bound."""
-    return ctx.beta() - Fraction(ctx.dyadic_bracket(128)[0], 2 ** 128)
+    beta, or 2^-100 for a dyadic beta, which is its own bracket: a point this
+    far off a cut is beyond every 64-bit bound."""
+    eps = ctx.beta() - Fraction(ctx.dyadic_bracket(128)[0], 2 ** 128)
+    return ctx.element(Fraction(1, 2 ** 100)) if eps.is_zero() else eps
 
 
 def random_fraction(rng, lo, hi, denom=10**4):

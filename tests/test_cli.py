@@ -133,7 +133,12 @@ def _nested(core):
     (("alphabet", "--base", "root(x^2-3, 1, ((x+2)^100)^100)"), "bad rational literal"),
     (("expand", "--base", "phi", "--x", _nested("b"), "--depth", "2"), "expression nested too deeply"),
     (("expand", "--base", "phi", "--x", "(((b+1)^100)^100)", "--depth", "2"), "degree 200 is above 100"),
-], ids=["base-nesting", "base-degree", "end-nesting", "end-degree", "x-nesting", "x-degree"])
+    # a constant to nested powers: the degree stays 0, the size is refused
+    (("alphabet", "--base", "root(x^2-3, 1, ((2^100)^100)^100)"), "bad rational literal"),
+    (("expand", "--base", "phi", "--x", "(((2^100)^100)^100)^100", "--depth", "1"),
+     "a power of about 1000100 bits is above 65536"),
+], ids=["base-nesting", "base-degree", "end-nesting", "end-degree", "x-nesting", "x-degree",
+        "end-bits", "x-bits"])
 def test_parse_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out and err.startswith(f"error: {message}")

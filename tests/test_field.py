@@ -136,7 +136,7 @@ class TestRationalRoots:
             if P.degree(poly) < 1:
                 continue
             want = sorted(divisor_rational_roots([int(c) for c in poly]))
-            assert P.rational_roots(P.sturm_chain(P.squarefree_part(poly))) == want, poly
+            assert P.rational_roots(P.sturm_chain(poly)) == want, poly
             tested += 1
         assert tested >= 1000
         assert Fraction(0) in planted and Fraction(-3, 8) in planted
@@ -146,8 +146,10 @@ class TestRationalRoots:
         # remainder of the previous two, each up to a positive factor
         rng = random.Random(2026_11)
         for _ in range(300):
-            p = P.squarefree_part(tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(2, 7)))
-                                  + (Fraction(rng.choice((-3, -1, 1, 2))),))
+            q = (tuple(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(2, 7)))
+                 + (Fraction(rng.choice((-3, -1, 1, 2))),))
+            # the squarefree part: q over its gcd with q'
+            p = P.monic(P.divmod_poly(q, P.gcd_poly(q, P.derivative(q)))[0])
             want = [p, P.derivative(p)]
             while True:
                 rem = P.divmod_poly(want[-2], want[-1])[1]

@@ -4,14 +4,13 @@ from math import gcd
 
 import pytest
 
-from helpers import LATTICE_BASES, random_point, tie_offset
+from helpers import LATTICE_BASES, OFF_LATTICE_BASES, random_point, tie_offset
 from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
                       PairDigit, count_representation_branches,
                       digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
                       eval_neg_beta, extremal_prefix, field_from_poly,
                       greedy_neg_beta, interval_I, lazy_neg_beta,
                       rational_field, sample_unique_numbers)
-from negabase.field import _lattice_powers
 from negabase.oracle import DEFAULT_NODE_BUDGET, _walk
 from negabase.schemes import _feasible_steps
 
@@ -129,21 +128,24 @@ def _walk_points(ctx):
     return ends + [x for x in rationals if I.contains(x)]
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+# the rational and non-monic bases walk the same kernel over a growing denominator
+WALK_BASES = {**LATTICE_BASES, **OFF_LATTICE_BASES}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_lattice_walk_matches_the_alphabet_scan(name):
-    ctx = field_from_poly(*LATTICE_BASES[name])
-    assert _lattice_powers(ctx) is not None
+    ctx = field_from_poly(*WALK_BASES[name])
     for i, x in enumerate(_walk_points(ctx)):
         depth = 8 + i % 3
         assert _walk(x, depth, DEFAULT_NODE_BUDGET) == _scan_walk(x, depth)[0], (x, depth)
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_lattice_walk_falls_back_next_to_l_and_r(name):
-    # beta - L/2^128 off the end of a digit subinterval, a child lies that
-    # close to l or r: no 64-bit bound decides it, and the walk counts its
-    # exact fallback
-    ctx = field_from_poly(*LATTICE_BASES[name])
+    # tie_offset off the end of a digit subinterval, a child lies that close
+    # to l or r: no 64-bit bound decides it, and the walk counts its exact
+    # fallback
+    ctx = field_from_poly(*WALK_BASES[name])
     I, eps = interval_I(ctx), tie_offset(ctx)
     for a in range(ctx.floor_beta + 1):
         iv = digit_subinterval(ctx, a)
@@ -153,10 +155,10 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
             assert ctx.kernel_fallback_count() > before, (a, x)
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_lattice_walk_budget(name):
     # the budget counts the nodes of the scan, and the error text is the same
-    ctx = field_from_poly(*LATTICE_BASES[name])
+    ctx = field_from_poly(*WALK_BASES[name])
     x = max(_walk_points(ctx), key=lambda y: _scan_walk(y, 10)[1])
     prefixes, nodes = _scan_walk(x, 10)
     assert _walk(x, 10, nodes) == prefixes

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from helpers import LATTICE_BASES, random_point, scan_expansion, tie_offset
+from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, random_point, scan_expansion,
+                     tie_offset)
 from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
@@ -575,12 +576,44 @@ def test_kernel_fallback_count(name):
             assert ctx.kernel_fallback_count() > before, (kind, x)
 
 
-@pytest.mark.parametrize("args", [((-7, 4), 1, 2), ((-1, -3, 2), 1, 2),
-                                  ((-14, 5), 2, 3), ((-7, 2), 3, 4)])
-def test_rational_and_non_monic_bases_keep_the_exact_path(args):
-    # 7/4, root(2x^2-3x-1, 1, 2), 14/5 and 7/2: no lattice Z[beta] holds
-    # their orbits, so greedy and lazy step the tilings in exact arithmetic
+@pytest.mark.parametrize("args", list(OFF_LATTICE_BASES.values()))
+def test_rational_and_non_monic_bases_on_the_kernel(args):
+    # 7/4, root(2x^2-3x-1, 1, 2), 14/5, 7/2, 10/3 and root(2x^2-5x-2, 2, 3):
+    # no lattice Z[beta] holds their orbits, and the kernel steps them over
+    # a growing denominator
     ctx = field_from_poly(*args)
-    assert _lattice_powers(ctx) is None
-    assert all(s._lattice is None for s in _schemes(ctx).values())
+    assert _lattice_powers(ctx) is not None
+    assert all(s._lattice is not None for s in _schemes(ctx).values())
     _assert_orbits_match_the_exact_steps(ctx)
+
+
+@pytest.mark.parametrize("name", sorted(OFF_LATTICE_BASES))
+def test_off_lattice_states_are_in_lowest_terms(name):
+    # over a common denominator L > 1 every kernel state is (y.num, y.den)
+    # of the exact step: the state of a value is unique, so the periods are
+    ctx = field_from_poly(*OFF_LATTICE_BASES[name])
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    points = [x for _, x in _tie_points(ctx)] + rationals
+    for kind, scheme in _schemes(ctx).items():
+        assert scheme._lattice[5] > 1, kind   # L
+        for x in filter(scheme.domain.contains, points):
+            step, state = scheme._stepper(x)
+            y = x
+            for _ in range(ORBIT_DEPTH):
+                d, state = step(state)
+                a, y = scheme.step(y)
+                assert (d, state) == (a, (y.num, y.den)), (kind, x)
+
+
+def test_off_lattice_kernel_falls_back_at_the_beta2_breakpoints():
+    # a rational cut is no dyadic number: its 64-bit bounds straddle it, and
+    # the first step from it takes the counted exact fallback
+    ctx = field_from_poly(*OFF_LATTICE_BASES["fourteen-fifths"])
+    schemes = _schemes(ctx)
+    ties = [(kind, x) for kind, x in _tie_points(ctx) if kind.startswith("beta2")]
+    assert len(ties) == 2 * 8
+    for kind, x in ties:
+        before = ctx.kernel_fallback_count()
+        _kernel(kind, schemes[kind], x, 1)
+        assert ctx.kernel_fallback_count() > before, (kind, x)
