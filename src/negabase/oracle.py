@@ -14,7 +14,7 @@ The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
 schemes._children, which runs on the orbit kernel's integer states on
 every base, with the kernel's exact fallback where its bounds straddle l
-or r.
+or r.  The one-step digit choices of schemes read one level of this walk.
 """
 
 import random
@@ -25,6 +25,7 @@ from .schemes import _children, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
+MAX_WORD_LENGTH = 4096   # a sampled period's exact value costs superlinear time
 
 
 class BranchBudgetError(RuntimeError):
@@ -37,8 +38,8 @@ def _walk(x, depth, node_budget):
     _require_in(interval_I(x.context), x)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    children, start = _children(x)
-    level, D = [((), start)], x.den
+    children = _children(x.context)
+    level, D = [((), x.num)], x.den
     nodes = 0
     for _ in range(depth):
         steps, D = children(D)
@@ -69,12 +70,10 @@ def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
 def extremal_prefix(x, depth, which="max", node_budget=DEFAULT_NODE_BUDGET):
     """The alternate-order maximal (or minimal) extendable prefix; the
     maximum matches the greedy digits, the minimum the lazy ones."""
-    prefixes = _walk(x, depth, node_budget)
-    if which == "max":
-        return max(prefixes, key=alt_sort_key)
-    if which == "min":
-        return min(prefixes, key=alt_sort_key)
-    raise ValueError("which must be 'max' or 'min'")
+    pick = {"max": max, "min": min}.get(which)
+    if pick is None:
+        raise ValueError("which must be 'max' or 'min'")
+    return pick(_walk(x, depth, node_budget), key=alt_sort_key)
 
 
 @dataclass(frozen=True)
@@ -106,6 +105,8 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     for name, n in (("samples", samples), ("word_length", word_length)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1")
+    if word_length > MAX_WORD_LENGTH:
+        raise ValueError(f"word_length must be at most {MAX_WORD_LENGTH}")
     fb = ctx.floor_beta
     rng = random.Random(seed)
     out = []

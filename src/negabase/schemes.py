@@ -1,8 +1,8 @@
 """Digit maps and transformations for negative-base expansions.
 
 Covers the representable interval I and its digit subintervals, the two
-one-step digit choices (smallest and largest feasible digit, by a scan of
-the alphabet, as in feasible_digits and the brute-force oracle), the
+one-step digit choices (smallest and largest feasible digit, read off one
+level of the brute-force oracle's walk, as feasible_digits is), the
 squared-base schemes over the pair-digit alphabet, whose pair digits read
 two letters each are the greedy and lazy digits in base -beta (the
 paper's theorem), the Ito-Sadahiro scheme, a minimal positive-base scheme,
@@ -95,43 +95,32 @@ def digit_subinterval(ctx, a):
                     (ctx.element(a) + I.lo) * minus_binv, True, True)
 
 
-def _feasible_steps(y):
-    """Yield (a, -beta*y - a) for every digit a whose remainder lies in I,
-    in ascending digit order, by testing each digit of the alphabet."""
-    ctx = y.context
-    I = interval_I(ctx)
-    z = -(ctx.beta() * y)
-    for a in range(ctx.floor_beta + 1):
-        w = z - a
-        if I.contains(w):
-            yield a, w
+def _lowest(ctx, v, D):
+    """The element v/D in lowest terms."""
+    g = gcd(D, *v)
+    return ExactReal(ctx, tuple(c // g for c in v), D // g)
 
 
 def _reduced(ctx, v, D):
     """The exact fallback of the lattice kernel and walk, where their 64-bit
     bounds straddle: counted, and y = v/D in lowest terms."""
     ctx._count_kernel_fallback()
-    g = gcd(D, *v)
-    return ExactReal(ctx, tuple(c // g for c in v), D // g)
+    return _lowest(ctx, v, D)
 
 
 @context_cached
-def _walk_table(ctx):
-    # beta^d = top/M, M the denominator of the modulus; 64-bit bounds of l and r
-    top, I = ctx.beta() ** ctx.degree, interval_I(ctx)
-    return top.den, top.num, (*_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi))
-
-
-def _children(x):
-    """(level, start): start is v with x = v/D, D = den(x); level(D) returns
-    (steps, D*M) for a level of nodes v/D: steps(v) yields (a, w) for every
-    digit a with -beta*v/D - a = w/(D*M) in I, ascending, each tested by one
-    dot product of M*(-beta)*v with 64-bit bounds as in the kernel.  The walk
-    hashes no node, so none is reduced."""
-    ctx = x.context
+def _children(ctx):
+    """level(D) -> (steps, D*M) for a level of nodes v/D: steps(v) yields
+    (a, w) for every digit a with -beta*v/D - a = w/(D*M) in I, ascending,
+    M the denominator of the modulus.  Each digit is tested by one dot
+    product of M*(-beta)*v with 64-bit bounds as in the kernel, the counted
+    exact test deciding where they straddle l or r.  The walk hashes no
+    node, so none is reduced."""
     I = interval_I(ctx)
     powers, gap = _lattice_powers(ctx)
-    M, top, (ll, lh, rl, rh) = _walk_table(ctx)
+    power = ctx.beta() ** ctx.degree
+    M, top = power.den, power.num   # beta^d = top/M
+    ll, lh, rl, rh = *_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi)
     digits = range(ctx.floor_beta + 1)
 
     def level(D):
@@ -157,12 +146,13 @@ def _children(x):
 
         return steps, E
 
-    return level, x.num
+    return level
 
 
 def feasible_digits(x):
-    """Digits a with -beta*x - a still representable."""
-    return [a for a, _ in _feasible_steps(x)]
+    """Digits a with -beta*x - a still representable: one level of the walk."""
+    steps, _ = _children(x.context)(x.den)
+    return [a for a, _ in steps(x.num)]
 
 
 def _require_in(I, x, what="x"):
@@ -170,20 +160,26 @@ def _require_in(I, x, what="x"):
         raise DomainError(f"{what} = {x.as_text()} outside {I}")
 
 
+def _extreme_step(x, i):
+    # the i-th feasible step on the walk's level of x, every digit tested
+    _require_in(interval_I(x.context), x)
+    steps, E = _children(x.context)(x.den)
+    a, w = list(steps(x.num))[i]
+    return a, _lowest(x.context, w, E)
+
+
 def step_min_digit(x):
     """Smallest feasible digit and the matching remainder -beta*x - a.
 
     This is the digit choice that is greatest in the alternate order on
-    single digits; the alternating greedy algorithm starts with it.
+    single digits, the first digit of the greedy representation.
     """
-    _require_in(interval_I(x.context), x)
-    return next(_feasible_steps(x))
+    return _extreme_step(x, 0)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    _require_in(interval_I(x.context), x)
-    return list(_feasible_steps(x))[-1]
+    return _extreme_step(x, -1)
 
 
 @dataclass(frozen=True)

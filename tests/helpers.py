@@ -1,16 +1,18 @@
 """Shared test utilities: independent oracles and exact samplers.
 
 The oracles here deliberately re-derive results by other routes (pure
-Fraction bisection, factor scanning on unrolled words) so the library
+Fraction bisection, factor scanning on unrolled words, a scan of the
+alphabet in exact arithmetic for the feasible digits) so the library
 implementations are checked against something they do not share code
-with.
+with.  Where an oracle computes with elements, it uses only the library's
+exact arithmetic and interval_I, never its digit rules.
 """
 
 from fractions import Fraction
 
 from math import isqrt, lcm
 
-from negabase import DigitString, PairDigit, feasible_digits, minimal_alphabet
+from negabase import DigitString, PairDigit, interval_I, minimal_alphabet
 
 
 def eval_int_poly(coeffs, x):
@@ -136,16 +138,23 @@ def reference_mul(min_poly, a, b):
     return tuple(out)
 
 
+def scan_steps(y):
+    """[(a, -beta*y - a)] for every digit a whose remainder lies in I,
+    ascending: each digit of the alphabet tested in exact arithmetic."""
+    ctx = y.context
+    I = interval_I(ctx)
+    z = -(ctx.beta() * y)
+    steps = [(a, z - a) for a in range(ctx.floor_beta + 1)]
+    return [(a, w) for a, w in steps if I.contains(w)]
+
+
 def scan_expansion(x, depth, use_min=True):
     """The first `depth` greedy (use_min) or lazy digits of x in base -beta,
-    by scanning: the smallest and the largest of feasible_digits, in turn."""
-    minus_beta = -x.context.beta()
+    by scanning: the smallest and the largest feasible digit, in turn."""
     digits = []
     for _ in range(depth):
-        feasible = feasible_digits(x)
-        a = min(feasible) if use_min else max(feasible)
+        a, x = scan_steps(x)[0 if use_min else -1]
         digits.append(a)
-        x = minus_beta * x - a
         use_min = not use_min
     return DigitString.finite(digits)
 
@@ -172,6 +181,10 @@ OFF_LATTICE_BASES = {
     "ten-thirds": ((-10, 3), 3, 4),
     "non-monic-wide": ((-2, -5, 2), 2, 3),
 }
+
+
+# the rational and non-monic bases walk the same kernel over a growing denominator
+WALK_BASES = {**LATTICE_BASES, **OFF_LATTICE_BASES}
 
 
 def tie_offset(ctx):

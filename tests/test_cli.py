@@ -259,6 +259,16 @@ class TestUnique:
         code, out, err = run_cli(capsys, "unique", "--base", "2.8", option, value)
         assert code == 2 and not out and err == f"error: {name} must be at least 1\n"
 
+    def test_length_past_the_limit_exit_2(self, capsys):
+        # the sampled period's exact value is refused past 4096 letters, before
+        # it is built; 4096 itself samples
+        code, out, err = run_cli(capsys, "unique", "--base", "2.8", "--samples", "1",
+                                 "--length", "4097")
+        assert code == 2 and not out and err == "error: word_length must be at most 4096\n"
+        code, rep = run_json(capsys, "unique", "--base", "2.8", "--samples", "1",
+                             "--length", "4096", "--depth", "2")
+        assert code == 0 and len(rep["samples"][0]["word"]) == 2 + 2 * 4096
+
 
 class TestBranches:
     def test_counts_and_prefixes(self, capsys):

@@ -4,15 +4,15 @@ from math import gcd
 
 import pytest
 
-from helpers import LATTICE_BASES, OFF_LATTICE_BASES, random_point, tie_offset
+from helpers import WALK_BASES, random_point, scan_steps, tie_offset
 from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
                       PairDigit, count_representation_branches,
                       digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
-                      eval_neg_beta, extremal_prefix, field_from_poly,
-                      greedy_neg_beta, interval_I, lazy_neg_beta,
-                      rational_field, sample_unique_numbers)
+                      eval_neg_beta, extremal_prefix, feasible_digits,
+                      field_from_poly, greedy_neg_beta, interval_I,
+                      lazy_neg_beta, rational_field, sample_unique_numbers,
+                      step_max_digit, step_min_digit)
 from negabase.oracle import DEFAULT_NODE_BUDGET, _walk
-from negabase.schemes import _feasible_steps
 
 B, C = PairDigit(1, 1), PairDigit(0, 0)
 
@@ -103,16 +103,19 @@ class TestExtremal:
     def test_bad_which(self, phi):
         with pytest.raises(ValueError):
             extremal_prefix(phi.zero(), 3, "median")
+        # refused before the walk, which here would hit the node budget
+        with pytest.raises(ValueError):
+            extremal_prefix(phi.element(Fraction(-1, 2)), 60, "median")
 
 
 # -- the walk on the lattice against the alphabet scan ---------------------------
 
 def _scan_walk(x, depth):
     """The extendable prefixes of x in the walk's order, by a test-side
-    breadth-first loop over _feasible_steps, and the number of nodes."""
+    breadth-first loop over scan_steps, and the number of nodes."""
     level, nodes = [((), x)], 0
     for _ in range(depth):
-        level = [(p + (a,), w) for p, y in level for a, w in _feasible_steps(y)]
+        level = [(p + (a,), w) for p, y in level for a, w in scan_steps(y)]
         nodes += len(level)
     return [p for p, _ in level], nodes
 
@@ -128,10 +131,6 @@ def _walk_points(ctx):
     return ends + [x for x in rationals if I.contains(x)]
 
 
-# the rational and non-monic bases walk the same kernel over a growing denominator
-WALK_BASES = {**LATTICE_BASES, **OFF_LATTICE_BASES}
-
-
 @pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_lattice_walk_matches_the_alphabet_scan(name):
     ctx = field_from_poly(*WALK_BASES[name])
@@ -144,7 +143,8 @@ def test_lattice_walk_matches_the_alphabet_scan(name):
 def test_lattice_walk_falls_back_next_to_l_and_r(name):
     # tie_offset off the end of a digit subinterval, a child lies that close
     # to l or r: no 64-bit bound decides it, and the walk counts its exact
-    # fallback
+    # fallback.  The one-step choices read one level of the walk: they
+    # fall back there too
     ctx = field_from_poly(*WALK_BASES[name])
     I, eps = interval_I(ctx), tie_offset(ctx)
     for a in range(ctx.floor_beta + 1):
@@ -153,6 +153,16 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
             before = ctx.kernel_fallback_count()
             assert _walk(x, 10, DEFAULT_NODE_BUDGET) == _scan_walk(x, 10)[0], (a, x)
             assert ctx.kernel_fallback_count() > before, (a, x)
+            scan = [(d, w.num, w.den) for d, w in scan_steps(x)]
+            before = ctx.kernel_fallback_count()
+            assert feasible_digits(x) == [d for d, _, _ in scan], (a, x)
+            after = ctx.kernel_fallback_count()
+            assert after > before, (a, x)
+            for step, want in ((step_min_digit, scan[0]), (step_max_digit, scan[-1])):
+                d, w = step(x)
+                assert (d, w.num, w.den) == want, (step.__name__, a, x)
+                assert ctx.kernel_fallback_count() > after, (step.__name__, a, x)
+                after = ctx.kernel_fallback_count()
 
 
 @pytest.mark.parametrize("name", sorted(WALK_BASES))

@@ -4,14 +4,14 @@ from math import gcd
 
 import pytest
 
-from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, random_point, scan_expansion,
-                     tie_offset)
+from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
+                     scan_expansion, scan_steps, tie_offset)
 from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
                       count_representation_branches, digit_subinterval,
-                      enumerate_prefixes, eval_beta2_pairs, eval_neg_beta,
-                      eval_pos_beta, feasible_digits, field_from_poly,
+                      eval_beta2_pairs, eval_neg_beta, eval_pos_beta,
+                      feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
                       lazy_breakpoint, lazy_neg_beta, lex_compare,
                       pair_predecessor, pair_successor, psi_expand,
@@ -79,7 +79,7 @@ class TestSteps:
             step_min_digit(phi.element(5))
 
 
-# the one-rounding digit step against the scan over the alphabet
+# the greedy and lazy words against the scan over the alphabet
 ROUNDING_BASES = {
     "phi": ((-1, -1, 1), 1, 2),
     "tribonacci": ((-1, -1, -1, 1), 1, 2),
@@ -104,20 +104,18 @@ def _vector(step):
     return digit, remainder.num, remainder.den
 
 
-@pytest.mark.parametrize("name", sorted(ROUNDING_BASES))
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_one_rounding_picks_the_extreme_feasible_digit(name):
-    ctx = field_from_poly(*ROUNDING_BASES[name])
-    minus_beta = -ctx.beta()
+    ctx = field_from_poly(*WALK_BASES[name])
     for x in _rounding_points(ctx):
-        # x and 30 remainders of its greedy orbit; the oracle's depth-1
-        # prefixes are the feasible digits
+        # x and 30 remainders of its greedy orbit, against the alphabet scan
         y = x
         for i in range(31):
-            feasible = [a for a, in enumerate_prefixes(y, 1)]
-            lo, hi = min(feasible), max(feasible)
-            assert _vector(step_min_digit(y)) == _vector((lo, minus_beta * y - lo)), (x, i)
-            assert _vector(step_max_digit(y)) == _vector((hi, minus_beta * y - hi)), (x, i)
-            y = minus_beta * y - (hi if i % 2 else lo)
+            scan = scan_steps(y)
+            assert feasible_digits(y) == [a for a, _ in scan], (x, i)
+            assert _vector(step_min_digit(y)) == _vector(scan[0]), (x, i)
+            assert _vector(step_max_digit(y)) == _vector(scan[-1]), (x, i)
+            y = scan[-1 if i % 2 else 0][1]
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDING_BASES))
@@ -482,8 +480,8 @@ def _exact_orbit(step, start, key, depth=None):
 def _exact_alternating(state):
     # the alphabet scan, not the tilings: the extreme feasible digit
     use_min, y = state
-    a = (min if use_min else max)(feasible_digits(y))
-    return a, (not use_min, -(y.context.beta() * y) - a)
+    a, y = scan_steps(y)[0 if use_min else -1]
+    return a, (not use_min, y)
 
 
 def _exact(kind, scheme, x, depth):
