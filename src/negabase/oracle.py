@@ -1,24 +1,28 @@
 """Brute-force ground truth for negative-base representations.
 
-Enumerates every digit prefix of a point that can be extended to a full
+Walks the digit prefixes of a point that can be extended to a full
 representation.  A digit a is usable at remainder y exactly when
 -beta*y - a lands back in the representable interval, and because that
 interval is precisely the set of representable numbers, staying inside
 it certifies extendability.  This turns the infinite-future question
 into a one-step test, the same one the greedy/lazy algorithms use; the
-enumeration keeps every usable digit instead of choosing one, which
-makes it an oracle for their digit choices and for uniqueness
-experiments.
+walk keeps every usable digit instead of choosing one, which makes it an
+oracle for their digit choices and for uniqueness experiments.
 
 The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
 schemes._children, which runs on the orbit kernel's integer states on
 every base, with the kernel's exact fallback where its bounds straddle l
 or r.  The one-step digit choices of schemes read one level of this walk.
+
+enumerate_prefixes lists every prefix.  Counts and extremal prefixes walk
+the distinct remainders instead: two equal-length prefixes that reach one
+remainder share their extensions, which rank as the two prefixes rank.
 """
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .field import ExactReal, FieldError
 from .schemes import _children, _require_in, eval_neg_beta, interval_I
@@ -61,19 +65,46 @@ def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     return sorted(_walk(x, depth, node_budget), key=alt_sort_key)
 
 
+def _merged_walk(x, depth, node_budget, start, extend, merge):
+    """The walk over distinct remainders: a level maps each child vector, all
+    over the level's one denominator, to extend(value, digit), merged by
+    merge(old, new).  The budget counts (state, digit) nodes."""
+    _require_in(interval_I(x.context), x)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    children = _children(x.context)
+    level, D, nodes = {x.num: start}, x.den, 0
+    for _ in range(depth):
+        steps, D = children(D)
+        nxt = {}
+        for y, value in level.items():
+            for a, w in steps(y):
+                v = extend(value, a)
+                nxt[w] = merge(nxt[w], v) if w in nxt else v
+                nodes += 1
+                if nodes > node_budget:
+                    raise BranchBudgetError(
+                        f"more than {node_budget} branch nodes at depth {depth}")
+        level = nxt
+    return level.values()
+
+
 def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
-    """Number of extendable depth-`depth` prefixes; 1 is (necessary)
-    evidence that x is uniquely representable."""
-    return len(_walk(x, depth, node_budget))
+    """Number of extendable depth-`depth` prefixes, added up per remainder;
+    1 is (necessary) evidence that x is uniquely representable."""
+    return sum(_merged_walk(x, depth, node_budget, 1, lambda n, _: n, add))
 
 
 def extremal_prefix(x, depth, which="max", node_budget=DEFAULT_NODE_BUDGET):
     """The alternate-order maximal (or minimal) extendable prefix; the
-    maximum matches the greedy digits, the minimum the lazy ones."""
+    maximum matches the greedy digits, the minimum the lazy ones.  Each
+    remainder keeps the extremal alt_sort_key, which is its own inverse."""
     pick = {"max": max, "min": min}.get(which)
     if pick is None:
         raise ValueError("which must be 'max' or 'min'")
-    return pick(_walk(x, depth, node_budget), key=alt_sort_key)
+    key = pick(_merged_walk(x, depth, node_budget, (),
+                            lambda k, a: k + (a if len(k) % 2 else -a,), pick))
+    return alt_sort_key(key)
 
 
 @dataclass(frozen=True)
@@ -98,7 +129,7 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     For floor(beta) >= 3 the words avoid the digits 0 and floor(beta);
     for smaller such bases they are built from the three middle pair
     digits -beta, -beta+1, -beta+2 of the squared-base alphabet.  Every
-    returned value is checked by brute-force branch counting.
+    returned value is checked by count_representation_branches.
     """
     if (ctx.beta() * ctx.beta()).compare(2 * ctx.beta() + 2) <= 0:
         raise FieldError("unique-representation sampling needs beta > 1 + sqrt(3)")

@@ -114,8 +114,8 @@ def _children(ctx):
     (a, w) for every digit a with -beta*v/D - a = w/(D*M) in I, ascending,
     M the denominator of the modulus.  Each digit is tested by one dot
     product of M*(-beta)*v with 64-bit bounds as in the kernel, the counted
-    exact test deciding where they straddle l or r.  The walk hashes no
-    node, so none is reduced."""
+    exact test deciding where they straddle l or r.  No node is reduced:
+    a level's nodes share D*M, so equal vectors are equal remainders."""
     I = interval_I(ctx)
     powers, gap = _lattice_powers(ctx)
     power = ctx.beta() ** ctx.degree

@@ -148,6 +148,30 @@ def scan_steps(y):
     return [(a, w) for a, w in steps if I.contains(w)]
 
 
+def scan_merged(x, depth):
+    """(count, max, min) of the extendable length-`depth` prefixes of x, by a
+    breadth-first loop over scan_steps that keeps one entry per exact
+    remainder, keyed by its reduced (num, den): the number of prefixes that
+    reach it and the alternate-order greatest and least of them."""
+    def alt(p):   # a larger digit at an odd (1-based) place makes a smaller word
+        return [d if i % 2 else -d for i, d in enumerate(p)]
+
+    level = {(x.num, x.den): (x, 1, (), ())}
+    for _ in range(depth):
+        nxt = {}
+        for y, n, hi, lo in level.values():
+            for a, w in scan_steps(y):
+                key, m, h, l = (w.num, w.den), n, hi + (a,), lo + (a,)
+                if key in nxt:
+                    _, m0, h0, l0 = nxt[key]
+                    m, h, l = m + m0, max(h, h0, key=alt), min(l, l0, key=alt)
+                nxt[key] = (w, m, h, l)
+        level = nxt
+    states = level.values()
+    return (sum(n for _, n, _, _ in states), max((h for _, _, h, _ in states), key=alt),
+            min((l for _, _, _, l in states), key=alt))
+
+
 def scan_expansion(x, depth, use_min=True):
     """The first `depth` greedy (use_min) or lazy digits of x in base -beta,
     by scanning: the smallest and the largest feasible digit, in turn."""

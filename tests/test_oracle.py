@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from helpers import WALK_BASES, random_point, scan_steps, tie_offset
+from helpers import (WALK_BASES, random_point, scan_merged, scan_steps,
+                     tie_offset)
 from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
-                      PairDigit, count_representation_branches,
+                      PairDigit, alt_sort_key, count_representation_branches,
                       digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
                       eval_neg_beta, extremal_prefix, feasible_digits,
                       field_from_poly, greedy_neg_beta, interval_I,
@@ -103,7 +105,7 @@ class TestExtremal:
     def test_bad_which(self, phi):
         with pytest.raises(ValueError):
             extremal_prefix(phi.zero(), 3, "median")
-        # refused before the walk, which here would hit the node budget
+        # refused before the walk starts, deep or not
         with pytest.raises(ValueError):
             extremal_prefix(phi.element(Fraction(-1, 2)), 60, "median")
 
@@ -139,6 +141,16 @@ def test_lattice_walk_matches_the_alphabet_scan(name):
         assert _walk(x, depth, DEFAULT_NODE_BUDGET) == _scan_walk(x, depth)[0], (x, depth)
 
 
+def _straddle_points(ctx):
+    """(a, x) for x tie_offset off an end of digit a's subinterval, in I: a
+    child of x lies that close to l or r, and no 64-bit bound decides it."""
+    I, eps = interval_I(ctx), tie_offset(ctx)
+    for a in range(ctx.floor_beta + 1):
+        iv = digit_subinterval(ctx, a)
+        for x in filter(I.contains, (iv.lo - eps, iv.lo + eps, iv.hi - eps, iv.hi + eps)):
+            yield a, x
+
+
 @pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_lattice_walk_falls_back_next_to_l_and_r(name):
     # tie_offset off the end of a digit subinterval, a child lies that close
@@ -146,23 +158,20 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
     # fallback.  The one-step choices read one level of the walk: they
     # fall back there too
     ctx = field_from_poly(*WALK_BASES[name])
-    I, eps = interval_I(ctx), tie_offset(ctx)
-    for a in range(ctx.floor_beta + 1):
-        iv = digit_subinterval(ctx, a)
-        for x in filter(I.contains, (iv.lo - eps, iv.lo + eps, iv.hi - eps, iv.hi + eps)):
-            before = ctx.kernel_fallback_count()
-            assert _walk(x, 10, DEFAULT_NODE_BUDGET) == _scan_walk(x, 10)[0], (a, x)
-            assert ctx.kernel_fallback_count() > before, (a, x)
-            scan = [(d, w.num, w.den) for d, w in scan_steps(x)]
-            before = ctx.kernel_fallback_count()
-            assert feasible_digits(x) == [d for d, _, _ in scan], (a, x)
+    for a, x in _straddle_points(ctx):
+        before = ctx.kernel_fallback_count()
+        assert _walk(x, 10, DEFAULT_NODE_BUDGET) == _scan_walk(x, 10)[0], (a, x)
+        assert ctx.kernel_fallback_count() > before, (a, x)
+        scan = [(d, w.num, w.den) for d, w in scan_steps(x)]
+        before = ctx.kernel_fallback_count()
+        assert feasible_digits(x) == [d for d, _, _ in scan], (a, x)
+        after = ctx.kernel_fallback_count()
+        assert after > before, (a, x)
+        for step, want in ((step_min_digit, scan[0]), (step_max_digit, scan[-1])):
+            d, w = step(x)
+            assert (d, w.num, w.den) == want, (step.__name__, a, x)
+            assert ctx.kernel_fallback_count() > after, (step.__name__, a, x)
             after = ctx.kernel_fallback_count()
-            assert after > before, (a, x)
-            for step, want in ((step_min_digit, scan[0]), (step_max_digit, scan[-1])):
-                d, w = step(x)
-                assert (d, w.num, w.den) == want, (step.__name__, a, x)
-                assert ctx.kernel_fallback_count() > after, (step.__name__, a, x)
-                after = ctx.kernel_fallback_count()
 
 
 @pytest.mark.parametrize("name", sorted(WALK_BASES))
@@ -176,6 +185,79 @@ def test_lattice_walk_budget(name):
         with pytest.raises(BranchBudgetError) as err:
             _walk(x, 10, budget)
         assert str(err.value) == f"more than {budget} branch nodes at depth 10"
+
+
+# -- counts and extremal prefixes over the distinct remainders ------------------
+
+def _check_merged(x, depth):
+    prefixes = enumerate_prefixes(x, depth)
+    count, hi, lo = scan_merged(x, depth)
+    assert count_representation_branches(x, depth) == len(prefixes) == count, (x, depth)
+    assert extremal_prefix(x, depth, "max") == max(prefixes, key=alt_sort_key) == hi, (x, depth)
+    assert extremal_prefix(x, depth, "min") == min(prefixes, key=alt_sort_key) == lo, (x, depth)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_merged_walk_matches_every_prefix(name):
+    ctx = field_from_poly(*WALK_BASES[name])
+    for i, x in enumerate(_walk_points(ctx)):
+        _check_merged(x, 8 + i % 3)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_merged_walk_falls_back_next_to_l_and_r(name):
+    ctx = field_from_poly(*WALK_BASES[name])
+    for a, x in _straddle_points(ctx):
+        _check_merged(x, 10)
+        for call in (lambda: count_representation_branches(x, 10),
+                     lambda: extremal_prefix(x, 10, "max"),
+                     lambda: extremal_prefix(x, 10, "min")):
+            before = ctx.kernel_fallback_count()
+            call()
+            assert ctx.kernel_fallback_count() > before, (a, x)
+
+
+def test_count_past_the_prefix_budget(phi):
+    # 2^20 prefixes of length 60, over 2 remainders per level: the budget
+    # counts merged nodes for counts and extremal prefixes, prefix nodes
+    # for the listing
+    x = phi.element(Fraction(-1, 2))
+    count, _, lo = scan_merged(x, 60)
+    assert count_representation_branches(x, 60) == count == 2 ** 20
+    assert extremal_prefix(x, 60, "min", 1000) == lo
+    with pytest.raises(BranchBudgetError):
+        enumerate_prefixes(x, 60, 1000)
+
+
+def test_deep_count_and_extremal(phi):
+    # the reference count doubles every 3 digits; depth 1000 in under 50 ms
+    x = phi.element(Fraction(-1, 2))
+    ref = [scan_merged(x, d)[0] for d in range(1, 31)]
+    assert all(ref[d + 3] == 2 * ref[d] for d in range(len(ref) - 3))
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        count = count_representation_branches(x, 1000)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05, seconds
+    assert count == ref[10 - 1] << 330 == 2 ** 333   # depth 10, then 330 doublings
+    assert extremal_prefix(x, 1000, "max")[:12] == (1, 1, 1, 0, 0, 0) * 2
+
+
+@pytest.mark.parametrize("r", (Fraction(14, 5), Fraction(7, 2)))
+def test_merged_budget_where_nothing_merges(r):
+    # no two prefixes reach one remainder, so the merged walk has as many
+    # nodes as the scan's tree: the budget fires as it does there, same text
+    ctx = rational_field(r)
+    x = max(_walk_points(ctx), key=lambda y: _scan_walk(y, 10)[1])
+    prefixes, nodes = _scan_walk(x, 10)
+    assert count_representation_branches(x, 10, nodes) == len(prefixes) > 1
+    for budget in (nodes - 1, nodes // 2):
+        for call in (lambda: count_representation_branches(x, 10, budget),
+                     lambda: extremal_prefix(x, 10, "min", budget)):
+            with pytest.raises(BranchBudgetError) as err:
+                call()
+            assert str(err.value) == f"more than {budget} branch nodes at depth 10"
 
 
 class TestUniqueSampling:
