@@ -50,6 +50,13 @@ def _orbit_budget():
     return _budget("NEGABASE_ORBIT_BUDGET", DEFAULT_ORBIT_BUDGET)
 
 
+def _bounded_depth(depth, budget):
+    if depth is not None and depth > budget:
+        raise ParseError(f"--depth {depth} is above the orbit budget {budget} "
+                         f"(NEGABASE_ORBIT_BUDGET)")
+    return depth
+
+
 def _node_budget():
     return _budget("NEGABASE_NODE_BUDGET", DEFAULT_NODE_BUDGET)
 
@@ -98,7 +105,7 @@ def _cmd_expand(args):
     ctx = parse_base(args.base)
     x = parse_element(args.x, ctx)
     budget = _orbit_budget()
-    depth = args.depth
+    depth = _bounded_depth(args.depth, budget)
     kind = args.kind
     evaluate = eval_neg_beta
     if kind == "greedy":
@@ -290,7 +297,7 @@ def _cmd_compare(args):
     ctx = parse_base(args.base)
     x = parse_element(args.x, ctx)
     budget = _orbit_budget()
-    depth = args.depth
+    depth = _bounded_depth(args.depth, budget)
     is_scheme = build_ito_sadahiro_scheme(ctx)
     if not is_scheme.domain.contains(x):
         raise DomainError(f"x = {x.as_text()} outside the Ito-Sadahiro domain "

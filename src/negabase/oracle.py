@@ -15,14 +15,15 @@ schemes._children, which runs on the orbit kernel's integer states on
 every base, with the kernel's exact fallback where its bounds straddle l
 or r.  The one-step digit choices of schemes read one level of this walk.
 
-enumerate_prefixes lists every prefix.  Counts and extremal prefixes walk
-the distinct remainders instead: two equal-length prefixes that reach one
-remainder share their extensions, which rank as the two prefixes rank.
+Each walk runs over the distinct remainders of a level: equal-length
+prefixes that reach one remainder share their extensions, which rank as
+the prefixes rank.  A remainder keeps their count, their extreme, or all
+of them (enumerate_prefixes, whose budget counts prefixes, not nodes).
 """
 
 import random
 from dataclasses import dataclass
-from operator import add
+from operator import add, iadd
 
 from .field import ExactReal, FieldError
 from .schemes import _children, _require_in, eval_neg_beta, interval_I
@@ -33,44 +34,20 @@ MAX_WORD_LENGTH = 4096   # a sampled period's exact value costs superlinear time
 
 
 class BranchBudgetError(RuntimeError):
-    """The enumeration tree grew past the configured node budget."""
+    """The walk grew past the configured node budget."""
 
 
-def _walk(x, depth, node_budget):
-    """Breadth-first over the extendable prefixes of x: all of length
-    `depth`, in the order found."""
-    _require_in(interval_I(x.context), x)
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    children = _children(x.context)
-    level, D = [((), x.num)], x.den
-    nodes = 0
-    for _ in range(depth):
-        steps, D = children(D)
-        nxt = []
-        for prefix, y in level:
-            for a, w in steps(y):
-                nxt.append((prefix + (a,), w))
-                nodes += 1
-                if nodes > node_budget:
-                    raise BranchBudgetError(
-                        f"more than {node_budget} branch nodes at depth {depth}")
-        level = nxt
-    return [p for p, _ in level]
-
-
-def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
-    """All length-`depth` digit prefixes of representations of x, sorted
-    by the alternate order."""
-    return sorted(_walk(x, depth, node_budget), key=alt_sort_key)
+def _budget_error(node_budget, depth):
+    return BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")
 
 
 def _merged_walk(x, depth, node_budget, start, extend, merge):
     """The walk over distinct remainders: a level maps each child vector, all
     over the level's one denominator, to extend(value, digit), merged by
-    merge(old, new).  The budget counts (state, digit) nodes."""
-    _require_in(interval_I(x.context), x)
+    merge(old, new).  The budget counts (state, digit) nodes.  x is in I,
+    the union of the digit subintervals, exactly when a digit is feasible."""
     if depth < 1:
+        _require_in(interval_I(x.context), x)
         raise ValueError("depth must be at least 1")
     children = _children(x.context)
     level, D, nodes = {x.num: start}, x.den, 0
@@ -83,10 +60,36 @@ def _merged_walk(x, depth, node_budget, start, extend, merge):
                 nxt[w] = merge(nxt[w], v) if w in nxt else v
                 nodes += 1
                 if nodes > node_budget:
-                    raise BranchBudgetError(
-                        f"more than {node_budget} branch nodes at depth {depth}")
+                    raise _budget_error(node_budget, depth)
+        if not nxt:   # the first level: a remainder in I has children
+            _require_in(interval_I(x.context), x)
         level = nxt
     return level.values()
+
+
+def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
+    """All length-`depth` digit prefixes of representations of x, sorted
+    by the alternate order.  Each remainder of the merged walk keeps the
+    prefixes that reach it, as (digit, parent) links shared between
+    levels; the budget counts every prefix of every length."""
+    nodes = 0
+
+    def extend(links, a):
+        nonlocal nodes
+        nodes += len(links)
+        if nodes > node_budget:
+            raise _budget_error(node_budget, depth)
+        return [(a, link) for link in links]
+
+    prefixes = []
+    for links in _merged_walk(x, depth, node_budget, [()], extend, iadd):
+        for link in links:
+            p = []
+            while link:
+                a, link = link
+                p.append(a)
+            prefixes.append(tuple(reversed(p)))
+    return sorted(prefixes, key=alt_sort_key)
 
 
 def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):

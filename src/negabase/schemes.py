@@ -155,16 +155,18 @@ def feasible_digits(x):
     return [a for a, _ in steps(x.num)]
 
 
-def _require_in(I, x, what="x"):
+def _require_in(I, x):
     if not I.contains(x):
-        raise DomainError(f"{what} = {x.as_text()} outside {I}")
+        raise DomainError(f"x = {x.as_text()} outside {I}")
 
 
 def _extreme_step(x, i):
-    # the i-th feasible step on the walk's level of x, every digit tested
-    _require_in(interval_I(x.context), x)
+    # the i-th feasible step on the walk's level of x; none off I
     steps, E = _children(x.context)(x.den)
-    a, w = list(steps(x.num))[i]
+    feasible = list(steps(x.num))
+    if not feasible:
+        _require_in(interval_I(x.context), x)
+    a, w = feasible[i]
     return a, _lowest(x.context, w, E)
 
 

@@ -121,6 +121,19 @@ def test_budget_variables_take_positive_integers(capsys, monkeypatch, name, argv
     assert code == 2 and rep["status"] == "ERROR" and name in rep["error"]
 
 
+@pytest.mark.parametrize("command", ["expand", "compare"])
+def test_depth_above_the_orbit_budget_exit_2(capsys, monkeypatch, command):
+    monkeypatch.setenv("NEGABASE_ORBIT_BUDGET", "50")
+    argv = (command, "--base", "phi", "--x", "-1/2", "--depth")
+    code, out, err = run_cli(capsys, *argv, "51")
+    assert code == 2 and not out
+    assert err == "error: --depth 51 is above the orbit budget 50 (NEGABASE_ORBIT_BUDGET)\n"
+    code, rep = run_json(capsys, *argv, "51")
+    assert code == 2 and rep["status"] == "ERROR"
+    code, _, _ = run_cli(capsys, *argv, "50")
+    assert code == 0
+
+
 def _nested(core):
     return "(" * 3000 + core + ")" * 3000
 

@@ -14,7 +14,6 @@ from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
                       field_from_poly, greedy_neg_beta, interval_I,
                       lazy_neg_beta, rational_field, sample_unique_numbers,
                       step_max_digit, step_min_digit)
-from negabase.oracle import DEFAULT_NODE_BUDGET, _walk
 
 B, C = PairDigit(1, 1), PairDigit(0, 0)
 
@@ -68,6 +67,12 @@ class TestEnumerate:
     def test_outside_interval(self, phi):
         with pytest.raises(DomainError):
             enumerate_prefixes(phi.element(10), 3)
+        # outside I is a domain error before a depth below 1 is a ValueError
+        for walk in (enumerate_prefixes, count_representation_branches, extremal_prefix):
+            with pytest.raises(DomainError):
+                walk(phi.element(10), 0)
+            with pytest.raises(ValueError, match="depth must be at least 1"):
+                walk(phi.zero(), 0)
 
     def test_budget(self, phi):
         with pytest.raises(BranchBudgetError):
@@ -113,8 +118,8 @@ class TestExtremal:
 # -- the walk on the lattice against the alphabet scan ---------------------------
 
 def _scan_walk(x, depth):
-    """The extendable prefixes of x in the walk's order, by a test-side
-    breadth-first loop over scan_steps, and the number of nodes."""
+    """The extendable prefixes of x, by a test-side breadth-first loop over
+    scan_steps, and the number of nodes."""
     level, nodes = [((), x)], 0
     for _ in range(depth):
         level = [(p + (a,), w) for p, y in level for a, w in scan_steps(y)]
@@ -138,7 +143,8 @@ def test_lattice_walk_matches_the_alphabet_scan(name):
     ctx = field_from_poly(*WALK_BASES[name])
     for i, x in enumerate(_walk_points(ctx)):
         depth = 8 + i % 3
-        assert _walk(x, depth, DEFAULT_NODE_BUDGET) == _scan_walk(x, depth)[0], (x, depth)
+        want = sorted(_scan_walk(x, depth)[0], key=alt_sort_key)
+        assert enumerate_prefixes(x, depth) == want, (x, depth)
 
 
 def _straddle_points(ctx):
@@ -160,7 +166,8 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
     ctx = field_from_poly(*WALK_BASES[name])
     for a, x in _straddle_points(ctx):
         before = ctx.kernel_fallback_count()
-        assert _walk(x, 10, DEFAULT_NODE_BUDGET) == _scan_walk(x, 10)[0], (a, x)
+        want = sorted(_scan_walk(x, 10)[0], key=alt_sort_key)
+        assert enumerate_prefixes(x, 10) == want, (a, x)
         assert ctx.kernel_fallback_count() > before, (a, x)
         scan = [(d, w.num, w.den) for d, w in scan_steps(x)]
         before = ctx.kernel_fallback_count()
@@ -172,6 +179,19 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
             assert (d, w.num, w.den) == want, (step.__name__, a, x)
             assert ctx.kernel_fallback_count() > after, (step.__name__, a, x)
             after = ctx.kernel_fallback_count()
+    # just outside I a child lies that close to l or r: the exact fallback
+    # decides the domain error, which no other test of x precedes
+    I, eps = interval_I(ctx), tie_offset(ctx)
+    for x in (I.lo - eps, I.hi + eps):
+        for call in (lambda: enumerate_prefixes(x, 10),
+                     lambda: count_representation_branches(x, 10),
+                     lambda: extremal_prefix(x, 10, "max"),
+                     lambda: step_min_digit(x), lambda: step_max_digit(x)):
+            before = ctx.kernel_fallback_count()
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == f"x = {x.as_text()} outside {I}"
+            assert ctx.kernel_fallback_count() > before, x
 
 
 @pytest.mark.parametrize("name", sorted(WALK_BASES))
@@ -180,10 +200,10 @@ def test_lattice_walk_budget(name):
     ctx = field_from_poly(*WALK_BASES[name])
     x = max(_walk_points(ctx), key=lambda y: _scan_walk(y, 10)[1])
     prefixes, nodes = _scan_walk(x, 10)
-    assert _walk(x, 10, nodes) == prefixes
+    assert enumerate_prefixes(x, 10, nodes) == sorted(prefixes, key=alt_sort_key)
     for budget in (nodes - 1, nodes // 2):
         with pytest.raises(BranchBudgetError) as err:
-            _walk(x, 10, budget)
+            enumerate_prefixes(x, 10, budget)
         assert str(err.value) == f"more than {budget} branch nodes at depth 10"
 
 
