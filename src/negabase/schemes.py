@@ -369,37 +369,47 @@ class Scheme:
 
     @cached_property
     def _lattice(self):
-        # the kernel's table over one common denominator L: L*base as matrix
-        # rows, 64-bit bounds of the cuts made monotone for bisection, the
-        # digits, L*(cell values) as integer vectors, L, and k, which every
-        # common factor of a next state (w, D*L) divides when v/D is reduced
+        # the kernel's table over one common denominator L: per cell, affine rows
+        # (row j of L*base, -L*(cell value)_j), so that w_j = row_j . (v, D); 64-bit
+        # bounds of the cuts made monotone for bisection; the digits; k, which every
+        # common factor of a next state (w, D*L) divides when v/D is reduced; and L
         ctx, cells, d = self.base.context, self.cells, self.base.context.degree
         ys = [self.base * ctx.beta() ** j for j in range(d)] + [c.value for c in cells]
         L = lcm(*(y.den for y in ys))
         ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
+        affine = tuple(tuple((*row, -c) for row, c in zip(zip(*ys[:d]), y)) for y in ys[d:])
         bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
         lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
         hi = tuple(accumulate([hi for _, hi in bounds], max))
         k = 1 if L == 1 else (L * lcm(*(c.value.den for c in cells))
                               * self.base.inverse().den * ctx._table_den)
-        return tuple(zip(*ys[:d])), lo, hi, tuple(c.digit for c in cells), tuple(ys[d:]), L, k
+        return affine, lo, hi, tuple(c.digit for c in cells), k, L
 
     def _stepper(self, x):
         """(step, start): step(state) -> (digit, state') along the orbit of x,
-        on hashable states (v, D), y = v/D; the cell is read off one dot
-        product, the exact cell search deciding where the bounds straddle."""
+        on hashable states (v, D), y = v/D; the cell is read off one dot product
+        against the cut bounds, scaled by den(x) once per orbit and used while
+        D = den(x) (always when L = 1), the exact cell search deciding a straddle."""
         ctx = self.base.context
-        rows, lo, hi, digits, values, L, k = self._lattice
+        affine, lo, hi, digits, k, L = self._lattice
         powers, gap = _lattice_powers(ctx)
+        D0 = x.den
+        lo0, hi0 = tuple(b * D0 for b in lo), tuple(b * D0 for b in hi)
 
         def step(s):
             v, D = s
             t = sum(map(mul, v, powers))   # 2^64 * D * y, up to e
             e = gap * sum(map(abs, v))
-            i = bisect_left(hi, -((e - t) // D))   # the cuts surely below y
-            if i != bisect_right(lo, (t + e) // D):
+            # i counts the cuts surely below y, j those that may be: for an
+            # integer h, h < ceil((t-e)/D) iff h*D < t-e, h <= floor((t+e)/D) iff h*D <= t+e
+            if D == D0:
+                i, j = bisect_left(hi0, t - e), bisect_right(lo0, t + e)
+            else:
+                i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
+            if i != j:
                 i = self._index(_reduced(ctx, v, D))
-            w = tuple(sum(map(mul, row, v)) - D * c for row, c in zip(rows, values[i]))
+            vD = (*v, D)
+            w = tuple([sum(map(mul, row, vD)) for row in affine[i]])
             if L != 1:   # lowest terms: a common factor of w and D*L divides k
                 D *= L
                 g = gcd(gcd(k, D), *w)

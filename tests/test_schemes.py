@@ -500,13 +500,20 @@ def _kernel(kind, scheme, x, depth):
     return exp.word, exp.status
 
 
-def _assert_orbits_match_the_exact_steps(ctx):
-    # every kind, by depth and by period, from every tie point and every
-    # p/q, q <= 7, of its domain
+def _large_denominators(ctx):
+    # p/q with q above 2^70: the cut bounds the kernel scales by q once per
+    # orbit pass 128 bits
+    xs = [Fraction(q // k, q) for q in (2 ** 71 + 1, 3 ** 45) for k in (-7, 5, 11)]
+    return [ctx.element(x) for x in xs if x.denominator > 2 ** 70]
+
+
+def _assert_orbits_match_the_exact_steps(ctx, extra=()):
+    # every kind, by depth and by period, from every tie point, every p/q,
+    # q <= 7, and every extra point of its domain
     schemes = _schemes(ctx)
     rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
                  for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
-    points = [x for _, x in _tie_points(ctx)] + rationals
+    points = [x for _, x in _tie_points(ctx)] + rationals + list(extra)
     domains = {"greedy": interval_I(ctx), "lazy": interval_I(ctx)}
     domains.update((kind, s.domain) for kind, s in schemes.items())
     for kind, domain in domains.items():
@@ -521,7 +528,29 @@ def _assert_orbits_match_the_exact_steps(ctx):
 def test_lattice_kernel_matches_the_exact_step(name):
     ctx = field_from_poly(*LATTICE_BASES[name])
     assert all(s._lattice is not None for s in _schemes(ctx).values())
-    _assert_orbits_match_the_exact_steps(ctx)
+    _assert_orbits_match_the_exact_steps(ctx, _large_denominators(ctx))
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+def test_lattice_states_keep_the_start_denominator(name):
+    # over L = 1 no state is reduced: every kernel state is (v, den(x)) with
+    # v/den(x) the remainder of the exact step, which is what lets the kernel
+    # scale its cut bounds by den(x) once per orbit
+    ctx = field_from_poly(*LATTICE_BASES[name])
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    points = [x for _, x in _tie_points(ctx)] + rationals + _large_denominators(ctx)
+    for kind, scheme in _schemes(ctx).items():
+        assert scheme._lattice[5] == 1, kind   # L
+        for x in filter(scheme.domain.contains, points):
+            step, state = scheme._stepper(x)
+            y = x
+            for _ in range(ORBIT_DEPTH):
+                d, state = step(state)
+                a, y = scheme.step(y)
+                v, D = state
+                assert (d, D) == (a, x.den), (kind, x)
+                assert [c * y.den for c in v] == [c * D for c in y.num], (kind, x)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_BASES))

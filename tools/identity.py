@@ -1,0 +1,159 @@
+"""Identity sweep: hash the library's results per base and kind.
+
+Run it on two trees and diff the outputs; equal files mean the two trees
+give the same words, statuses, round trips, step digits, oracle results
+and fallback counts on every input below.
+
+    python3 tools/identity.py --out FILE
+
+The package is imported from the `src` directory next to this script, so
+the same script runs unchanged on any checkout that has these functions.
+Each output line is `base kind records sha256`, then the context's
+`fallback_count()` and `kernel_fallback_count()` after the sweep.
+
+Inputs, for each of 13 bases: l, r, every end of a digit subinterval,
+every beta^2 breakpoint and every p/q in I with q <= 15.  Per point:
+greedy, lazy, Ito-Sadahiro, both beta^2 schemes, the positive scheme and
+the restricted scheme at depths 1, 7 and 30 and by period at budgets
+299-301, with the round trip of every word that closed its period; both
+step digits with their remainders and `feasible_digits`; and, for the
+first 40 points and every point with q <= 7, `enumerate_prefixes`,
+`count_representation_branches` and both `extremal_prefix` at depths
+8-10.  An error is recorded as its class and text.
+"""
+
+import argparse
+import hashlib
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import negabase as nb  # noqa: E402
+
+BASES = {
+    "phi": ((-1, -1, 1), 1, 2),
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
+    "reducible": ((-1, -1, 0, -1, 1), 1, 2),
+    "cubic": ((-1, 0, -3, 1), 3, 4),
+    "sqrt3": ((-3, 0, 1), 1, 2),
+    "non-monic": ((-1, -3, 2), 1, 2),
+    "7_4": ((-7, 4), 1, 2),
+    "14_5": ((-14, 5), 2, 3),
+    "7_2": ((-7, 2), 3, 4),
+    "10_3": ((-10, 3), 3, 4),
+    "5_2": ((-5, 2), 2, 3),
+}
+DEPTHS = (1, 7, 30)
+BUDGETS = (299, 300, 301)
+ORACLE_DEPTHS = (8, 9, 10)
+ORACLE_POINTS, ORACLE_DEN = 40, 7
+MAX_DEN = 15
+
+
+def attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # an error is a result like any other
+        return f"{type(exc).__name__}: {exc}"
+
+
+def points(ctx):
+    I = nb.interval_I(ctx)
+    xs = [I.lo, I.hi]
+    for a in range(ctx.floor_beta + 1):
+        iv = nb.digit_subinterval(ctx, a)
+        xs += [iv.lo, iv.hi]
+    pairs = nb.all_pair_digits(ctx)
+    xs += [nb.greedy_breakpoint(ctx, p) for p in pairs]
+    xs += [nb.lazy_breakpoint(ctx, p) for p in pairs]
+    for q in range(1, MAX_DEN + 1):
+        for p in range(-3 * q, 3 * q + 1):
+            if Fraction(p, q).denominator == q:
+                xs.append(ctx.element(Fraction(p, q)))
+    seen, out = set(), []
+    for x in xs:
+        key = (x.num, x.den)
+        if key not in seen and I.contains(x):
+            seen.add(key)
+            out.append(x)
+    return out
+
+
+def expansion(exp, round_trip):
+    """The word, status and endpoint, and whether a closed word evaluates
+    back to its point."""
+    if isinstance(exp, str):
+        return exp
+    back = round_trip(exp.word) if exp.ok and exp.word.period else None
+    return f"{exp.word} {exp.status} {exp.endpoint} {back}"
+
+
+def sweep(ctx):
+    """(kind, record) pairs for every input of the base."""
+    schemes = {
+        "is": nb.build_ito_sadahiro_scheme(ctx),
+        "beta2-greedy": nb.build_beta2_scheme(ctx, "greedy"),
+        "beta2-lazy": nb.build_beta2_scheme(ctx, "lazy"),
+        "positive": nb.build_positive_greedy_scheme(ctx),
+        "restricted": attempt(nb.restricted_scheme, ctx),
+    }
+    minus_beta = -ctx.beta()
+    for i, x in enumerate(points(ctx)):
+        text = x.as_text()
+        for kind, fn in (("greedy", nb.greedy_neg_beta), ("lazy", nb.lazy_neg_beta)):
+            def back(word):
+                return nb.eval_digits(word, minus_beta) == x
+            for depth in DEPTHS:
+                yield kind, f"{text} d{depth} {expansion(attempt(fn, x, depth), back)}"
+            for budget in BUDGETS:
+                yield kind, f"{text} b{budget} {expansion(attempt(fn, x, None, budget), back)}"
+        for kind, scheme in schemes.items():
+            if isinstance(scheme, str):
+                yield kind, scheme
+                continue
+            value = {c.digit: c.value for c in scheme.cells}.__getitem__
+
+            def back(word):
+                return nb.eval_digits(word, scheme.base, value) == x
+            for depth in DEPTHS:
+                exp = attempt(nb.run_scheme, scheme, x, depth)
+                yield kind, f"{text} d{depth} {expansion(exp, back)}"
+            for budget in BUDGETS:
+                exp = attempt(nb.run_scheme, scheme, x, None, budget)
+                yield kind, f"{text} b{budget} {expansion(exp, back)}"
+        for kind, fn in (("step-min", nb.step_min_digit), ("step-max", nb.step_max_digit)):
+            r = attempt(fn, x)
+            yield kind, f"{text} {r if isinstance(r, str) else (r[0], r[1].num, r[1].den)}"
+        yield "feasible", f"{text} {attempt(nb.feasible_digits, x)}"
+        if i < ORACLE_POINTS or x.den <= ORACLE_DEN:
+            for depth in ORACLE_DEPTHS:
+                yield "prefixes", f"{text} {depth} {attempt(nb.enumerate_prefixes, x, depth)}"
+                yield "count", f"{text} {depth} {attempt(nb.count_representation_branches, x, depth)}"
+                for which in ("max", "min"):
+                    r = attempt(nb.extremal_prefix, x, depth, which)
+                    yield f"extremal-{which}", f"{text} {depth} {r}"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="file for the hashes")
+    args = ap.parse_args(argv)
+    lines = []
+    for name, (poly, lo, hi) in BASES.items():
+        ctx = nb.field_from_poly(poly, lo, hi)
+        hashes, counts = {}, {}
+        for kind, record in sweep(ctx):
+            hashes.setdefault(kind, hashlib.sha256()).update(record.encode() + b"\n")
+            counts[kind] = counts.get(kind, 0) + 1
+        lines += [f"{name} {kind} {counts[kind]} {h.hexdigest()}" for kind, h in hashes.items()]
+        lines.append(f"{name} fallback_count {ctx.fallback_count()}")
+        lines.append(f"{name} kernel_fallback_count {ctx.kernel_fallback_count()}")
+    Path(args.out).write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    main()
