@@ -159,16 +159,13 @@ def _cmd_admissible(args):
         ctx = parse_base(args.base)
         word = parse_word(args.pairs, pair=True)
         level = args.level or "pairs-greedy"
-        bounds = reference_bounds(ctx, _orbit_budget())
-        if level == "pairs-greedy":
-            rep = is_admissible_greedy(word, ctx, bounds)
-        elif level == "pairs-lazy":
-            rep = is_admissible_lazy(word, ctx, bounds)
-        else:
-            raise ParseError(f"level {level!r} does not apply to pair words")
+        check = is_admissible_lazy if level == "pairs-lazy" else is_admissible_greedy
+        rep = check(word, ctx, reference_bounds(ctx, _orbit_budget()))
         base_info = _base_info(args.base, ctx)
         word_text = format_word(word, pair=True)
     else:
+        if args.level is not None:
+            raise ParseError("--level applies only to --pairs words")
         if args.base is not None and parse_base(args.base) != phi_field():
             raise ParseError("binary admissibility checks are golden-ratio presets")
         ctx = phi_field()

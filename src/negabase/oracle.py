@@ -13,12 +13,16 @@ The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
 schemes._children, which runs on the orbit kernel's integer states on
 every base, with the kernel's exact fallback where its bounds straddle l
-or r.  The one-step digit choices of schemes read one level of this walk.
+or r.
 
-Each walk runs over the distinct remainders of a level: equal-length
-prefixes that reach one remainder share their extensions, which rank as
-the prefixes rank.  A remainder keeps their count, their extreme, or all
-of them (enumerate_prefixes, whose budget counts prefixes, not nodes).
+Counts and the listing are brute force over the distinct remainders of
+each level: equal-length prefixes that reach one remainder share their
+extensions, so a remainder keeps their count or all of them
+(enumerate_prefixes, whose budget counts prefixes, not nodes).  Extremal
+prefixes need no search: the alternate order is lexicographic with odd
+places reversed and every remainder in I has a feasible child, so they
+come from schemes._descend, the alternating one-step choice iterated on
+the walk's own digit test.
 """
 
 import random
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from operator import add, iadd
 
 from .field import ExactReal, FieldError
-from .schemes import _children, _require_in, eval_neg_beta, interval_I
+from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, PairDigit, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -41,11 +45,13 @@ def _budget_error(node_budget, depth):
     return BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")
 
 
-def _merged_walk(x, depth, node_budget, start, extend, merge):
+def _merged_walk(x, depth, node_budget, start, extend, merge, weight=None):
     """The walk over distinct remainders: a level maps each child vector, all
     over the level's one denominator, to extend(value, digit), merged by
-    merge(old, new).  The budget counts (state, digit) nodes.  x is in I,
-    the union of the digit subintervals, exactly when a digit is feasible."""
+    merge(old, new).  The budget counts (state, digit) nodes, each weighted
+    by weight(value) of its parent, or by 1 without a weight: len counts
+    the prefixes a listed node carries.  x is in I, the union of the digit
+    subintervals, exactly when a digit is feasible."""
     if depth < 1:
         _require_in(interval_I(x.context), x)
         raise ValueError("depth must be at least 1")
@@ -55,10 +61,11 @@ def _merged_walk(x, depth, node_budget, start, extend, merge):
         steps, D = children(D)
         nxt = {}
         for y, value in level.items():
+            n = weight(value) if weight else 1
             for a, w in steps(y):
                 v = extend(value, a)
                 nxt[w] = merge(nxt[w], v) if w in nxt else v
-                nodes += 1
+                nodes += n
                 if nodes > node_budget:
                     raise _budget_error(node_budget, depth)
         if not nxt:   # the first level: a remainder in I has children
@@ -72,17 +79,9 @@ def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     by the alternate order.  Each remainder of the merged walk keeps the
     prefixes that reach it, as (digit, parent) links shared between
     levels; the budget counts every prefix of every length."""
-    nodes = 0
-
-    def extend(links, a):
-        nonlocal nodes
-        nodes += len(links)
-        if nodes > node_budget:
-            raise _budget_error(node_budget, depth)
-        return [(a, link) for link in links]
-
     prefixes = []
-    for links in _merged_walk(x, depth, node_budget, [()], extend, iadd):
+    for links in _merged_walk(x, depth, node_budget, [()],
+                              lambda links, a: [(a, link) for link in links], iadd, len):
         for link in links:
             p = []
             while link:
@@ -98,16 +97,14 @@ def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     return sum(_merged_walk(x, depth, node_budget, 1, lambda n, _: n, add))
 
 
-def extremal_prefix(x, depth, which="max", node_budget=DEFAULT_NODE_BUDGET):
+def extremal_prefix(x, depth, which="max"):
     """The alternate-order maximal (or minimal) extendable prefix; the
-    maximum matches the greedy digits, the minimum the lazy ones.  Each
-    remainder keeps the extremal alt_sort_key, which is its own inverse."""
-    pick = {"max": max, "min": min}.get(which)
-    if pick is None:
+    maximum matches the greedy digits, the minimum the lazy ones.  It takes
+    the smallest (largest) feasible digit at the first place and switches
+    ends at every place: one path of `depth` steps, no search."""
+    if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    key = pick(_merged_walk(x, depth, node_budget, (),
-                            lambda k, a: k + (a if len(k) % 2 else -a,), pick))
-    return alt_sort_key(key)
+    return tuple(a for a, _, _ in _descend(x, depth, 0 if which == "max" else -1))
 
 
 @dataclass(frozen=True)

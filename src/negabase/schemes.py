@@ -1,8 +1,9 @@
 """Digit maps and transformations for negative-base expansions.
 
 Covers the representable interval I and its digit subintervals, the two
-one-step digit choices (smallest and largest feasible digit, read off one
-level of the brute-force oracle's walk, as feasible_digits is), the
+one-step digit choices (smallest and largest feasible digit, the first
+place of the alternating descent that the oracle's extremal prefixes
+iterate, on the walk's digit test as feasible_digits is), the
 squared-base schemes over the pair-digit alphabet, whose pair digits read
 two letters each are the greedy and lazy digits in base -beta (the
 paper's theorem), the Ito-Sadahiro scheme, a minimal positive-base scheme,
@@ -160,14 +161,24 @@ def _require_in(I, x):
         raise DomainError(f"x = {x.as_text()} outside {I}")
 
 
-def _extreme_step(x, i):
-    # the i-th feasible step on the walk's level of x; none off I
-    steps, E = _children(x.context)(x.den)
-    feasible = list(steps(x.num))
-    if not feasible:
+def _descend(x, depth, i):
+    """Yields (a, w, E) at each of `depth` places, the digit a and the
+    unreduced next state w/E: the i-th feasible digit at the first place,
+    the other end at every place after it.  i = 0 gives the alternate-order
+    maximal prefix, i = -1 the minimal.  A remainder in I has a feasible
+    child, so only the first level can be empty, exactly when x is outside I."""
+    if depth < 1:
         _require_in(interval_I(x.context), x)
-    a, w = feasible[i]
-    return a, _lowest(x.context, w, E)
+        raise ValueError("depth must be at least 1")
+    children, w, E = _children(x.context), x.num, x.den
+    for _ in range(depth):
+        steps, E = children(E)
+        feasible = list(steps(w))
+        if not feasible:
+            _require_in(interval_I(x.context), x)
+        a, w = feasible[i]
+        yield a, w, E
+        i = ~i
 
 
 def step_min_digit(x):
@@ -176,12 +187,14 @@ def step_min_digit(x):
     This is the digit choice that is greatest in the alternate order on
     single digits, the first digit of the greedy representation.
     """
-    return _extreme_step(x, 0)
+    (a, w, E), = _descend(x, 1, 0)
+    return a, _lowest(x.context, w, E)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    return _extreme_step(x, -1)
+    (a, w, E), = _descend(x, 1, -1)
+    return a, _lowest(x.context, w, E)
 
 
 @dataclass(frozen=True)

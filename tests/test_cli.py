@@ -200,6 +200,17 @@ class TestAdmissible:
         code, _, err = run_cli(capsys, "admissible", "--base", "7/4", "--binary-is", "100")
         assert code == 2 and "golden-ratio presets" in err
 
+    def test_level_needs_pairs(self, capsys):
+        # a binary word has no pair level: refused, not checked at its own level
+        for option in ("--binary-golden", "--binary-is"):
+            code, out, err = run_cli(capsys, "admissible", option, "1010",
+                                     "--level", "pairs-lazy")
+            assert code == 2 and out == ""
+            assert "--level" in err and "--pairs" in err
+            code, rep = run_json(capsys, "admissible", option, "1010", "--level", "pairs-greedy")
+            assert code == 2 and rep["status"] == "ERROR"
+            assert "--level" in rep["error"] and "--pairs" in rep["error"]
+
     def test_pairs_lazy_level(self, capsys):
         code, out, _ = run_cli(capsys, "admissible", "--base", "phi",
                                "--pairs", "0:0.1:1", "--level", "pairs-lazy")

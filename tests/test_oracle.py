@@ -179,6 +179,9 @@ def test_lattice_walk_falls_back_next_to_l_and_r(name):
             assert (d, w.num, w.den) == want, (step.__name__, a, x)
             assert ctx.kernel_fallback_count() > after, (step.__name__, a, x)
             after = ctx.kernel_fallback_count()
+        # the one-step choices are the first place of the alternating descent
+        assert (step_min_digit(x)[0], step_max_digit(x)[0]) == \
+            (extremal_prefix(x, 1, "max")[0], extremal_prefix(x, 1, "min")[0]), (a, x)
     # just outside I a child lies that close to l or r: the exact fallback
     # decides the domain error, which no other test of x precedes
     I, eps = interval_I(ctx), tie_offset(ctx)
@@ -244,7 +247,7 @@ def test_count_past_the_prefix_budget(phi):
     x = phi.element(Fraction(-1, 2))
     count, _, lo = scan_merged(x, 60)
     assert count_representation_branches(x, 60) == count == 2 ** 20
-    assert extremal_prefix(x, 60, "min", 1000) == lo
+    assert extremal_prefix(x, 60, "min") == lo
     with pytest.raises(BranchBudgetError):
         enumerate_prefixes(x, 60, 1000)
 
@@ -262,6 +265,11 @@ def test_deep_count_and_extremal(phi):
     assert min(seconds) < 0.05, seconds
     assert count == ref[10 - 1] << 330 == 2 ** 333   # depth 10, then 330 doublings
     assert extremal_prefix(x, 1000, "max")[:12] == (1, 1, 1, 0, 0, 0) * 2
+    # extremal prefixes are the one-step choice iterated, linear in the depth:
+    # x = -1 has the one representation (10)^w, depth 40000 in under 2 s
+    start = time.perf_counter()
+    assert extremal_prefix(phi.element(-1), 40000) == (1, 0) * 20000
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("r", (Fraction(14, 5), Fraction(7, 2)))
@@ -273,11 +281,12 @@ def test_merged_budget_where_nothing_merges(r):
     prefixes, nodes = _scan_walk(x, 10)
     assert count_representation_branches(x, 10, nodes) == len(prefixes) > 1
     for budget in (nodes - 1, nodes // 2):
-        for call in (lambda: count_representation_branches(x, 10, budget),
-                     lambda: extremal_prefix(x, 10, "min", budget)):
-            with pytest.raises(BranchBudgetError) as err:
-                call()
-            assert str(err.value) == f"more than {budget} branch nodes at depth 10"
+        with pytest.raises(BranchBudgetError) as err:
+            count_representation_branches(x, 10, budget)
+        assert str(err.value) == f"more than {budget} branch nodes at depth 10"
+    # the descent has no budget: it follows one path
+    assert extremal_prefix(x, 10, "min") == min(prefixes, key=alt_sort_key)
+    assert extremal_prefix(x, 10, "max") == max(prefixes, key=alt_sort_key)
 
 
 class TestUniqueSampling:

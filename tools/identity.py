@@ -2,14 +2,16 @@
 
 Run it on two trees and diff the outputs; equal files mean the two trees
 give the same words, statuses, round trips, step digits, oracle results
-and fallback counts on every input below.
+and fallback counts on every input below, kind by kind.
 
     python3 tools/identity.py --out FILE
 
 The package is imported from the `src` directory next to this script, so
 the same script runs unchanged on any checkout that has these functions.
-Each output line is `base kind records sha256`, then the context's
-`fallback_count()` and `kernel_fallback_count()` after the sweep.
+Each output line is `base kind records sha256 fallbacks kernel_fallbacks`:
+how far the context's `fallback_count()` and `kernel_fallback_count()`
+rose while that kind's records were made.  A `base set-up` line gives the
+rise while the schemes and points were built, before the first record.
 
 Inputs, for each of 13 bases: l, r, every end of a digit subinterval,
 every beta^2 breakpoint and every p/q in I with q <= 15.  Per point:
@@ -92,8 +94,8 @@ def expansion(exp, round_trip):
     return f"{exp.word} {exp.status} {exp.endpoint} {back}"
 
 
-def sweep(ctx):
-    """(kind, record) pairs for every input of the base."""
+def setup(ctx):
+    """The schemes and the points of the sweep."""
     schemes = {
         "is": nb.build_ito_sadahiro_scheme(ctx),
         "beta2-greedy": nb.build_beta2_scheme(ctx, "greedy"),
@@ -101,8 +103,13 @@ def sweep(ctx):
         "positive": nb.build_positive_greedy_scheme(ctx),
         "restricted": attempt(nb.restricted_scheme, ctx),
     }
+    return schemes, points(ctx)
+
+
+def sweep(ctx, schemes, xs):
+    """(kind, record) pairs for every input of the base."""
     minus_beta = -ctx.beta()
-    for i, x in enumerate(points(ctx)):
+    for i, x in enumerate(xs):
         text = x.as_text()
         for kind, fn in (("greedy", nb.greedy_neg_beta), ("lazy", nb.lazy_neg_beta)):
             def back(word):
@@ -145,13 +152,25 @@ def main(argv=None):
     lines = []
     for name, (poly, lo, hi) in BASES.items():
         ctx = nb.field_from_poly(poly, lo, hi)
-        hashes, counts = {}, {}
-        for kind, record in sweep(ctx):
+
+        def fallbacks():
+            return ctx.fallback_count(), ctx.kernel_fallback_count()
+
+        before = fallbacks()
+        schemes, xs = setup(ctx)
+        last = fallbacks()
+        lines.append(f"{name} set-up {last[0] - before[0]} {last[1] - before[1]}")
+        hashes, counts, rises = {}, {}, {}
+        # the work between two records is the later record's
+        for kind, record in sweep(ctx, schemes, xs):
             hashes.setdefault(kind, hashlib.sha256()).update(record.encode() + b"\n")
             counts[kind] = counts.get(kind, 0) + 1
-        lines += [f"{name} {kind} {counts[kind]} {h.hexdigest()}" for kind, h in hashes.items()]
-        lines.append(f"{name} fallback_count {ctx.fallback_count()}")
-        lines.append(f"{name} kernel_fallback_count {ctx.kernel_fallback_count()}")
+            now = fallbacks()
+            f, k = rises.get(kind, (0, 0))
+            rises[kind] = (f + now[0] - last[0], k + now[1] - last[1])
+            last = now
+        lines += [f"{name} {kind} {counts[kind]} {h.hexdigest()} {rises[kind][0]} {rises[kind][1]}"
+                  for kind, h in hashes.items()]
     Path(args.out).write_text("\n".join(lines) + "\n")
 
 
