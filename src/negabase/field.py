@@ -60,16 +60,16 @@ class FieldContext:
     """The base beta: minimal polynomial plus a refinable isolating bracket.
 
     Instances are immutable apart from the current isolating bracket, which
-    only ever tightens, the dyadic brackets read off it and the two fallback
-    counters, all guarded by one lock, and the per-base tables of
+    only ever tightens, the dyadic brackets read off it and the fallback and
+    tie counters, all guarded by one lock, and the per-base tables of
     `context_cached`, which are filled once per key; so a context can be
     shared freely between threads.
     """
 
     __slots__ = (
         "min_poly", "_modulus", "_initial_bracket", "_bracket", "_bisections",
-        "_dyadic", "_certified", "_lock", "_power_table", "_table_den",
-        "_fallbacks", "_kernel_fallbacks", "_beta", "_floor_beta", "_tables", "__weakref__",
+        "_dyadic", "_certified", "_lock", "_power_table", "_table_den", "_fallbacks",
+        "_kernel_fallbacks", "_kernel_ties", "_beta", "_floor_beta", "_tables", "__weakref__",
     )
 
     def __init__(self, min_poly, modulus, bracket, certified):
@@ -82,8 +82,7 @@ class FieldContext:
         self._dyadic = {}
         self._certified = certified
         self._lock = threading.Lock()
-        self._fallbacks = 0
-        self._kernel_fallbacks = 0
+        self._fallbacks = self._kernel_fallbacks = self._kernel_ties = 0
         self._tables = {}
         d = self.degree
         self._power_table, self._table_den = _reduced_powers(modulus)
@@ -143,13 +142,22 @@ class FieldContext:
             self._fallbacks += 1
 
     def kernel_fallback_count(self):
-        """How many lattice steps and oracle tests left their 64-bit bounds."""
+        """How many lattice steps and oracle tests took the exact path (no tie does)."""
         with self._lock:
             return self._kernel_fallbacks
 
     def _count_kernel_fallback(self):
         with self._lock:
             self._kernel_fallbacks += 1
+
+    def kernel_tie_count(self):
+        """How many lattice steps and oracle tests were exact ties, not fallbacks."""
+        with self._lock:
+            return self._kernel_ties
+
+    def _count_kernel_tie(self):
+        with self._lock:
+            self._kernel_ties += 1
 
     def dyadic_bracket(self, bits):
         """(L, H) with L/2^bits <= beta <= H/2^bits: the isolating bracket

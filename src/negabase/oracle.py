@@ -12,8 +12,8 @@ oracle for their digit choices and for uniqueness experiments.
 The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
 schemes._children, which runs on the orbit kernel's integer states on
-every base, with the kernel's exact fallback where its bounds straddle l
-or r.
+every base and decides l and r by the kernel's rule: 64-bit bounds, then
+a tie on the integer vectors, then the exact test.
 
 Counts and the listing are brute force over the distinct remainders of
 each level: equal-length prefixes that reach one remainder share their

@@ -17,9 +17,9 @@ budget; those come back as finite prefixes with an explicit status.
 
 Every orbit and the oracle's walk run on one integer kernel, on every
 base: y = v/D with v an integer vector, the base times a common
-denominator L an integer matrix, and each cut or end of I tested by one
-dot product with 64-bit bounds of the powers of beta, the exact test
-deciding where they straddle (counted by kernel_fallback_count()).  On an
+denominator L an integer matrix, and each cut n/d or end of I tested by
+64-bit bounds of one dot product, then a tie d*v = D*n where they straddle
+(kernel_tie_count()), then the exact test (kernel_fallback_count()).  On an
 algebraic-integer base L = 1 and D stays den(x); elsewhere an orbit state
 is y in lowest terms.  Either way a value has one state.
 """
@@ -102,9 +102,16 @@ def _lowest(ctx, v, D):
     return ExactReal(ctx, tuple(c // g for c in v), D // g)
 
 
+def _ties(ctx, v, D, cut):
+    """v/D is the cut n/d by its vectors, d*v = D*n: sound on every context."""
+    if any(cut.den * c != D * m for c, m in zip(v, cut.num)):
+        return False
+    ctx._count_kernel_tie()
+    return True
+
+
 def _reduced(ctx, v, D):
-    """The exact fallback of the lattice kernel and walk, where their 64-bit
-    bounds straddle: counted, and y = v/D in lowest terms."""
+    """The kernel's exact path, past bounds and ties: counted, v/D in lowest terms."""
     ctx._count_kernel_fallback()
     return _lowest(ctx, v, D)
 
@@ -113,18 +120,22 @@ def _reduced(ctx, v, D):
 def _children(ctx):
     """level(D) -> (steps, D*M) for a level of nodes v/D: steps(v) yields
     (a, w) for every digit a with -beta*v/D - a = w/(D*M) in I, ascending,
-    M the denominator of the modulus.  Each digit is tested by one dot
-    product of M*(-beta)*v with 64-bit bounds as in the kernel, the counted
-    exact test deciding where they straddle l or r.  No node is reduced:
-    a level's nodes share D*M, so equal vectors are equal remainders."""
+    M the denominator of the modulus, each digit tested by the kernel's rule
+    on M*(-beta)*v; a tie with l or r is feasible, I being closed.  No node is
+    reduced: a level's nodes share D*M, so equal vectors are equal remainders.
+    The last level is kept, so a monic base (M = 1) builds one per walk."""
     I = interval_I(ctx)
     powers, gap = _lattice_powers(ctx)
     power = ctx.beta() ** ctx.degree
     M, top = power.den, power.num   # beta^d = top/M
     ll, lh, rl, rh = *_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi)
     digits = range(ctx.floor_beta + 1)
+    last = [(None, None)]   # replaced whole and read in one unpack: no lock
 
     def level(D):
+        D0, built = last[0]
+        if D0 == D:
+            return built
         E = D * M
         l_lo, l_hi, r_lo, r_hi = E * ll, E * lh, E * rl, E * rh
         unit = E << _FILTER_BITS   # the digit 1 at the scale of t
@@ -141,10 +152,12 @@ def _children(ctx):
                     continue
                 z[0] = z0 - a * E
                 w = tuple(z)
-                if (lo < l_hi or hi > r_lo) and not I.contains(_reduced(ctx, w, E)):
+                if (lo < l_hi or hi > r_lo) and not _ties(ctx, w, E, I.lo if lo < l_hi else I.hi) \
+                        and not I.contains(_reduced(ctx, w, E)):
                     continue
                 yield a, w
 
+        last[0] = D, (steps, E)
         return steps, E
 
     return level
@@ -380,6 +393,15 @@ class Scheme:
                 return i
         return len(self.cells) - 1
 
+    def _straddled(self, v, D, i, j):
+        """The cell of y = v/D where the bounds leave cuts i..j-1 undecided:
+        the closed side of a cut y ties, else the exact cell search."""
+        for k in range(i, j):
+            iv = self.cells[k].interval
+            if _ties(self.base.context, v, D, iv.hi):
+                return k if iv.hi_closed else k + 1
+        return self._index(_reduced(self.base.context, v, D))
+
     @cached_property
     def _lattice(self):
         # the kernel's table over one common denominator L: per cell, affine rows
@@ -402,7 +424,7 @@ class Scheme:
         """(step, start): step(state) -> (digit, state') along the orbit of x,
         on hashable states (v, D), y = v/D; the cell is read off one dot product
         against the cut bounds, scaled by den(x) once per orbit and used while
-        D = den(x) (always when L = 1), the exact cell search deciding a straddle."""
+        D = den(x) (always when L = 1), and _straddled deciding a straddle."""
         ctx = self.base.context
         affine, lo, hi, digits, k, L = self._lattice
         powers, gap = _lattice_powers(ctx)
@@ -420,7 +442,7 @@ class Scheme:
             else:
                 i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
             if i != j:
-                i = self._index(_reduced(ctx, v, D))
+                i = self._straddled(v, D, i, j)
             vD = (*v, D)
             w = tuple([sum(map(mul, row, vD)) for row in affine[i]])
             if L != 1:   # lowest terms: a common factor of w and D*L divides k

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import gcd
@@ -238,6 +240,65 @@ def test_merged_walk_falls_back_next_to_l_and_r(name):
             before = ctx.kernel_fallback_count()
             call()
             assert ctx.kernel_fallback_count() > before, (a, x)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_walk_decides_l_and_r_on_the_vectors(name):
+    # from l the only child is -beta*l - floor(beta) = r, and from r it is
+    # -beta*r = l: every level straddles an end of I at an exact tie, which
+    # the vectors decide without the exact path.  The reducible base's
+    # vectors are not canonical, so there only the outputs are checked
+    ctx = field_from_poly(*WALK_BASES[name])
+    I = interval_I(ctx)
+    for x in (I.lo, I.hi):
+        prefixes = sorted(_scan_walk(x, 10)[0], key=alt_sort_key)
+        count, hi, lo = scan_merged(x, 10)
+        for call, want in ((lambda: enumerate_prefixes(x, 10), prefixes),
+                           (lambda: count_representation_branches(x, 10), count),
+                           (lambda: extremal_prefix(x, 10, "max"), hi),
+                           (lambda: extremal_prefix(x, 10, "min"), lo)):
+            fallbacks, ties = ctx.kernel_fallback_count(), ctx.kernel_tie_count()
+            assert call() == want, x
+            if name != "reducible":
+                assert ctx.kernel_fallback_count() == fallbacks, x
+                assert ctx.kernel_tie_count() > ties, x
+
+
+def test_walk_levels_under_threads():
+    # the walk keeps its last level per context, one entry replaced whole:
+    # four threads counting and descending over two alternating denominators
+    # flip it all the time, and every result is the single-thread one
+    ctx = field_from_poly((-1, -1, 1), 1, 2)
+    xs = [ctx.element(Fraction(-1, 2)), ctx.element(Fraction(-1, 3))]
+
+    def run(order):
+        return [(x, count_representation_branches(x, 300), extremal_prefix(x, 300, "max"),
+                 extremal_prefix(x, 300, "min")) for _ in range(4) for x in order]
+
+    want = [run(xs), run(xs[::-1])]
+    tables = len(ctx._tables)
+    results, errors = {}, []
+
+    def work(t):
+        try:
+            results[t] = run(xs[::-1] if t % 2 else xs)
+        except Exception as exc:   # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == {t: want[t % 2] for t in range(4)}
+    assert len(ctx._tables) == tables
 
 
 def test_count_past_the_prefix_budget(phi):

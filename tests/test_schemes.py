@@ -575,11 +575,25 @@ def test_lattice_kernel_falls_back_next_to_the_cut_points(name):
             assert got == _exact(kind, scheme, x, ORBIT_DEPTH), (kind, x)
 
 
+def _kernel_counts(ctx):
+    return ctx.kernel_fallback_count(), ctx.kernel_tie_count()
+
+
+def _assert_tie_or_fallback(ctx, before, tie, x, where):
+    # where the bounds straddle a cut: at the cut itself the vectors decide
+    # the tie, counted as one, and next to it the counted exact path runs
+    fallbacks, ties = _kernel_counts(ctx)
+    if x == tie:
+        assert fallbacks == before[0] and ties > before[1], where
+    else:
+        assert fallbacks > before[0], where
+
+
 @pytest.mark.parametrize("name", ["phi", "tribonacci"])
 def test_kernel_fallback_count(name):
     # the kernel's own undecided steps: none along the orbits and oracle
-    # walks of interior points; at least one at every exact tie off l and r
-    # and next to it, where the bounds straddle a cut
+    # walks of interior points; at every tie point off l and r a tie decided
+    # on the vectors, and tie_offset next to it an exact fallback
     ctx = field_from_poly(*LATTICE_BASES[name])
     I = interval_I(ctx)
     schemes = _schemes(ctx)
@@ -591,16 +605,33 @@ def test_kernel_fallback_count(name):
             if scheme is None or scheme.domain.contains(x):
                 _kernel(kind, scheme, x, 40)
         count_representation_branches(x, 10)
-    assert ctx.kernel_fallback_count() == 0
+    assert _kernel_counts(ctx) == (0, 0)
     eps = tie_offset(ctx)
     for kind, tie in _tie_points(ctx):
         if tie in (I.lo, I.hi):
             continue
         scheme = schemes.get(kind)
         for x in filter((scheme.domain if scheme else I).contains, (tie - eps, tie, tie + eps)):
-            before = ctx.kernel_fallback_count()
+            before = _kernel_counts(ctx)
             _kernel(kind, scheme, x, 1)
-            assert ctx.kernel_fallback_count() > before, (kind, x)
+            _assert_tie_or_fallback(ctx, before, tie, x, (kind, x))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_kernel_decides_every_cut_on_the_vectors(name):
+    # one step from each cut of each scheme: the bounds of the state straddle
+    # the cut it equals, and the vectors put it in the cell on the cut's
+    # closed side, with no exact fallback.  The reducible base's vectors are
+    # not canonical (one value has several), so there only the digits and
+    # states are checked
+    ctx = field_from_poly(*WALK_BASES[name])
+    for kind, scheme in _schemes(ctx).items():
+        for cell in scheme.cells[:-1]:
+            x = cell.interval.hi
+            before = _kernel_counts(ctx)
+            assert _kernel(kind, scheme, x, 1) == _exact(kind, scheme, x, 1), (kind, x)
+            if name != "reducible":
+                _assert_tie_or_fallback(ctx, before, x, x, (kind, x))
 
 
 @pytest.mark.parametrize("args", list(OFF_LATTICE_BASES.values()))
@@ -634,13 +665,18 @@ def test_off_lattice_states_are_in_lowest_terms(name):
 
 
 def test_off_lattice_kernel_falls_back_at_the_beta2_breakpoints():
-    # a rational cut is no dyadic number: its 64-bit bounds straddle it, and
-    # the first step from it takes the counted exact fallback
+    # a rational cut is no dyadic number: its 64-bit bounds straddle it.  The
+    # first step from it is a tie on the vectors, and from tie_offset next to
+    # it the counted exact fallback
     ctx = field_from_poly(*OFF_LATTICE_BASES["fourteen-fifths"])
     schemes = _schemes(ctx)
     ties = [(kind, x) for kind, x in _tie_points(ctx) if kind.startswith("beta2")]
     assert len(ties) == 2 * 8
-    for kind, x in ties:
-        before = ctx.kernel_fallback_count()
-        _kernel(kind, schemes[kind], x, 1)
-        assert ctx.kernel_fallback_count() > before, (kind, x)
+    eps = tie_offset(ctx)
+    for kind, tie in ties:
+        for x in (tie - eps, tie, tie + eps):
+            assert schemes[kind].domain.contains(x), (kind, x)
+            before = _kernel_counts(ctx)
+            got = _kernel(kind, schemes[kind], x, 1)
+            _assert_tie_or_fallback(ctx, before, tie, x, (kind, x))
+            assert got == _exact(kind, schemes[kind], x, 1), (kind, x)

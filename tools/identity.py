@@ -8,10 +8,13 @@ and fallback counts on every input below, kind by kind.
 
 The package is imported from the `src` directory next to this script, so
 the same script runs unchanged on any checkout that has these functions.
-Each output line is `base kind records sha256 fallbacks kernel_fallbacks`:
-how far the context's `fallback_count()` and `kernel_fallback_count()`
-rose while that kind's records were made.  A `base set-up` line gives the
-rise while the schemes and points were built, before the first record.
+Each output line is
+`base kind records sha256 fallbacks kernel_fallbacks kernel_ties`: how far
+the context's `fallback_count()`, `kernel_fallback_count()` and
+`kernel_tie_count()` rose while that kind's records were made, the last
+reading 0 on a checkout without `kernel_tie_count`.  A `base set-up` line
+gives the rise while the schemes and points were built, before the first
+record.
 
 Inputs, for each of 13 bases: l, r, every end of a digit subinterval,
 every beta^2 breakpoint and every p/q in I with q <= 15.  Per point:
@@ -153,23 +156,25 @@ def main(argv=None):
     for name, (poly, lo, hi) in BASES.items():
         ctx = nb.field_from_poly(poly, lo, hi)
 
-        def fallbacks():
-            return ctx.fallback_count(), ctx.kernel_fallback_count()
+        ties = getattr(ctx, "kernel_tie_count", lambda: 0)
 
-        before = fallbacks()
+        def counters():
+            return ctx.fallback_count(), ctx.kernel_fallback_count(), ties()
+
+        before = counters()
         schemes, xs = setup(ctx)
-        last = fallbacks()
-        lines.append(f"{name} set-up {last[0] - before[0]} {last[1] - before[1]}")
+        last = counters()
+        lines.append(" ".join(map(str, (name, "set-up", *(y - x for x, y in zip(before, last))))))
         hashes, counts, rises = {}, {}, {}
         # the work between two records is the later record's
         for kind, record in sweep(ctx, schemes, xs):
             hashes.setdefault(kind, hashlib.sha256()).update(record.encode() + b"\n")
             counts[kind] = counts.get(kind, 0) + 1
-            now = fallbacks()
-            f, k = rises.get(kind, (0, 0))
-            rises[kind] = (f + now[0] - last[0], k + now[1] - last[1])
+            now = counters()
+            so_far = rises.get(kind, (0, 0, 0))
+            rises[kind] = tuple(r + y - x for r, x, y in zip(so_far, last, now))
             last = now
-        lines += [f"{name} {kind} {counts[kind]} {h.hexdigest()} {rises[kind][0]} {rises[kind][1]}"
+        lines += [" ".join(map(str, (name, kind, counts[kind], h.hexdigest(), *rises[kind])))
                   for kind, h in hashes.items()]
     Path(args.out).write_text("\n".join(lines) + "\n")
 
