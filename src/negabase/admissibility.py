@@ -36,15 +36,14 @@ prefix is undecided.  Either way, only the bounds whose critical digits
 occur in the word are computed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .field import context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
                       all_pair_digits, build_ito_sadahiro_scheme, interval_I,
                       run_scheme)
-from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail,
+from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _Record, _set,
                     format_word, psi_inverse)
 
 ADMISSIBLE = "admissible"
@@ -108,7 +107,7 @@ class Violation:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     verdict: str
-    violation: Optional[Violation] = None
+    violation: Violation | None = None
 
     @property
     def ok(self):
@@ -119,15 +118,10 @@ class AdmissibilityReport:
 _PLAIN = {v: AdmissibilityReport(v) for v in (ADMISSIBLE, PREFIX_OK, UNDECIDED)}
 
 
-@dataclass(frozen=True)
-class AlphabetInfo:
+class AlphabetInfo(_Record):
     """Minimal greedy alphabet, its lazy mirror, and the fullness predicate."""
 
-    greedy: tuple
-    lazy: tuple
-    max_greedy: PairDigit
-    min_lazy: PairDigit
-    full: bool
+    __slots__ = _fields = ("greedy", "lazy", "max_greedy", "min_lazy", "full")
 
 
 @context_cached
@@ -252,16 +246,17 @@ def _scan(starts, word):
     return rule, where
 
 
-@dataclass(frozen=True)
-class AdmissibilityBound:
+class AdmissibilityBound(_Record):
     """The two reference expansions the admissibility test compares
     against, and the tail automata built from them.  Each is computed the
     first time it is read."""
 
-    ctx: object
-    orbit_budget: int
-    _automata: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    __slots__ = ("ctx", "orbit_budget", "_automata", "__dict__")
+    _fields = ("ctx", "orbit_budget")
+
+    def __init__(self, ctx, orbit_budget):
+        super().__init__(ctx, orbit_budget)
+        _set(self, "_automata", {})
 
     @cached_property
     def top(self):

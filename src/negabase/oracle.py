@@ -25,13 +25,11 @@ come from schemes._descend, the alternating one-step choice iterated on
 the walk's own digit test.
 """
 
-import random
-from dataclasses import dataclass
 from operator import add, iadd
 
-from .field import ExactReal, FieldError
+from .field import FieldError
 from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
-from .words import DigitString, PairDigit, alt_sort_key, psi_expand
+from .words import DigitString, PairDigit, _Record, alt_sort_key, psi_expand
 
 DEFAULT_NODE_BUDGET = 500_000
 MAX_WORD_LENGTH = 4096   # a sampled period's exact value costs superlinear time
@@ -107,14 +105,11 @@ def extremal_prefix(x, depth, which="max"):
     return tuple(a for a, _, _ in _descend(x, depth, 0 if which == "max" else -1))
 
 
-@dataclass(frozen=True)
-class UniqueSample:
+class UniqueSample(_Record):
     """One candidate uniquely-representable number: its periodic digit
     word, exact value, and the branch count observed at the probe depth."""
 
-    word: DigitString
-    value: ExactReal
-    branch_count: int
+    __slots__ = _fields = ("word", "value", "branch_count")
 
     @property
     def unique_at_depth(self):
@@ -138,6 +133,7 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
             raise ValueError(f"{name} must be at least 1")
     if word_length > MAX_WORD_LENGTH:
         raise ValueError(f"word_length must be at most {MAX_WORD_LENGTH}")
+    import random   # here, not at the top: no other command needs it at start-up
     fb = ctx.floor_beta
     rng = random.Random(seed)
     out = []

@@ -30,10 +30,9 @@ from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, PairDigit, pair_sort_key, psi_expand
+from .words import DigitString, PairDigit, _Record, pair_sort_key, psi_expand
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -45,14 +44,11 @@ class DomainError(ValueError):
     """Input outside the domain interval of the operation."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """Interval with exact endpoints and explicit endpoint membership."""
 
-    lo: ExactReal
-    hi: ExactReal
-    lo_closed: bool = True
-    hi_closed: bool = True
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
+    _defaults = {"lo_closed": True, "hi_closed": True}
 
     def contains(self, x):
         s = x.compare(self.lo)
@@ -216,7 +212,7 @@ class Expansion:
 
     word: DigitString
     status: str = STATUS_OK
-    endpoint: Optional[str] = None
+    endpoint: str | None = None
 
     @property
     def ok(self):
@@ -338,15 +334,11 @@ def lazy_breakpoint(ctx, p):
     return deltas[pairs.index(p)]
 
 
-@dataclass(frozen=True)
-class SchemeCell:
-    interval: Interval
-    digit: object
-    value: ExactReal
+class SchemeCell(_Record):
+    __slots__ = _fields = ("interval", "digit", "value")
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(_Record):
     """A (base, domain, digit map) triple with T(x) = base*x - D(x).
 
     The digit map is piecewise constant over the cells, which tile the
@@ -355,9 +347,8 @@ class Scheme:
     domain again.
     """
 
-    base: ExactReal
-    domain: Interval
-    cells: tuple
+    __slots__ = ("base", "domain", "cells", "__dict__")
+    _fields = ("base", "domain", "cells")
 
     def validate(self):
         up = self.base.sign() > 0

@@ -10,19 +10,64 @@ tuples (b, a), standing for the value -b*beta + a, for words over the
 two-digit-at-a-time alphabet of the squared-base system.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from math import lcm
-from typing import NamedTuple
+from operator import attrgetter
 
 LT, EQ, GT = -1, 0, 1
 
+_set = object.__setattr__
 
-class PairDigit(NamedTuple):
+
+class _Record:
+    """An immutable record, as a frozen dataclass is, without generating a
+    class: the fields are the slots named in `_fields` (two or more), set
+    once by the constructor (positionally or by name, the last ones from
+    `_defaults`), and compared, hashed and printed in that order."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        # the tuple of field values, read in C: _values(record)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or len(values) != len(names) \
+                or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            _set(self, name, values[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PairDigit(namedtuple("PairDigit", "b a")):
     """One squared-base digit -b*beta + a, printed as the two-letter word 'b a'."""
 
-    b: int
-    a: int
+    __slots__ = ()
 
     def letters(self):
         return (self.b, self.a)
@@ -49,23 +94,21 @@ def _primitive_period(per):
     return per
 
 
-@dataclass(frozen=True)
-class DigitString:
+class DigitString(_Record):
     """Canonical finite or eventually periodic word: preperiod + period."""
 
-    preperiod: tuple = ()
-    period: tuple = ()
+    __slots__ = _fields = ("preperiod", "period")
 
-    def __post_init__(self):
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
+    def __init__(self, preperiod=(), period=()):
+        pre = tuple(preperiod)
+        per = tuple(period)
         if per:
             per = _primitive_period(per)
             while pre and pre[-1] == per[-1]:
                 pre = pre[:-1]
                 per = (per[-1],) + per[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        _set(self, "preperiod", pre)
+        _set(self, "period", per)
 
     @classmethod
     def finite(cls, digits):
