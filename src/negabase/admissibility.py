@@ -36,15 +36,14 @@ prefix is undecided.  Either way, only the bounds whose critical digits
 occur in the word are computed.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .field import context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
                       all_pair_digits, build_ito_sadahiro_scheme, interval_I,
                       run_scheme)
-from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _Record, _set,
-                    format_word, psi_inverse)
+from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _dataclass_fields,
+                    _Record, _set, format_word, psi_inverse)
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -104,10 +103,12 @@ class Violation:
                 f"factor={self.factor!r})")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    verdict: str
-    violation: Violation | None = None
+class AdmissibilityReport(_Record):
+    """A verdict, and the violation that rejected the word, if it was."""
+
+    __slots__ = _fields = ("verdict", "violation")
+    _defaults = {"violation": None}
+    __dataclass_fields__ = _dataclass_fields
 
     @property
     def ok(self):

@@ -25,14 +25,14 @@ is y in lowest terms.  Either way a value has one state.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, PairDigit, _Record, pair_sort_key, psi_expand
+from .words import (DigitString, PairDigit, _dataclass_fields, _Record, pair_sort_key,
+                    psi_expand)
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -206,13 +206,12 @@ def step_max_digit(x):
     return a, _lowest(x.context, w, E)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Record):
     """A produced digit string plus how it was obtained."""
 
-    word: DigitString
-    status: str = STATUS_OK
-    endpoint: str | None = None
+    __slots__ = _fields = ("word", "status", "endpoint")
+    _defaults = {"status": STATUS_OK, "endpoint": None}
+    __dataclass_fields__ = _dataclass_fields
 
     @property
     def ok(self):

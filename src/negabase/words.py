@@ -24,7 +24,9 @@ class _Record:
     """An immutable record, as a frozen dataclass is, without generating a
     class: the fields are the slots named in `_fields` (two or more), set
     once by the constructor (positionally or by name, the last ones from
-    `_defaults`), and compared, hashed and printed in that order."""
+    `_defaults`), and compared, hashed and printed in that order.  A record
+    whose class sets `__dataclass_fields__ = _dataclass_fields` also passes
+    for a dataclass once something asks."""
 
     __slots__ = ()
     _defaults = {}
@@ -35,6 +37,10 @@ class _Record:
 
     def __init__(self, *args, **kwargs):
         names = self._fields
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                _set(self, name, value)
+            return
         values = {**self._defaults, **dict(zip(names, args)), **kwargs}
         if len(args) > len(names) or len(values) != len(names) \
                 or not kwargs.keys() <= set(names[len(args):]):
@@ -62,6 +68,26 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _DataclassFields:
+    """The `__dataclass_fields__` of a record, built on first read: those of
+    a frozen dataclass with the record's fields and defaults, cached on the
+    class with its `__dataclass_params__`.  dataclasses.replace, fields,
+    asdict and is_dataclass then accept the record, while importing the
+    package does not import dataclasses."""
+
+    def __get__(self, record, cls):
+        import dataclasses
+        specs = [(name, object, cls._defaults[name]) if name in cls._defaults
+                 else (name, object) for name in cls._fields]
+        made = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+        cls.__dataclass_params__ = made.__dataclass_params__
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return made.__dataclass_fields__
+
+
+_dataclass_fields = _DataclassFields()
 
 
 class PairDigit(namedtuple("PairDigit", "b a")):

@@ -391,16 +391,21 @@ def test_closed_stdout_exits_1_without_traceback(unbuffered):
 
 
 def test_cold_import_builds_two_dataclasses_and_loads_neither_typing_nor_random():
-    # without site, whose hooks may load either module, the command's import
-    # path shows what it loads itself
+    # without site, whose hooks may load any of these modules, the import path
+    # of the command and of the bare package shows what each loads itself;
+    # dataclasses comes in only when the probe imports it
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import negabase.cli, dataclasses\n"
+        "import sys; sys.path.insert(0, sys.argv[1]); __import__(sys.argv[2])\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        "import dataclasses\n"
         "print(sorted({'typing', 'random'} & sys.modules.keys()))\n"
         "print(sorted(c.__name__ for n, m in list(sys.modules.items()) if n.startswith('negabase')\n"
         "             for c in vars(m).values() if isinstance(c, type)\n"
         "             and c.__module__ == n and dataclasses.is_dataclass(c)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['AdmissibilityReport', 'Expansion']"]
+    for module in ("negabase.cli", "negabase"):
+        proc = subprocess.run([sys.executable, "-S", "-c", probe, src, module],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "[]", "['AdmissibilityReport', 'Expansion']"], \
+            module

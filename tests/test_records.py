@@ -1,22 +1,29 @@
 """The record contract of the package's value types.
 
-DigitString, Interval, SchemeCell, Scheme, AlphabetInfo, AdmissibilityBound
-and UniqueSample are immutable records: equal only to a record of the same
-class with equal fields, hashed as the tuple of their fields, printed as
-`Name(field=value, ...)`, and closed to assignment.  Expansion and
-AdmissibilityReport stay dataclasses, so dataclasses.replace works on them.
+DigitString, Interval, SchemeCell, Scheme, AlphabetInfo, AdmissibilityBound,
+UniqueSample, Expansion and AdmissibilityReport are immutable records: equal
+only to a record of the same class with equal fields, hashed as the tuple of
+their fields, printed as `Name(field=value, ...)`, and closed to assignment.
+Expansion and AdmissibilityReport also pass for frozen dataclasses, so
+dataclasses.replace, fields and asdict work on them; their dataclass fields
+are built when first read, so importing the package does not import
+dataclasses.
 """
 
 import copy
 import dataclasses
 import pickle
+import pprint
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from negabase import (ADMISSIBLE, REJECTED, STATUS_PERIOD_NOT_FOUND, AdmissibilityBound,
-                      AdmissibilityReport, AlphabetInfo, DigitString, Expansion, Interval,
-                      PairDigit, Scheme, SchemeCell, UniqueSample, Violation,
-                      build_beta2_scheme, interval_I, minimal_alphabet, run_scheme)
+from negabase import (ADMISSIBLE, REJECTED, STATUS_OK, STATUS_PERIOD_NOT_FOUND,
+                      AdmissibilityBound, AdmissibilityReport, AlphabetInfo, DigitString,
+                      Expansion, Interval, PairDigit, Scheme, SchemeCell, UniqueSample,
+                      Violation, build_beta2_scheme, interval_I, minimal_alphabet, run_scheme)
 
 # class, positional fields, every field by name in order, and the repr; plain
 # literals stand in for exact values, which no record checks
@@ -39,6 +46,14 @@ RECORDS = [
     (UniqueSample, (DigitString((), (1,)), "1/2", 1),
      dict(word=DigitString((), (1,)), value="1/2", branch_count=1),
      "UniqueSample(word=DigitString(preperiod=(), period=(1,)), value='1/2', branch_count=1)"),
+    (Expansion, (DigitString((1,)), STATUS_PERIOD_NOT_FOUND, "l"),
+     dict(word=DigitString((1,)), status=STATUS_PERIOD_NOT_FOUND, endpoint="l"),
+     "Expansion(word=DigitString(preperiod=(1,), period=()), status='period-not-found', "
+     "endpoint='l')"),
+    (AdmissibilityReport, (REJECTED, Violation("top", 1, "1:0")),
+     dict(verdict=REJECTED, violation=Violation("top", 1, "1:0")),
+     "AdmissibilityReport(verdict='rejected', "
+     "violation=Violation(rule='top', position=1, factor='1:0'))"),
 ]
 IDS = [r[0].__name__ for r in RECORDS]
 
@@ -83,9 +98,16 @@ def test_construction_defaults_and_errors():
     assert (full.lo_closed, full.hi_closed) == (True, True)
     assert Interval(0, 1, hi_closed=False) == Interval(0, 1, True, False)
     assert Interval(hi=1, lo=0) == full
+    word = DigitString((1,))
+    assert Expansion(word) == Expansion(word, STATUS_OK, None) == Expansion(word=word)
+    assert Expansion(word, endpoint="r") == Expansion(word, STATUS_OK, "r")
+    assert AdmissibilityReport(ADMISSIBLE) == AdmissibilityReport(ADMISSIBLE, None)
+    assert AdmissibilityReport(violation=None, verdict=REJECTED).violation is None
     for make in (lambda: Interval(0), lambda: Interval(0, 1, True, True, True),
                  lambda: Interval(0, 1, lo=0), lambda: Interval(0, 1, width=1),
-                 lambda: SchemeCell(1, 2), lambda: DigitString((), (), ())):
+                 lambda: SchemeCell(1, 2), lambda: DigitString((), (), ()),
+                 lambda: Expansion(), lambda: Expansion(word, status=STATUS_OK, verdict=1),
+                 lambda: AdmissibilityReport(ADMISSIBLE, None, None)):
         with pytest.raises(TypeError):
             make()
 
@@ -95,6 +117,11 @@ def test_copy_and_pickle_keep_the_record():
     for twin in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
         assert twin == word and repr(twin) == repr(word)
     assert copy.copy(Interval(0, 1, False)) == Interval(0, 1, False)
+    for cls, args, kwargs, text in RECORDS:
+        record = cls(*args)
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and repr(twin) == text
 
 
 def test_bound_caches_stay_out_of_equality(phi):
@@ -131,6 +158,41 @@ def test_expansion_and_report_stay_dataclasses():
     violation = Violation("top", 1, "1:0")
     rejected = dataclasses.replace(report, verdict=REJECTED, violation=violation)
     assert rejected == AdmissibilityReport(REJECTED, violation) and not rejected.ok
+    missing = dataclasses.MISSING
+    assert [(f.name, f.default) for f in dataclasses.fields(exp)] \
+        == [("word", missing), ("status", STATUS_OK), ("endpoint", None)]
+    assert [(f.name, f.default) for f in dataclasses.fields(AdmissibilityReport)] \
+        == [("verdict", missing), ("violation", None)]
+    assert dataclasses.asdict(moved) \
+        == {"word": word, "status": STATUS_PERIOD_NOT_FOUND, "endpoint": None}
+    assert dataclasses.asdict(rejected) == {"verdict": REJECTED, "violation": violation}
+    assert dataclasses.is_dataclass(Expansion) and dataclasses.is_dataclass(rejected)
+    assert not dataclasses.is_dataclass(Interval)
+    # pprint asks for the dataclass parameters of a dataclass that outgrows a line
+    long = Expansion(DigitString(tuple(range(30))))
+    assert pprint.pformat(long, width=20).replace("\n", "").replace(" ", "") \
+        == repr(long).replace(" ", "")
+
+
+def test_dataclass_fields_are_built_when_first_read():
+    # dataclasses.replace on records of a package imported without dataclasses
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from negabase import ADMISSIBLE, REJECTED, AdmissibilityReport, phi_field\n"
+        "from negabase import greedy_neg_beta, parse_element\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "import dataclasses\n"
+        "exp = greedy_neg_beta(parse_element('-1/2', phi_field()))\n"
+        "print(dataclasses.replace(exp, endpoint='r'))\n"
+        "print(dataclasses.replace(AdmissibilityReport(ADMISSIBLE), verdict=REJECTED))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "Expansion(word=DigitString(preperiod=(), period=(1, 1, 1, 0, 0, 0)), status='ok', "
+        "endpoint='r')",
+        "AdmissibilityReport(verdict='rejected', violation=None)"]
 
 
 def test_pair_digit_is_a_named_tuple():
