@@ -5,9 +5,14 @@ Output is human text by default or a self-describing JSON report with
 --json; exact values are always serialized as rational coefficient
 vectors, never as floats.
 
-Exit codes: 0 on success, 2 on parse or domain errors, 3 when a result
-is UNDECIDED or a period was not found within the orbit budget, 1 when
-standard output is closed before the report (or --help) is written.
+Each handler returns (status, fields, lines); `_run` alone writes the
+envelope.  A JSON report begins `schema`, `command`, `status`, `base`
+(then `interval`, `x` where there is an --x); an error document is
+exactly `schema`, `command`, `status` ("ERROR"), `error`.  Text ends in
+`status: X` when X is not OK.  Exit codes (`_EXIT`): 0 for OK, 2 on
+parse or domain errors, 3 when a result is UNDECIDED or a period was
+not found within the orbit budget; 1 when standard output is closed
+before the report (or --help) is written.
 """
 
 import argparse
@@ -21,8 +26,7 @@ from .admissibility import (UNDECIDED, golden_forbidden_factor_check,
                             ito_sadahiro_admissible, minimal_alphabet,
                             reference_bounds)
 from .field import phi_field
-from .oracle import (DEFAULT_NODE_BUDGET, BranchBudgetError,
-                     count_representation_branches, enumerate_prefixes,
+from .oracle import (DEFAULT_NODE_BUDGET, BranchBudgetError, enumerate_prefixes,
                      sample_unique_numbers)
 from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, build_beta2_scheme,
                       build_ito_sadahiro_scheme, eval_beta2_pairs,
@@ -33,7 +37,7 @@ from .words import DigitString, _code, _compare_tail, format_word, parse_word
 
 SCHEMA_VERSION = 1
 
-_EXIT_SOFT = {"PERIOD_NOT_FOUND", "UNDECIDED"}
+_EXIT = {"OK": 0, "ERROR": 2, "UNDECIDED": 3, "PERIOD_NOT_FOUND": 3}
 
 
 def _budget(name, default):
@@ -71,13 +75,17 @@ def _base_info(text, ctx):
     }
 
 
-def _interval_info(ctx):
+def _point(args):
+    """The context and point of --base and --x, with the report's `base`,
+    `interval` and `x` fields."""
+    ctx = parse_base(args.base)
+    x = parse_element(args.x, ctx)
     I = interval_I(ctx)
-    return {"l": coeff_vector(I.lo), "r": coeff_vector(I.hi)}
-
-
-def _element_info(text, x):
-    return {"text": text, "coeffs": coeff_vector(x)}
+    return ctx, x, {
+        "base": _base_info(args.base, ctx),
+        "interval": {"l": coeff_vector(I.lo), "r": coeff_vector(I.hi)},
+        "x": {"text": args.x, "coeffs": coeff_vector(x)},
+    }
 
 
 def _expansion_info(exp):
@@ -91,19 +99,11 @@ def _expansion_info(exp):
     }
 
 
-def _status_of(*statuses):
-    for bad in ("ERROR", "UNDECIDED", "PERIOD_NOT_FOUND"):
-        if bad in statuses:
-            return bad
-    return "OK"
-
-
 # -- commands -------------------------------------------------------------------
 
 
 def _cmd_expand(args):
-    ctx = parse_base(args.base)
-    x = parse_element(args.x, ctx)
+    ctx, x, fields = _point(args)
     budget = _orbit_budget()
     depth = _bounded_depth(args.depth, budget)
     kind = args.kind
@@ -114,12 +114,10 @@ def _cmd_expand(args):
         exp = lazy_neg_beta(x, depth, budget)
     elif kind == "is":
         exp = run_scheme(build_ito_sadahiro_scheme(ctx), x, depth, budget)
-    elif kind in ("beta2-greedy", "beta2-lazy"):
+    else:   # beta2-greedy or beta2-lazy: argparse checks the choices
         scheme = build_beta2_scheme(ctx, kind.split("-")[1])
         exp = run_scheme(scheme, x, depth, budget)
         evaluate = eval_beta2_pairs
-    else:  # pragma: no cover
-        raise ParseError(f"unknown kind {kind!r}")
     evaluated = round_trip = None
     if exp.ok:
         # a prefix cut off by the orbit budget is not a value of x; its
@@ -127,13 +125,7 @@ def _cmd_expand(args):
         value = evaluate(ctx, exp.word)
         evaluated, round_trip = coeff_vector(value), value == x
     info = _expansion_info(exp)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "expand",
-        "status": _status_of(info["status"]),
-        "base": _base_info(args.base, ctx),
-        "interval": _interval_info(ctx),
-        "x": _element_info(args.x, x),
+    fields |= {
         "kind": kind,
         "result": info,
         "evaluated": evaluated,
@@ -146,7 +138,7 @@ def _cmd_expand(args):
     ]
     if exp.ok:
         lines.append(f"  round-trip exact: {'yes' if round_trip else 'no'}")
-    return report, lines
+    return info["status"], fields, lines
 
 
 _VERDICT_TEXT = {True: "ACCEPT", False: "REJECT"}
@@ -166,9 +158,10 @@ def _cmd_admissible(args):
     else:
         if args.level is not None:
             raise ParseError("--level applies only to --pairs words")
-        if args.base is not None and parse_base(args.base) != phi_field():
-            raise ParseError("binary admissibility checks are golden-ratio presets")
         ctx = phi_field()
+        # x^2 - x - 1 has one root above 1, whatever bracket holds it
+        if args.base is not None and parse_base(args.base).min_poly != ctx.min_poly:
+            raise ParseError("binary admissibility checks are golden-ratio presets")
         base_info = _base_info("phi", ctx)
         if args.binary_golden is not None:
             word = parse_word(args.binary_golden)
@@ -180,10 +173,7 @@ def _cmd_admissible(args):
             rep = ito_sadahiro_admissible(word)
         word_text = format_word(word)
     status = "UNDECIDED" if rep.verdict == UNDECIDED else "OK"
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "admissible",
-        "status": status,
+    fields = {
         "base": base_info,
         "level": level,
         "word": word_text,
@@ -200,16 +190,13 @@ def _cmd_admissible(args):
     if rep.violation is not None:
         v = rep.violation
         lines.append(f"  {v.rule} rule fails at position {v.position}: {v.factor}")
-    return report, lines
+    return status, fields, lines
 
 
 def _cmd_alphabet(args):
     ctx = parse_base(args.base)
     alpha = minimal_alphabet(ctx)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "alphabet",
-        "status": "OK",
+    fields = {
         "base": _base_info(args.base, ctx),
         "greedy_alphabet": [p.text() for p in alpha.greedy],
         "lazy_alphabet": [p.text() for p in alpha.lazy],
@@ -219,13 +206,13 @@ def _cmd_alphabet(args):
         "pair_count": (ctx.floor_beta + 1) ** 2,
     }
     lines = [
-        f"greedy alphabet: {' '.join(report['greedy_alphabet'])}"
-        f" (max {report['max_greedy']})",
-        f"lazy alphabet:   {' '.join(report['lazy_alphabet'])}"
-        f" (min {report['min_lazy']})",
-        f"uses all {report['pair_count']} pair digits: {'yes' if alpha.full else 'no'}",
+        f"greedy alphabet: {' '.join(fields['greedy_alphabet'])}"
+        f" (max {fields['max_greedy']})",
+        f"lazy alphabet:   {' '.join(fields['lazy_alphabet'])}"
+        f" (min {fields['min_lazy']})",
+        f"uses all {fields['pair_count']} pair digits: {'yes' if alpha.full else 'no'}",
     ]
-    return report, lines
+    return "OK", fields, lines
 
 
 def _cmd_unique(args):
@@ -234,10 +221,7 @@ def _cmd_unique(args):
                                     samples=args.samples, depth=args.depth,
                                     node_budget=_node_budget())
     all_unique = all(r.branch_count == 1 for r in records)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "unique",
-        "status": "OK",
+    fields = {
         "base": _base_info(args.base, ctx),
         "depth": args.depth,
         "samples": [
@@ -254,7 +238,7 @@ def _cmd_unique(args):
     lines = [f"{format_word(r.word)} -> {r.branch_count} branch(es) at depth "
              f"{args.depth}" for r in records]
     lines.append(f"all unique at depth {args.depth}: {'yes' if all_unique else 'no'}")
-    return report, lines
+    return "OK", fields, lines
 
 
 _ORDER_TEXT = {-1: "LT", 0: "EQ", 1: "GT"}
@@ -268,31 +252,22 @@ def _order_verdict(a, b):
 
 
 def _cmd_branches(args):
-    ctx = parse_base(args.base)
-    x = parse_element(args.x, ctx)
-    depth = args.depth
-    prefixes = enumerate_prefixes(x, depth, _node_budget())
+    _, x, fields = _point(args)
+    prefixes = enumerate_prefixes(x, args.depth, _node_budget())
     count = len(prefixes)
     words = [format_word(DigitString.finite(p)) for p in prefixes]
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "branches",
-        "status": "OK",
-        "base": _base_info(args.base, ctx),
-        "interval": _interval_info(ctx),
-        "x": _element_info(args.x, x),
-        "depth": depth,
+    fields |= {
+        "depth": args.depth,
         "count": count,
         "prefixes": words,
     }
-    lines = [f"{count} extendable prefix(es) at depth {depth}"]
+    lines = [f"{count} extendable prefix(es) at depth {args.depth}"]
     lines.extend(f"  {w}" for w in words)
-    return report, lines
+    return "OK", fields, lines
 
 
 def _cmd_compare(args):
-    ctx = parse_base(args.base)
-    x = parse_element(args.x, ctx)
+    ctx, x, fields = _point(args)
     budget = _orbit_budget()
     depth = _bounded_depth(args.depth, budget)
     is_scheme = build_ito_sadahiro_scheme(ctx)
@@ -308,15 +283,10 @@ def _cmd_compare(args):
         "lazy_vs_is": _order_verdict(lazy, isexp),
         "is_vs_greedy": _order_verdict(isexp, greedy),
     }
-    status = _status_of(*(i["status"] for i in infos.values()),
-                        *("UNDECIDED" for v in verdicts.values() if v == "UNDECIDED"))
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "compare",
-        "status": status,
-        "base": _base_info(args.base, ctx),
-        "interval": _interval_info(ctx),
-        "x": _element_info(args.x, x),
+    # an undecided verdict outranks a period not found
+    seen = {*verdicts.values(), *(i["status"] for i in infos.values())}
+    status = next((s for s in ("UNDECIDED", "PERIOD_NOT_FOUND") if s in seen), "OK")
+    fields |= {
         "expansions": infos,
         "alternate_order": verdicts,
     }
@@ -327,7 +297,7 @@ def _cmd_compare(args):
         f"lazy {verdicts['lazy_vs_is']} ito-sadahiro, "
         f"ito-sadahiro {verdicts['is_vs_greedy']} greedy",
     ]
-    return report, lines
+    return status, fields, lines
 
 
 # -- driver --------------------------------------------------------------------
@@ -353,9 +323,6 @@ def _build_parser():
                     "base, with exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
     p = sub.add_parser("expand", help="digit expansion of a point")
     p.add_argument("--base", required=True)
     p.add_argument("--x", required=True)
@@ -363,7 +330,6 @@ def _build_parser():
                    choices=["greedy", "lazy", "is", "beta2-greedy", "beta2-lazy"])
     p.add_argument("--depth", type=int, default=None,
                    help="finite depth; omit to detect the period")
-    add_common(p)
 
     p = sub.add_parser("admissible", help="admissibility of a digit word")
     p.add_argument("--base")
@@ -372,31 +338,28 @@ def _build_parser():
     group.add_argument("--binary-golden", help="binary word, greedy shape test")
     group.add_argument("--binary-is", help="binary word, Ito-Sadahiro test")
     p.add_argument("--level", choices=["pairs-greedy", "pairs-lazy"])
-    add_common(p)
 
     p = sub.add_parser("alphabet", help="minimal greedy/lazy pair alphabets")
     p.add_argument("--base", required=True)
-    add_common(p)
 
     p = sub.add_parser("unique", help="sample uniquely representable numbers")
     p.add_argument("--base", required=True)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--length", type=int, default=6)
-    add_common(p)
 
     p = sub.add_parser("branches", help="enumerate representation prefixes")
     p.add_argument("--base", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--depth", type=int, default=10)
-    add_common(p)
 
     p = sub.add_parser("compare", help="greedy vs lazy vs Ito-Sadahiro")
     p.add_argument("--base", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--depth", type=int, default=None)
-    add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
@@ -434,23 +397,21 @@ def main(argv=None):
 
 def _run(args):
     try:
-        report, lines = _HANDLERS[args.command](args)
+        status, fields, lines = _HANDLERS[args.command](args)
     except (ValueError, BranchBudgetError) as exc:
-        if args.json:
-            err = {"schema": SCHEMA_VERSION, "command": args.command,
-                   "status": "ERROR", "error": str(exc)}
-            print(json.dumps(err, indent=2))
-        else:
+        if not args.json:
             print(f"error: {exc}", file=sys.stderr)
-        return 2
+            return _EXIT["ERROR"]
+        status, fields = "ERROR", {"error": str(exc)}
     if args.json:
-        print(json.dumps(report, indent=2))
+        report = {"schema": SCHEMA_VERSION, "command": args.command, "status": status}
+        print(json.dumps(report | fields, indent=2))
     else:
         for line in lines:
             print(line)
-        if report["status"] != "OK":
-            print(f"status: {report['status']}")
-    return 0 if report["status"] == "OK" else 3 if report["status"] in _EXIT_SOFT else 2
+        if status != "OK":
+            print(f"status: {status}")
+    return _EXIT[status]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -163,7 +163,7 @@ class _PolyParser:
             if kind != "op" or val != ")":
                 raise ParseError("missing closing parenthesis")
             return inner
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError("unexpected end of input" if kind is None else f"unexpected token {val!r}")
 
 
 def parse_polynomial(text, var):

@@ -150,8 +150,14 @@ def _nested(core):
     (("alphabet", "--base", "root(x^2-3, 1, ((2^100)^100)^100)"), "bad rational literal"),
     (("expand", "--base", "phi", "--x", "(((2^100)^100)^100)^100", "--depth", "1"),
      "a power of about 1000100 bits is above 65536"),
+    # input that stops where a term is due names its end, not the parser's end marker
+    (("expand", "--base", "phi", "--x", "("), "unexpected end of input"),
+    (("expand", "--base", "phi", "--x", "1+"), "unexpected end of input"),
+    (("expand", "--base", "phi", "--x", "2*"), "unexpected end of input"),
+    (("expand", "--base", "phi", "--x", "-"), "unexpected end of input"),
+    (("alphabet", "--base", "root(, 1, 2)"), "unexpected end of input"),
 ], ids=["base-nesting", "base-degree", "end-nesting", "end-degree", "x-nesting", "x-degree",
-        "end-bits", "x-bits"])
+        "end-bits", "x-bits", "x-open", "x-plus", "x-times", "x-minus", "base-empty"])
 def test_parse_errors_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and not out and err.startswith(f"error: {message}")
@@ -199,6 +205,16 @@ class TestAdmissible:
     def test_binary_checks_refuse_other_bases(self, capsys):
         code, _, err = run_cli(capsys, "admissible", "--base", "7/4", "--binary-is", "100")
         assert code == 2 and "golden-ratio presets" in err
+
+    @pytest.mark.parametrize("base", ["root(x^2-x-1, 3/2, 2)", "root(2x^2-2x-2, 1, 2)"])
+    def test_binary_checks_take_phi_in_any_bracket(self, capsys, base):
+        # x^2 - x - 1 has one root above 1, so any bracket that holds it names phi
+        code, rep = run_json(capsys, "admissible", "--base", base, "--binary-golden", "1010")
+        assert code == 0 and rep["accepted"] is True
+        assert rep["base"] == {"text": "phi", "min_poly": [-1, -1, 1],
+                               "isolating_interval": ["1", "2"], "floor": 1}
+        code, out, _ = run_cli(capsys, "admissible", "--base", base, "--binary-is", "(100)")
+        assert code == 0 and out.startswith("ACCEPT: (100) ")
 
     def test_level_needs_pairs(self, capsys):
         # a binary word has no pair level: refused, not checked at its own level
@@ -409,3 +425,52 @@ def test_cold_import_builds_two_dataclasses_and_loads_neither_typing_nor_random(
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "[]", "['AdmissibilityReport', 'Expansion']"], \
             module
+
+
+ENVELOPE_ARGV = [
+    ("expand", "--base", "phi", "--x", "-1/2"),
+    ("admissible", "--binary-is", "(100)"),
+    ("alphabet", "--base", "phi"),
+    ("unique", "--base", "2.8", "--samples", "1", "--depth", "4"),
+    ("branches", "--base", "phi", "--x", "-1/2", "--depth", "4"),
+    ("compare", "--base", "phi", "--x", "-1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_ARGV, ids=[a[0] for a in ENVELOPE_ARGV])
+def test_report_envelope(capsys, argv):
+    # one driver writes the envelope: a report begins schema, command, status,
+    # base (then interval and x where there is an --x)
+    code, rep = run_json(capsys, *argv)
+    head = ["schema", "command", "status", "base"]
+    if "--x" in argv:
+        head += ["interval", "x"]
+    assert code == 0 and list(rep)[:len(head)] == head
+    assert (rep["schema"], rep["command"], rep["status"]) == (1, argv[0], "OK")
+    # an error document carries the envelope and the error alone
+    code, rep = run_json(capsys, *argv[:2], "bogus", *argv[3:])
+    assert code == 2 and list(rep) == ["schema", "command", "status", "error"]
+    assert (rep["schema"], rep["command"], rep["status"]) == (1, argv[0], "ERROR")
+
+
+@pytest.mark.parametrize("budget, argv, status", [
+    (None, ("expand", "--base", "phi", "--x", "-1/2"), "OK"),
+    ("25", ("expand", "--base", "phi", "--x", "104729/1048576"), "PERIOD_NOT_FOUND"),
+    ("25", ("compare", "--base", "phi", "--x", "104729/1048576"), "PERIOD_NOT_FOUND"),
+    (None, ("compare", "--base", "tribonacci", "--x", "3/10", "--depth", "60"), "UNDECIDED"),
+    ("3", ("admissible", "--base", "7/4", "--pairs", "1:1.0:0.1:1.0:0(1:0)"), "UNDECIDED"),
+    (None, ("expand", "--base", "phi", "--x", "5"), "ERROR"),
+], ids=["expand-ok", "expand-period", "compare-period", "compare-undecided",
+        "admissible-undecided", "expand-error"])
+def test_exit_table(capsys, monkeypatch, budget, argv, status):
+    # each status a report can carry has one exit code, in one table
+    from negabase.cli import _EXIT
+
+    if budget is not None:
+        monkeypatch.setenv("NEGABASE_ORBIT_BUDGET", budget)
+    code, rep = run_json(capsys, *argv)
+    assert rep["status"] == status and code == _EXIT[status]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == _EXIT[status]
+    assert out.endswith(f"status: {status}\n") == (status not in ("OK", "ERROR"))
+    assert _EXIT == {"OK": 0, "ERROR": 2, "UNDECIDED": 3, "PERIOD_NOT_FOUND": 3}
