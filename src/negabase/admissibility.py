@@ -38,7 +38,7 @@ occur in the word are computed.
 
 from functools import cached_property
 
-from .field import context_cached, phi_field
+from .field import ContextMismatchError, context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
                       all_pair_digits, build_ito_sadahiro_scheme, interval_I,
                       run_scheme)
@@ -61,46 +61,25 @@ _TAIL_TABLE_BUDGET = 1 << 20
 _BOTH = frozenset((RULE_TOP, RULE_MID))
 
 
-class Violation:
+class Violation(_Record):
     """Where a rule fails: the rule, the 1-based digit position, and the
-    digits there as text (`factor`).  Equal violations agree in all three."""
+    digits there as text (`factor`).  A check's violation formats its
+    factor the first time it is read."""
 
     __slots__ = ("rule", "position", "_factor", "_span")
-
-    def __init__(self, rule, position, factor):
-        self.rule = rule
-        self.position = position
-        self._factor = factor
-        self._span = None
-
-    @classmethod
-    def _at(cls, rule, position, word, start, length):
-        """A violation whose factor is the `length` digits of `word` from
-        0-based `start`, formatted the first time it is read."""
-        v = cls(rule, position, None)
-        v._span = (word, start, length)
-        return v
+    _fields = ("rule", "position", "factor")
 
     @property
     def factor(self):
-        if self._factor is None:
-            self._factor = _factor_text(*self._span)
+        if self._span is not None:   # a check's violation, read for the first time
+            _set(self, "_factor", _factor_text(*self._span))
+            _set(self, "_span", None)
         return self._factor
 
-    def _key(self):
-        return self.rule, self.position, self.factor
-
-    def __eq__(self, other):
-        if not isinstance(other, Violation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Violation(rule={self.rule!r}, position={self.position!r}, "
-                f"factor={self.factor!r})")
+    @factor.setter
+    def factor(self, text):   # the record's constructor sets the field here
+        _set(self, "_factor", text)
+        _set(self, "_span", None)
 
 
 class AdmissibilityReport(_Record):
@@ -366,6 +345,8 @@ def _by_critical_digit(coded, bounds, critical):
 def _pair_check(word, ctx, bounds, lazy):
     if bounds is None:
         bounds = reference_bounds(ctx)
+    elif bounds.ctx is not ctx and bounds.ctx != ctx:
+        raise ContextMismatchError("bounds of a different base")
     tails = bounds._automata.get(_BOTH)
     if tails is None:
         letters = _pair_letters(ctx)
@@ -374,27 +355,34 @@ def _pair_check(word, ctx, bounds, lazy):
         rules = tuple(dict.fromkeys(critical[r] for r in coded[0] if r in critical))
         tails = bounds._tails(rules)
         if tails is None:
-            return _pair_report(word, *_by_critical_digit(coded, bounds, critical))
+            rule, where, undecided = _by_critical_digit(coded, bounds, critical)
+            return _report(word, rule, where, 4, undecided)
     try:
-        found = _scan(tails[lazy], word)
+        rule, where = _scan(tails[lazy], word)
     except KeyError:
         _ranked(word, _pair_letters(ctx)[lazy], lazy)   # names the first digit outside
         raise
-    return _pair_report(word, *found)
+    return _report(word, rule, where, 4)
 
 
-def _pair_report(word, rule, where, undecided=False):
-    if rule is not None:
-        return AdmissibilityReport(REJECTED, Violation._at(rule, where + 1, word, where, 4))
-    if not word.period:
-        return _PLAIN[PREFIX_OK]
-    return _PLAIN[UNDECIDED if undecided else ADMISSIBLE]
+def _report(word, rule, where, length, undecided=False):
+    """The verdict on `word`: rejected by `rule` at the 0-based digit
+    `where`, the violation's factor being the `length` digits from there;
+    else prefix-ok for a finite word, undecided or admissible."""
+    if rule is None:
+        return _PLAIN[PREFIX_OK if not word.period else UNDECIDED if undecided else ADMISSIBLE]
+    violation = Violation.__new__(Violation)   # its factor is formatted when first read
+    _set(violation, "rule", rule)
+    _set(violation, "position", where + 1)
+    _set(violation, "_span", (word, where, length))
+    return AdmissibilityReport(REJECTED, violation)
 
 
 def is_admissible_greedy(word, ctx, bounds=None):
     """Admissibility of a pair-digit string over the minimal greedy
     alphabet: every tail after a critical digit must stay below its bound.
-    A finite string can only be screened for violations within the word."""
+    A finite string can only be screened for violations within the word.
+    Bounds of another base raise ContextMismatchError."""
     return _pair_check(word, ctx, bounds, False)
 
 
@@ -434,14 +422,11 @@ def golden_forbidden_factor_check(word):
     letters = pairs.preperiod + pairs.period
     # the first 0:1, the one pair outside phi's minimal alphabet, is the verdict
     if _GOLDEN_OUTSIDE in letters:
-        k, length = letters.index(_GOLDEN_OUTSIDE) + 1, 2
-    else:
-        report = is_admissible_greedy(pairs, phi)
-        if report.violation is None:
-            return report
-        k, length = report.violation.position, 8
-    return AdmissibilityReport(
-        REJECTED, Violation._at(RULE_FACTOR, 2 * k - 1, word, 2 * k - 2, length))
+        return _report(word, RULE_FACTOR, 2 * letters.index(_GOLDEN_OUTSIDE), 2)
+    report = is_admissible_greedy(pairs, phi)
+    if report.violation is None:
+        return report
+    return _report(word, RULE_FACTOR, 2 * report.violation.position - 2, 8)
 
 
 @context_cached
@@ -467,7 +452,4 @@ def ito_sadahiro_admissible(word):
     (d(l) = 1(0) is not purely periodic), so 0s is below d*(r) exactly when
     s is above d(l): one comparison per tail settles both."""
     _require_binary(word)
-    rule, where = _scan(_ito_sadahiro_tails(phi_field()), word)
-    if rule is not None:
-        return AdmissibilityReport(REJECTED, Violation._at(rule, where + 1, word, where, 8))
-    return _PLAIN[ADMISSIBLE if word.period else PREFIX_OK]
+    return _report(word, *_scan(_ito_sadahiro_tails(phi_field()), word), 8)

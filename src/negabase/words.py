@@ -22,8 +22,9 @@ _set = object.__setattr__
 
 class _Record:
     """An immutable record, as a frozen dataclass is, without generating a
-    class: the fields are the slots named in `_fields` (two or more), set
-    once by the constructor (positionally or by name, the last ones from
+    class: the fields named in `_fields` (two or more) are slots, or
+    properties whose setter the constructor calls (Violation's lazy factor),
+    set once by the constructor (positionally or by name, the last ones from
     `_defaults`), and compared, hashed and printed in that order.  A record
     whose class sets `__dataclass_fields__ = _dataclass_fields` also passes
     for a dataclass once something asks."""

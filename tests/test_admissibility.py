@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -10,14 +12,14 @@ import negabase.admissibility as adm
 from helpers import (PairReference, all_words, eventually_periodic_words,
                      forbidden_factor_reject, golden_reference,
                      ito_sadahiro_reference, random_point, report_tuple)
-from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, DigitString,
-                      Interval, PairDigit, Violation, build_beta2_scheme,
+from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, ContextMismatchError,
+                      DigitString, Interval, PairDigit, Violation, build_beta2_scheme,
                       build_ito_sadahiro_scheme, complement_pairs,
                       eval_neg_beta, field_from_poly,
                       golden_forbidden_factor_check, greedy_breakpoint,
                       interval_I, is_admissible_greedy, is_admissible_lazy,
-                      ito_sadahiro_admissible, minimal_alphabet, phi_field,
-                      psi_inverse, rational_field, reference_bounds,
+                      ito_sadahiro_admissible, minimal_alphabet, parse_word,
+                      phi_field, psi_inverse, rational_field, reference_bounds,
                       restricted_scheme, run_scheme, tribonacci_field)
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
@@ -527,6 +529,19 @@ class TestTailAutomaton:
             with pytest.raises(ValueError, match=r"PairDigit\(b=1, a=0\) outside the minimal lazy"):
                 is_admissible_lazy(DigitString((B, A, bad), (C,)), phi, bounds)
 
+    def test_bounds_of_another_base_are_refused(self, phi):
+        # phi's letter ranks read against Tribonacci's bounds would accept this word
+        word = parse_word("1:1.0:0(1:0)", pair=True)
+        mirror = complement_pairs(word, phi.floor_beta)
+        tribonacci = reference_bounds(tribonacci_field())
+        twin = field_from_poly(phi.min_poly, 1, 2)   # equal to phi, not the same object
+        assert twin is not phi
+        for check, w in ((is_admissible_greedy, word), (is_admissible_lazy, mirror)):
+            assert check(w, phi).verdict == REJECTED
+            with pytest.raises(ContextMismatchError):
+                check(w, phi, tribonacci)
+            assert check(w, twin, reference_bounds(phi)).verdict == REJECTED
+
     def test_trigger_free_words_compute_no_bound(self, monkeypatch):
         ctx = rational_field(Fraction(7, 4))
         monkeypatch.setattr(adm, "run_scheme", lambda *a, **k: pytest.fail("bound computed"))
@@ -561,6 +576,15 @@ class TestLazyViolationText:
         assert v != Violation("mid-digit", 2, "1:1.0:0")
         assert v != Violation("top-digit", 2, "1:1.0:0.1:0")
         assert repr(v) == "Violation(rule='mid-digit', position=2, factor='1:1.0:0.1:0')"
+
+    def test_copy_and_pickle_keep_a_lazy_violation(self, phi):
+        eager = Violation("mid-digit", 2, "1:1.0:0.1:0")
+        for duplicate in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            v = is_admissible_greedy(DigitString.finite((A, B, C, A)), phi).violation
+            assert v._span is not None   # the text is not formatted yet
+            twin = duplicate(v)
+            assert type(twin) is Violation and twin == eager == v
+            assert repr(twin) == repr(eager) == repr(v)
 
 
 ENTROPY_BASES = {

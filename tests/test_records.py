@@ -1,13 +1,13 @@
 """The record contract of the package's value types.
 
 DigitString, Interval, SchemeCell, Scheme, AlphabetInfo, AdmissibilityBound,
-UniqueSample, Expansion and AdmissibilityReport are immutable records: equal
-only to a record of the same class with equal fields, hashed as the tuple of
-their fields, printed as `Name(field=value, ...)`, and closed to assignment.
-Expansion and AdmissibilityReport also pass for frozen dataclasses, so
-dataclasses.replace, fields and asdict work on them; their dataclass fields
-are built when first read, so importing the package does not import
-dataclasses.
+UniqueSample, Expansion, Violation and AdmissibilityReport are immutable
+records: equal only to a record of the same class with equal fields, hashed
+as the tuple of their fields, printed as `Name(field=value, ...)`, and closed
+to assignment.  Expansion and AdmissibilityReport also pass for frozen
+dataclasses, so dataclasses.replace, fields and asdict work on them; their
+dataclass fields are built when first read, so importing the package does
+not import dataclasses.
 """
 
 import copy
@@ -50,6 +50,8 @@ RECORDS = [
      dict(word=DigitString((1,)), status=STATUS_PERIOD_NOT_FOUND, endpoint="l"),
      "Expansion(word=DigitString(preperiod=(1,), period=()), status='period-not-found', "
      "endpoint='l')"),
+    (Violation, ("top-digit", 1, "1:0"), dict(rule="top-digit", position=1, factor="1:0"),
+     "Violation(rule='top-digit', position=1, factor='1:0')"),
     (AdmissibilityReport, (REJECTED, Violation("top", 1, "1:0")),
      dict(verdict=REJECTED, violation=Violation("top", 1, "1:0")),
      "AdmissibilityReport(verdict='rejected', "

@@ -24,11 +24,21 @@ the restricted scheme at depths 1, 7 and 30 and by period at budgets
 step digits with their remainders and `feasible_digits`; and, for the
 first 40 points and every point with q <= 7, `enumerate_prefixes`,
 `count_representation_branches` and both `extremal_prefix` at depths
-8-10.  An error is recorded as its class and text.
+8-10.  Admissibility, for each base: 150 seeded pair words over the
+minimal greedy alphabet, most of them built from critical digits each
+followed by a piece of its reference bound, sometimes all of a bound cut
+by its budget; the greedy check on each word and the lazy check on its
+complement, against the reference bounds at budgets 299-301.  On phi
+also both binary checks on every finite and every eventually periodic
+binary word of at most 10 letters.  A report is recorded as its verdict
+and the rule, position and factor of its violation.  An error is
+recorded as its class and text.
 """
 
 import argparse
 import hashlib
+import itertools
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +67,7 @@ BUDGETS = (299, 300, 301)
 ORACLE_DEPTHS = (8, 9, 10)
 ORACLE_POINTS, ORACLE_DEN = 40, 7
 MAX_DEN = 15
+PAIR_WORDS, BINARY_LENGTH = 150, 10
 
 
 def attempt(fn, *args):
@@ -148,6 +159,70 @@ def sweep(ctx, schemes, xs):
                     yield f"extremal-{which}", f"{text} {depth} {r}"
 
 
+def pair_words(ctx, rng):
+    """Seeded pair words over the minimal greedy alphabet: pieces that are
+    one letter, or a critical digit and a prefix of the bound that follows
+    it, so that the checks reject, accept and run past a bound cut by its
+    budget."""
+    alpha = nb.minimal_alphabet(ctx)
+    bounds = nb.reference_bounds(ctx, BUDGETS[1])
+    mids = [p for p in alpha.greedy if p.b >= 1 and p.a == ctx.floor_beta]
+
+    def piece():
+        if rng.random() < 0.4:
+            return [rng.choice(alpha.greedy)]
+        crit = rng.choice([alpha.max_greedy] + mids)
+        bound = (bounds.top if crit == alpha.max_greedy else bounds.mid).word
+        n = rng.randrange(0, 45) if rng.random() < 0.8 else 400   # 400: all of a cut bound
+        return [crit, *bound.prefix(n if bound.period else min(n, len(bound)))]
+
+    for _ in range(PAIR_WORDS):
+        pre = [d for _ in range(rng.randrange(0, 4)) for d in piece()]
+        per = [d for _ in range(rng.randrange(0, 3)) for d in piece()]
+        yield nb.DigitString(tuple(pre), tuple(per))
+
+
+def binary_words(max_total):
+    """Every finite and every eventually periodic binary word of at most
+    `max_total` letters, each once."""
+    words = {}
+    for total in range(max_total + 1):
+        for bits in itertools.product((0, 1), repeat=total):
+            words.setdefault(nb.DigitString.finite(bits))
+            for cut in range(total):
+                words.setdefault(nb.DigitString(bits[:cut], bits[cut:]))
+    return list(words)
+
+
+def verdict(report):
+    """A report as its verdict and its violation's rule, position and
+    factor; an error as its text."""
+    if isinstance(report, str):
+        return report
+    v = report.violation
+    return report.verdict if v is None else f"{report.verdict} {v.rule} {v.position} {v.factor}"
+
+
+def admissibility(name, ctx):
+    """(kind, record) pairs for the admissibility checks on the base."""
+    words = attempt(lambda: list(pair_words(ctx, random.Random(name))))
+    if isinstance(words, str):
+        yield "admissible-greedy", words
+        words = ()
+    for w in words:
+        mirror = nb.complement_pairs(w, ctx.floor_beta)
+        for budget in BUDGETS:
+            bounds = nb.reference_bounds(ctx, budget)
+            r = attempt(nb.is_admissible_greedy, w, ctx, bounds)
+            yield "admissible-greedy", f"{w} b{budget} {verdict(r)}"
+            r = attempt(nb.is_admissible_lazy, mirror, ctx, bounds)
+            yield "admissible-lazy", f"{mirror} b{budget} {verdict(r)}"
+    if name == "phi":
+        for w in binary_words(BINARY_LENGTH):
+            yield "binary-golden", f"{w} {verdict(attempt(nb.golden_forbidden_factor_check, w))}"
+            yield "binary-is", f"{w} {verdict(attempt(nb.ito_sadahiro_admissible, w))}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="file for the hashes")
@@ -167,7 +242,7 @@ def main(argv=None):
         lines.append(" ".join(map(str, (name, "set-up", *(y - x for x, y in zip(before, last))))))
         hashes, counts, rises = {}, {}, {}
         # the work between two records is the later record's
-        for kind, record in sweep(ctx, schemes, xs):
+        for kind, record in itertools.chain(sweep(ctx, schemes, xs), admissibility(name, ctx)):
             hashes.setdefault(kind, hashlib.sha256()).update(record.encode() + b"\n")
             counts[kind] = counts.get(kind, 0) + 1
             now = counters()
