@@ -36,8 +36,6 @@ prefix is undecided.  Either way, only the bounds whose critical digits
 occur in the word are computed.
 """
 
-from functools import cached_property
-
 from .field import ContextMismatchError, context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
                       all_pair_digits, build_ito_sadahiro_scheme, interval_I,
@@ -228,47 +226,46 @@ def _scan(starts, word):
 
 class AdmissibilityBound(_Record):
     """The two reference expansions the admissibility test compares
-    against, and the tail automata built from them.  Each is computed the
-    first time it is read."""
+    against, one per rule, and the tail automata built from them, one per
+    set of rules.  Each is kept in a table and computed the first time it
+    is read."""
 
-    __slots__ = ("ctx", "orbit_budget", "_automata", "__dict__")
+    __slots__ = ("ctx", "orbit_budget", "_bounds", "_automata")
     _fields = ("ctx", "orbit_budget")
 
     def __init__(self, ctx, orbit_budget):
         super().__init__(ctx, orbit_budget)
+        _set(self, "_bounds", {})
         _set(self, "_automata", {})
 
-    @cached_property
+    @property
     def top(self):
         """The expansion that follows the maximal alphabet digit."""
-        scheme = restricted_scheme(self.ctx)
-        _, after_top = scheme.step(scheme.domain.hi)
-        return run_scheme(scheme, after_top, orbit_budget=self.orbit_budget)
+        return self._bound(RULE_TOP)[0]
 
-    @cached_property
+    @property
     def mid(self):
         """The expansion that follows digits -b*beta + floor(beta), b >= 1."""
-        start = interval_I(self.ctx).lo + self.ctx.frac_beta()
-        return run_scheme(restricted_scheme(self.ctx), start,
-                          orbit_budget=self.orbit_budget)
+        return self._bound(RULE_MID)[0]
 
     @property
     def settled(self):
         return self.top.ok and self.mid.ok
 
-    def _expansion(self, rule):
-        return self.top if rule == RULE_TOP else self.mid
-
-    def _coded(self, rule):
-        return self._top_code if rule == RULE_TOP else self._mid_code
-
-    @cached_property
-    def _top_code(self):
-        return _code(self.top.word, _pair_letters(self.ctx)[0])
-
-    @cached_property
-    def _mid_code(self):
-        return _code(self.mid.word, _pair_letters(self.ctx)[0])
+    def _bound(self, rule):
+        """The rule's expansion and its word coded by letter rank; the
+        orbit runs the first time the rule is read."""
+        bound = self._bounds.get(rule)
+        if bound is None:
+            scheme = restricted_scheme(self.ctx)
+            if rule == RULE_TOP:
+                start = scheme.step(scheme.domain.hi)[1]
+            else:
+                start = interval_I(self.ctx).lo + self.ctx.frac_beta()
+            exp = run_scheme(scheme, start, orbit_budget=self.orbit_budget)
+            bound = self._bounds.setdefault(
+                rule, (exp, _code(exp.word, _pair_letters(self.ctx)[0])))
+        return bound
 
     def _tails(self, rules):
         """Greedy and lazy start rows of the tail automaton for words whose
@@ -277,14 +274,14 @@ class AdmissibilityBound(_Record):
         key = frozenset(rules)
         if key not in self._automata:
             tails = None
-            if all(self._expansion(rule).ok for rule in rules):
+            if all(self._bound(rule)[0].ok for rule in rules):
                 tails = self._build_tails(sorted(key))
             self._automata[key] = tails
         return self._automata[key]
 
     def _build_tails(self, rules):
         greedy, lazy, critical = _pair_letters(self.ctx)
-        tables = _tail_tables([self._coded(rule) for rule in rules], len(greedy),
+        tables = _tail_tables([self._bound(rule)[1] for rule in rules], len(greedy),
                               False, _TAIL_TABLE_BUDGET)
         if tables is None:
             return None
@@ -334,7 +331,7 @@ def _by_critical_digit(coded, bounds, critical):
         rule = critical.get(r)
         if rule is None:
             continue
-        c = _compare_tail(coded, k, bounds._coded(rule))
+        c = _compare_tail(coded, k, bounds._bound(rule)[1])
         if c is None:
             undecided = True
         elif c >= EQ:

@@ -28,7 +28,7 @@ from .admissibility import (UNDECIDED, golden_forbidden_factor_check,
 from .field import phi_field
 from .oracle import (DEFAULT_NODE_BUDGET, BranchBudgetError, enumerate_prefixes,
                      sample_unique_numbers)
-from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, build_beta2_scheme,
+from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, _beta2_orbit,
                       build_ito_sadahiro_scheme, eval_beta2_pairs,
                       eval_neg_beta, greedy_neg_beta, interval_I,
                       lazy_neg_beta, run_scheme)
@@ -115,8 +115,7 @@ def _cmd_expand(args):
     elif kind == "is":
         exp = run_scheme(build_ito_sadahiro_scheme(ctx), x, depth, budget)
     else:   # beta2-greedy or beta2-lazy: argparse checks the choices
-        scheme = build_beta2_scheme(ctx, kind.split("-")[1])
-        exp = run_scheme(scheme, x, depth, budget)
+        exp = _beta2_orbit(x, kind.split("-")[1], depth, budget)
         evaluate = eval_beta2_pairs
     evaluated = round_trip = None
     if exp.ok:

@@ -60,16 +60,17 @@ class FieldContext:
     """The base beta: minimal polynomial plus a refinable isolating bracket.
 
     Instances are immutable apart from the current isolating bracket, which
-    only ever tightens, the dyadic brackets read off it and the fallback and
-    tie counters, all guarded by one lock, and the per-base tables of
-    `context_cached`, which are filled once per key; so a context can be
-    shared freely between threads.
+    only ever tightens, the dyadic brackets read off it and one table of
+    counters (bisections, filter fallbacks, kernel fallbacks and ties), all
+    guarded by one lock, and the per-base tables of `context_cached`, which
+    are filled once per key; so a context can be shared freely between
+    threads.
     """
 
     __slots__ = (
-        "min_poly", "_modulus", "_initial_bracket", "_bracket", "_bisections",
-        "_dyadic", "_certified", "_lock", "_power_table", "_table_den", "_fallbacks",
-        "_kernel_fallbacks", "_kernel_ties", "_beta", "_floor_beta", "_tables", "__weakref__",
+        "min_poly", "_modulus", "_initial_bracket", "_bracket", "_counts", "_dyadic",
+        "_certified", "_lock", "_power_table", "_table_den", "_beta", "_floor_beta",
+        "_tables", "__weakref__",
     )
 
     def __init__(self, min_poly, modulus, bracket, certified):
@@ -78,11 +79,11 @@ class FieldContext:
         self._initial_bracket = bracket
         scale = lcm(bracket[0].denominator, bracket[1].denominator)
         self._bracket = (int(bracket[0] * scale), int(bracket[1] * scale), scale)   # [a/s, b/s]
-        self._bisections = 0
+        self._counts = dict.fromkeys(("bisections", "fallbacks", "kernel_fallbacks",
+                                      "kernel_ties"), 0)
         self._dyadic = {}
         self._certified = certified
         self._lock = threading.Lock()
-        self._fallbacks = self._kernel_fallbacks = self._kernel_ties = 0
         self._tables = {}
         d = self.degree
         self._power_table, self._table_den = _reduced_powers(modulus)
@@ -130,34 +131,26 @@ class FieldContext:
         """How many isolating brackets were computed: the initial one plus
         one per bisection."""
         with self._lock:
-            return self._bisections + 1
+            return self._counts["bisections"] + 1
 
     def fallback_count(self):
         """How many sign and floor calls the 64-bit filter left undecided."""
         with self._lock:
-            return self._fallbacks
-
-    def _count_fallback(self):
-        with self._lock:
-            self._fallbacks += 1
+            return self._counts["fallbacks"]
 
     def kernel_fallback_count(self):
         """How many lattice steps and oracle tests took the exact path (no tie does)."""
         with self._lock:
-            return self._kernel_fallbacks
-
-    def _count_kernel_fallback(self):
-        with self._lock:
-            self._kernel_fallbacks += 1
+            return self._counts["kernel_fallbacks"]
 
     def kernel_tie_count(self):
         """How many lattice steps and oracle tests were exact ties, not fallbacks."""
         with self._lock:
-            return self._kernel_ties
+            return self._counts["kernel_ties"]
 
-    def _count_kernel_tie(self):
+    def _count(self, name):
         with self._lock:
-            self._kernel_ties += 1
+            self._counts[name] += 1
 
     def dyadic_bracket(self, bits):
         """(L, H) with L/2^bits <= beta <= H/2^bits: the isolating bracket
@@ -178,7 +171,7 @@ class FieldContext:
                 else:
                     a, b = 2 * a, m
                 scale *= 2
-                self._bisections += 1
+                self._counts["bisections"] += 1   # the lock is held, and not reentrant
             self._bracket = a, b, scale
             pair = self._dyadic[bits] = (a << bits) // scale, -((-b << bits) // scale)
             return pair
@@ -544,7 +537,7 @@ class ExactReal:
         if not s:
             return 0
         ctx = self.context
-        ctx._count_fallback()
+        ctx._count("fallbacks")
         if not ctx._certified and self.is_zero():
             return 0
         # the value is not zero, so a fine enough enclosure excludes zero
@@ -563,7 +556,7 @@ class ExactReal:
         k = a // m
         if k == b // m:
             return k
-        self.context._count_fallback()
+        self.context._count("fallbacks")
         bits = _FILTER_BITS
         while b - a >= m:
             bits *= 2

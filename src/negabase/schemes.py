@@ -102,13 +102,13 @@ def _ties(ctx, v, D, cut):
     """v/D is the cut n/d by its vectors, d*v = D*n: sound on every context."""
     if any(cut.den * c != D * m for c, m in zip(v, cut.num)):
         return False
-    ctx._count_kernel_tie()
+    ctx._count("kernel_ties")
     return True
 
 
 def _reduced(ctx, v, D):
     """The kernel's exact path, past bounds and ties: counted, v/D in lowest terms."""
-    ctx._count_kernel_fallback()
+    ctx._count("kernel_fallbacks")
     return _lowest(ctx, v, D)
 
 
@@ -218,21 +218,23 @@ class Expansion(_Record):
         return self.status == STATUS_OK
 
 
-def _orbit(domain, x, step, start, depth, orbit_budget):
-    """Digits along the orbit of `start` under step(state) -> (digit, state).
+def _orbit(domain, x, stepper, depth, orbit_budget):
+    """Digits along the orbit of the point x of `domain`, where
+    stepper(x) -> (step, start) and step(state) -> (digit, state).
 
-    With a depth, exactly that many digits.  Otherwise the states are
-    hashed as they are and the first repeat closes the period; no repeat
-    within orbit_budget steps leaves a finite prefix marked
-    period-not-found.  x is the point of `domain` the orbit starts from.
+    x and the depth are tested before stepper runs, so a point outside
+    the domain builds no tables.  With a depth, exactly that many digits.
+    Otherwise the states are hashed as they are and the first repeat
+    closes the period; no repeat within orbit_budget steps leaves a finite
+    prefix marked period-not-found.
     """
     _require_in(domain, x)
     endpoint = "l" if x == domain.lo else "r" if x == domain.hi else None
+    if depth is not None and depth < 1:
+        raise ValueError("depth must be at least 1")
+    step, state = stepper(x)
     digits = []
-    state = start
     if depth is not None:
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
         for _ in range(depth):
             d, state = step(state)
             digits.append(d)
@@ -249,12 +251,18 @@ def _orbit(domain, x, step, start, depth, orbit_budget):
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
 
 
+def _beta2_orbit(x, kind, depth, orbit_budget):
+    """run_scheme on the context's squared-base scheme of `kind`, which is
+    built (once per context) only after x has been found in I."""
+    return _orbit(interval_I(x.context), x,
+                  lambda y: build_beta2_scheme(y.context, kind)._stepper(y), depth, orbit_budget)
+
+
 def _pair_orbit(x, kind, depth, orbit_budget):
     # the theorem: greedy (lazy) digits are the beta^2 greedy (lazy) pair digits,
     # two letters each; a finite word is cut back to the depth or the budget
     n = orbit_budget if depth is None else depth
-    exp = run_scheme(build_beta2_scheme(x.context, kind), x,
-                     None if depth is None else -(-n // 2), -(-orbit_budget // 2))
+    exp = _beta2_orbit(x, kind, None if depth is None else -(-n // 2), -(-orbit_budget // 2))
     word = psi_expand(exp.word)
     if word.is_finite:
         word = DigitString.finite(word.preperiod[:n])
@@ -295,19 +303,24 @@ def pair_value(ctx, p):
 
 
 def pair_successor(ctx, p):
-    pairs = all_pair_digits(ctx)
-    i = pairs.index(p)
-    if i + 1 == len(pairs):
-        raise ValueError("the maximal pair digit has no successor")
-    return pairs[i + 1]
+    return _pair_neighbour(ctx, p, 1)
 
 
 def pair_predecessor(ctx, p):
+    return _pair_neighbour(ctx, p, -1)
+
+
+def _pair_neighbour(ctx, p, step):
+    """The pair digit `step` places from p in the value order."""
     pairs = all_pair_digits(ctx)
-    i = pairs.index(p)
-    if i == 0:
-        raise ValueError("the minimal pair digit has no predecessor")
-    return pairs[i - 1]
+    try:
+        i = pairs.index(p) + step
+    except ValueError:
+        raise ValueError(f"pair digit {p} outside the alphabet") from None
+    if not 0 <= i < len(pairs):
+        raise ValueError("the maximal pair digit has no successor" if step > 0
+                         else "the minimal pair digit has no predecessor")
+    return pairs[i]
 
 
 @context_cached
@@ -509,7 +522,7 @@ def build_positive_greedy_scheme(ctx):
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    return _orbit(scheme.domain, x, *scheme._stepper(x), depth, orbit_budget)
+    return _orbit(scheme.domain, x, scheme._stepper, depth, orbit_budget)
 
 
 # -- evaluation ------------------------------------------------------------------

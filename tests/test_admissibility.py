@@ -553,6 +553,41 @@ class TestTailAutomaton:
             mirror = complement_pairs(w, ctx.floor_beta)
             assert is_admissible_lazy(mirror, ctx, bounds).verdict in (ADMISSIBLE, PREFIX_OK)
 
+    @pytest.mark.parametrize("make,top,budget", [
+        (phi_field, C, 10_000),
+        # 7/4's orbits run to a small budget: an unneeded one would show
+        (lambda: rational_field(Fraction(7, 4)), D, 50)])
+    def test_each_rule_runs_only_its_own_orbit(self, monkeypatch, make, top, budget):
+        ctx = make()
+        scheme = restricted_scheme(ctx)
+        starts = {"top": scheme.step(scheme.domain.hi)[1],
+                  "mid": interval_I(ctx).lo + ctx.frac_beta()}
+        ran = []
+        real = adm.run_scheme
+
+        def record(scheme, x, *args, **kwargs):
+            ran.append(next(rule for rule, start in starts.items() if start == x))
+            return real(scheme, x, *args, **kwargs)
+
+        monkeypatch.setattr(adm, "run_scheme", record)
+        assert minimal_alphabet(ctx).max_greedy == top
+        # A (1:0) is no critical digit, top the maximal one and B (1:1) a mid one
+        bounds = adm.AdmissibilityBound(ctx, budget)
+        is_admissible_greedy(DigitString.finite((top, A, top)), ctx, bounds)
+        is_admissible_lazy(complement_pairs(DigitString((A,), (top,)), ctx.floor_beta),
+                           ctx, bounds)
+        assert ran == ["top"]
+        bounds = adm.AdmissibilityBound(ctx, budget)
+        bounds.top
+        assert ran == ["top", "top"]
+        bounds.mid
+        assert ran == ["top", "top", "mid"]
+        bounds = adm.AdmissibilityBound(ctx, budget)
+        is_admissible_greedy(DigitString((B, A), (A,)), ctx, bounds)
+        assert ran == ["top", "top", "mid", "mid"]
+        bounds.settled
+        assert ran == ["top", "top", "mid", "mid", "top"]
+
 
 class TestLazyViolationText:
     def test_text_is_formatted_only_when_read(self, phi, monkeypatch):

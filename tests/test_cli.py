@@ -81,6 +81,22 @@ class TestExpand:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("kind", ["greedy", "lazy", "beta2-greedy", "beta2-lazy"])
+    def test_domain_error_builds_no_table(self, capsys, monkeypatch, kind):
+        # the beta^2 scheme of 1001/3 has 111 556 cells and takes seconds to build
+        monkeypatch.setattr("negabase.schemes._beta2_tables",
+                            lambda *a: pytest.fail("tables built"))
+        code, out, err = run_cli(capsys, "expand", "--base", "1001/3", "--x", "1/7",
+                                 "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == "error: x = 1/7 outside [-999999/1001992, 2997/1001992]\n"
+
+    @pytest.mark.parametrize("kind", ["greedy", "lazy", "is", "beta2-greedy", "beta2-lazy"])
+    def test_domain_error_before_depth_error(self, capsys, kind):
+        code, _, err = run_cli(capsys, "expand", "--base", "phi", "--x", "5",
+                               "--depth", "0", "--kind", kind)
+        assert code == 2 and "x = 5 outside" in err
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--base", "sqrt2", "--x", "0")
         assert code == 2

@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
                      scan_expansion, scan_steps, tie_offset)
 from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
@@ -186,6 +188,18 @@ class TestGreedyLazy:
         with pytest.raises(DomainError):
             greedy_neg_beta(phi.element(2))
 
+    def test_domain_is_tested_before_any_table(self, monkeypatch):
+        # the beta^2 scheme of 1001/3 has 111 556 cells and takes seconds to build
+        monkeypatch.setattr(schemes, "_beta2_tables", lambda *a: pytest.fail("tables built"))
+        ctx = rational_field(Fraction(1001, 3))
+        x = ctx.element(Fraction(1, 7))
+        text = re.escape(f"x = 1/7 outside {interval_I(ctx)}")
+        for expand in (greedy_neg_beta, lazy_neg_beta):
+            with pytest.raises(DomainError, match=text):
+                expand(x)
+            with pytest.raises(DomainError, match=text):   # the domain before the depth
+                expand(x, depth=0)
+
 
 class TestBeta2Schemes:
     def test_phi_greedy_cells(self, phi):
@@ -238,6 +252,16 @@ class TestBeta2Schemes:
         with pytest.raises(ValueError):
             pair_successor(phi, D)
         with pytest.raises(ValueError):
+            pair_predecessor(phi, A)
+
+    def test_neighbours_outside_the_alphabet(self, phi):
+        for neighbour in (pair_successor, pair_predecessor):
+            with pytest.raises(ValueError,
+                               match=r"^pair digit PairDigit\(b=5, a=5\) outside the alphabet$"):
+                neighbour(phi, PairDigit(5, 5))
+        with pytest.raises(ValueError, match="^the maximal pair digit has no successor$"):
+            pair_successor(phi, D)
+        with pytest.raises(ValueError, match="^the minimal pair digit has no predecessor$"):
             pair_predecessor(phi, A)
 
     def test_left_fixed_point(self, phi):
