@@ -26,20 +26,21 @@ alternate order negates both.  So the verdict for the tail after a critical
 digit is known when the pass reaches that digit: one table lookup per letter,
 and the last failing digit seen is the earliest one.  A finite word starts
 from the all-"runs out" state, an eventually periodic word from the fixed
-point of its reversed period.  The tables are built breadth first over every
-letter, once per base, and live on the AdmissibilityBound.
+point of its reversed period.  One automaton over both bounds is built
+breadth first over every letter, once per base, the first time a check
+finds both bounds computed, and lives on the AdmissibilityBound.
 
-A bound with no detected period (rational bases), or tables past a size
-budget, leave the fallback: each critical digit's tail is compared on its
-own with `words._compare_tail`, and a comparison that runs past the known
-prefix is undecided.  Either way, only the bounds whose critical digits
-occur in the word are computed.
+Until then, and when a bound has no detected period (rational bases) or the
+tables pass a size budget, each critical digit's tail is compared on its own
+with `words._compare_tail`, computing only the bounds the word's critical
+digits reach; a comparison that runs past the known prefix is undecided.
+Reading `AdmissibilityBound.settled` computes both bounds, so the check
+after it reads the automaton.
 """
 
 from .field import ContextMismatchError, context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
-                      all_pair_digits, build_ito_sadahiro_scheme, interval_I,
-                      run_scheme)
+                      all_pair_digits, build_ito_sadahiro_scheme, interval_I, run_scheme)
 from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _dataclass_fields,
                     _Record, _set, format_word, psi_inverse)
 
@@ -55,8 +56,6 @@ RULE_FACTOR = "forbidden-factor"
 # tail tables past this many entry computations (states x letters x bound
 # positions) are not built; the per-digit fallback answers instead
 _TAIL_TABLE_BUDGET = 1 << 20
-
-_BOTH = frozenset((RULE_TOP, RULE_MID))
 
 
 class Violation(_Record):
@@ -105,30 +104,29 @@ class AlphabetInfo(_Record):
 @context_cached
 def minimal_alphabet(ctx):
     """Pair digits that occur infinitely often in greedy expansions on the
-    invariant subinterval: all pairs with b >= 1 plus the pure-integer
-    digits below beta times the fractional part of beta."""
+    invariant subinterval: all pairs with b >= 1 plus the pure-integer digits
+    below beta frac(beta), the first fb(fb + 1) + ceil(beta frac(beta)) pairs
+    of the value order (fb = floor(beta)), all of them (full) exactly when
+    beta^2 > fb(beta + 1).  The complement b:a -> (fb - b):(fb - a) reverses
+    that order, so the lazy alphabet is as many pairs from the top."""
     fb = ctx.floor_beta
-    threshold = ctx.beta() * ctx.frac_beta()
-    greedy = tuple(p for p in all_pair_digits(ctx)
-                   if p.b >= 1 or threshold.compare(p.a) > 0)
-    lazy = tuple(PairDigit(fb - p.b, fb - p.a) for p in reversed(greedy))
-    full = (ctx.beta() * ctx.beta()).compare(ctx.beta() * fb + fb) > 0
-    return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], full)
+    pairs = all_pair_digits(ctx)
+    n = fb * (fb + 1) + (ctx.beta() * ctx.frac_beta()).ceil()
+    greedy, lazy = pairs[:n], pairs[len(pairs) - n:]
+    return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], n == len(pairs))
 
 
 @context_cached
 def restricted_scheme(ctx):
     """The left-continuous squared-base greedy map on the invariant
     subinterval (l, l+1]: cells (gamma_i, gamma_{i+1}] over the minimal
-    greedy alphabet."""
+    greedy alphabet, an initial segment of the value order."""
     alpha = minimal_alphabet(ctx)
-    pairs_all, values_all, gammas, _ = _beta2_tables(ctx)
+    _, values, gammas, _ = _beta2_tables(ctx)
     n = len(alpha.greedy)
-    if pairs_all[:n] != alpha.greedy:
-        raise AssertionError("minimal alphabet is not an initial segment")
     l = interval_I(ctx).lo
     return _tiled_scheme(ctx.beta() * ctx.beta(), Interval(l, l + 1, False, True),
-                         gammas[1:n], alpha.greedy, values_all[:n], True)
+                         gammas[1:n], alpha.greedy, values[:n], True)
 
 
 @context_cached
@@ -138,10 +136,11 @@ def _pair_letters(ctx):
     each critical rank: the maximal digit, and -b*beta + floor(beta), b >= 1."""
     alpha = minimal_alphabet(ctx)
     fb = ctx.floor_beta
-    greedy = {p: i for i, p in enumerate(alpha.greedy)}
-    lazy = {PairDigit(fb - p.b, fb - p.a): i for p, i in greedy.items()}
-    rules = {len(alpha.greedy) - 1: RULE_TOP}
-    rules.update((i, RULE_MID) for p, i in greedy.items() if p.b >= 1 and p.a == fb)
+    n = len(alpha.greedy)
+    greedy = dict(zip(alpha.greedy, range(n)))
+    lazy = dict(zip(reversed(alpha.lazy), range(n)))   # greedy[i]'s complement is lazy[-1 - i]
+    rules = {n - 1: RULE_TOP}
+    rules.update((k * (fb + 1) + fb, RULE_MID) for k in range(fb))   # b:floor(beta), b >= 1
     return greedy, lazy, rules
 
 
@@ -226,17 +225,19 @@ def _scan(starts, word):
 
 class AdmissibilityBound(_Record):
     """The two reference expansions the admissibility test compares
-    against, one per rule, and the tail automata built from them, one per
-    set of rules.  Each is kept in a table and computed the first time it
-    is read."""
+    against, one per rule, each computed the first time it is read, and one
+    tail automaton over both, built by the first check that finds both
+    computed.  A stream whose words carry one kind of critical digit never
+    runs the other orbit, so it stays on the per-digit comparison; reading
+    `settled` runs both and switches the next check to the automaton."""
 
-    __slots__ = ("ctx", "orbit_budget", "_bounds", "_automata")
+    __slots__ = ("ctx", "orbit_budget", "_bounds", "_automaton")
     _fields = ("ctx", "orbit_budget")
 
     def __init__(self, ctx, orbit_budget):
         super().__init__(ctx, orbit_budget)
         _set(self, "_bounds", {})
-        _set(self, "_automata", {})
+        _set(self, "_automaton", None)
 
     @property
     def top(self):
@@ -267,31 +268,26 @@ class AdmissibilityBound(_Record):
                 rule, (exp, _code(exp.word, _pair_letters(self.ctx)[0])))
         return bound
 
-    def _tails(self, rules):
-        """Greedy and lazy start rows of the tail automaton for words whose
-        critical digits follow `rules` (in the order they occur), built from
-        those bounds only; None when one of them has no period."""
-        key = frozenset(rules)
-        if key not in self._automata:
-            tails = None
-            if all(self._bound(rule)[0].ok for rule in rules):
-                tails = self._build_tails(sorted(key))
-            self._automata[key] = tails
-        return self._automata[key]
+    def _tails(self):
+        """Greedy and lazy start rows of the tail automaton over both bounds,
+        built (running both orbits) the first time it is asked for; None when
+        a bound has no period or the tables pass the budget."""
+        if self._automaton is None:
+            _set(self, "_automaton", self.settled and self._build_tails())
+        return self._automaton or None
 
-    def _build_tails(self, rules):
+    def _build_tails(self):
         greedy, lazy, critical = _pair_letters(self.ctx)
+        rules = (RULE_TOP, RULE_MID)
         tables = _tail_tables([self._bound(rule)[1] for rule in rules], len(greedy),
                               False, _TAIL_TABLE_BUDGET)
         if tables is None:
-            return None
+            return False
         first = dict(zip(rules, tables[2]))
 
         def outcome(state, x, _):
             rule = critical.get(x)
-            if rule not in first:
-                return None
-            c = state[first[rule]]   # None: a finite word ends first
+            c = None if rule is None else state[first[rule]]   # None: a finite word ends first
             return rule if c is not None and c >= EQ else None   # nor is equality admissible
 
         return _link(tables, outcome, greedy), _link(tables, outcome, lazy)
@@ -324,8 +320,9 @@ def _ranked(word, rank, lazy):
 
 
 def _by_critical_digit(coded, bounds, critical):
-    """The fallback for bounds with no period: each critical digit's tail
-    compared on its own, bounds computed as they are needed."""
+    """Each critical digit's tail compared on its own, bounds computed as
+    they are needed: the check until both bounds are known, and for bounds
+    with no period."""
     undecided = False
     for k, r in enumerate(coded[0], 1):   # k: the critical digit's 1-based position
         rule = critical.get(r)
@@ -340,20 +337,19 @@ def _by_critical_digit(coded, bounds, critical):
 
 
 def _pair_check(word, ctx, bounds, lazy):
+    """The greedy or lazy report on a pair word: one pass of the tail
+    automaton once both bounds are computed, else the per-digit comparison,
+    which computes only the bounds the word's critical digits reach."""
     if bounds is None:
         bounds = reference_bounds(ctx)
     elif bounds.ctx is not ctx and bounds.ctx != ctx:
         raise ContextMismatchError("bounds of a different base")
-    tails = bounds._automata.get(_BOTH)
+    tails = bounds._tails() if len(bounds._bounds) == 2 else None
     if tails is None:
         letters = _pair_letters(ctx)
-        critical = letters[2]
         coded = _ranked(word, letters[lazy], lazy)
-        rules = tuple(dict.fromkeys(critical[r] for r in coded[0] if r in critical))
-        tails = bounds._tails(rules)
-        if tails is None:
-            rule, where, undecided = _by_critical_digit(coded, bounds, critical)
-            return _report(word, rule, where, 4, undecided)
+        rule, where, undecided = _by_critical_digit(coded, bounds, letters[2])
+        return _report(word, rule, where, 4, undecided)
     try:
         rule, where = _scan(tails[lazy], word)
     except KeyError:

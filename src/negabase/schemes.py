@@ -26,13 +26,12 @@ is y in lowest terms.  Either way a value has one state.
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import (DigitString, PairDigit, _dataclass_fields, _Record, pair_sort_key,
-                    psi_expand)
+from .words import DigitString, _dataclass_fields, _pair_digit, _Record, psi_expand
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -291,11 +290,18 @@ def symmetric_partner(x):
 
 @context_cached
 def all_pair_digits(ctx):
-    """The pair alphabet, sorted increasingly by value -b*beta + a."""
+    """The pair alphabet in increasing value -b*beta + a: b falling, a rising
+    (beta > floor(beta) >= a), so that p sits at _pair_index(ctx, p)."""
     fb = ctx.floor_beta
-    pairs = [PairDigit(b, a) for b in range(fb + 1) for a in range(fb + 1)]
-    pairs.sort(key=pair_sort_key)
-    return tuple(pairs)
+    return tuple(map(_pair_digit, product(range(fb, -1, -1), range(fb + 1))))
+
+
+def _pair_index(ctx, p):
+    """Pair p's place (fb - b)(fb + 1) + a in the value order, fb = floor(beta); 1.0 counts as 1."""
+    digits = range(ctx.floor_beta + 1)
+    if isinstance(p, tuple) and len(p) == 2 and all(c in digits for c in p):
+        return (digits[-1] - digits.index(p[0])) * len(digits) + digits.index(p[1])
+    raise ValueError(f"pair digit {p} outside the alphabet")
 
 
 def pair_value(ctx, p):
@@ -312,15 +318,12 @@ def pair_predecessor(ctx, p):
 
 def _pair_neighbour(ctx, p, step):
     """The pair digit `step` places from p in the value order."""
-    pairs = all_pair_digits(ctx)
-    try:
-        i = pairs.index(p) + step
-    except ValueError:
-        raise ValueError(f"pair digit {p} outside the alphabet") from None
-    if not 0 <= i < len(pairs):
+    n = ctx.floor_beta + 1
+    i = _pair_index(ctx, p) + step
+    if not 0 <= i < n * n:
         raise ValueError("the maximal pair digit has no successor" if step > 0
                          else "the minimal pair digit has no predecessor")
-    return pairs[i]
+    return _pair_digit((n - 1 - i // n, i % n))
 
 
 @context_cached
@@ -336,14 +339,14 @@ def _beta2_tables(ctx):
 
 def greedy_breakpoint(ctx, p):
     """Left endpoint of the squared-base greedy cell of pair digit p."""
-    pairs, _, gammas, _ = _beta2_tables(ctx)
-    return gammas[pairs.index(p)]
+    i = _pair_index(ctx, p)
+    return _beta2_tables(ctx)[2][i]
 
 
 def lazy_breakpoint(ctx, p):
     """Right endpoint of the squared-base lazy cell of pair digit p."""
-    pairs, _, _, deltas = _beta2_tables(ctx)
-    return deltas[pairs.index(p)]
+    i = _pair_index(ctx, p)
+    return _beta2_tables(ctx)[3][i]
 
 
 class SchemeCell(_Record):

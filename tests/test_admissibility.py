@@ -13,12 +13,13 @@ from helpers import (PairReference, all_words, eventually_periodic_words,
                      forbidden_factor_reject, golden_reference,
                      ito_sadahiro_reference, random_point, report_tuple)
 from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, ContextMismatchError,
-                      DigitString, Interval, PairDigit, Violation, build_beta2_scheme,
+                      DigitString, Interval, PairDigit, Violation, all_pair_digits,
+                      build_beta2_scheme,
                       build_ito_sadahiro_scheme, complement_pairs,
                       eval_neg_beta, field_from_poly,
                       golden_forbidden_factor_check, greedy_breakpoint,
                       interval_I, is_admissible_greedy, is_admissible_lazy,
-                      ito_sadahiro_admissible, minimal_alphabet, parse_word,
+                      ito_sadahiro_admissible, minimal_alphabet, pair_sort_key, parse_word,
                       phi_field, psi_inverse, rational_field, reference_bounds,
                       restricted_scheme, run_scheme, tribonacci_field)
 
@@ -67,6 +68,38 @@ class TestMinimalAlphabet:
             m = ctx.floor_beta
             in_window = (2 * q - m) > 0 and (2 * q - m) ** 2 > m * m + 4 * m
             assert minimal_alphabet(ctx).full == in_window
+
+    def test_formula_matches_the_definition_on_seeded_bases(self):
+        # the pairs with b >= 1 plus the b = 0 pairs with a < beta*frac(beta),
+        # full exactly when beta^2 > floor(beta)*beta + floor(beta)
+        rng = random.Random(2027)
+        bases = [rational_field(Fraction(14, 5)), rational_field(Fraction(39, 10))]   # full
+        for _ in range(6):
+            a = rng.randint(1, 6)
+            b = rng.randint(1, a)   # x^2 - ax - b: beta in (a, a+1), beta*frac(beta) = b
+            ctx = field_from_poly((-b, -a, 1), a, a + 1)
+            assert (ctx.beta() * ctx.frac_beta()).compare(b) == 0
+            bases.append(ctx)
+            a = rng.randint(3, 8)
+            b = rng.randint(1, a - 2)   # x^2 - ax + b: beta in (a-1, a)
+            bases.append(field_from_poly((b, -a, 1), a - 1, a))
+            q = rng.randint(2, 9)
+            bases.append(rational_field(Fraction(rng.randint(q + 1, 7 * q), q)))
+        fulls = set()
+        for ctx in bases:
+            fb, beta = ctx.floor_beta, ctx.beta()
+            threshold = beta * ctx.frac_beta()
+            pairs = [PairDigit(b, a) for b in range(fb + 1) for a in range(fb + 1)]
+            greedy = sorted((p for p in pairs if p.b >= 1 or threshold.compare(p.a) > 0),
+                            key=pair_sort_key)
+            info = minimal_alphabet(ctx)
+            assert all_pair_digits(ctx) == tuple(sorted(pairs, key=pair_sort_key))
+            assert info.greedy == tuple(greedy)
+            assert info.lazy == tuple(PairDigit(fb - p.b, fb - p.a) for p in reversed(greedy))
+            assert (info.max_greedy, info.min_lazy) == (greedy[-1], info.lazy[0])
+            assert info.full == ((beta * beta).compare(beta * fb + fb) > 0)
+            fulls.add(info.full)
+        assert fulls == {False, True}
 
     def test_alphabet_size_matches_predicate(self):
         for num, den in ((27, 10), (28, 10), (7, 4), (14, 5), (7, 2)):
@@ -409,7 +442,7 @@ def row_count(starts):
 def not_rejected_counts(ctx, n_max):
     """How many pair words of each length 0..n_max are not REJECTED, by a
     dynamic program over the greedy automaton read right to left."""
-    finite_start = reference_bounds(ctx)._tails(("top-digit", "mid-digit"))[0][0]
+    finite_start = reference_bounds(ctx)._tails()[0][0]
     counts, rows = [1], {id(finite_start): (finite_start, 1)}
     for _ in range(n_max):
         nxt_rows = {}
@@ -452,6 +485,41 @@ class TestTailAutomaton:
             assert (report_tuple(is_admissible_lazy(mirror, ctx, bounds))
                     == reference.reread(want, mirror)), (name, mirror)
 
+    @pytest.mark.parametrize("name", sorted(TAIL_BASES))
+    def test_per_digit_comparison_matches_the_automaton(self, name):
+        # a fresh bound answers its first word by the per-digit comparison,
+        # settled bounds by the automaton; one length shorter than above, as
+        # every word runs its own orbits
+        make, max_total = TAIL_BASES[name]
+        ctx = make()
+        settled = adm.AdmissibilityBound(ctx, 10_000)
+        assert settled.settled and settled._tails() is not None
+        for w in words_up_to(minimal_alphabet(ctx).greedy, max_total - 1):
+            mirror = complement_pairs(w, ctx.floor_beta)
+            for check, word in ((is_admissible_greedy, w), (is_admissible_lazy, mirror)):
+                fresh = adm.AdmissibilityBound(ctx, 10_000)
+                assert (report_tuple(check(word, ctx, fresh))
+                        == report_tuple(check(word, ctx, settled))), (name, word)
+                assert fresh._automaton is None
+
+    def test_one_automaton_per_bound(self, phi, monkeypatch):
+        # C (0:0) is phi's maximal digit and B (1:1) its mid digit
+        words = [DigitString((B, C), (A,)), DigitString((A,), (C,)),
+                 DigitString.finite((B, A)), DigitString((A,), (A,))]
+        bounds = adm.AdmissibilityBound(phi, 10_000)
+        with monkeypatch.context() as m:   # a one-word check builds no tables
+            m.setattr(adm, "_tail_tables", lambda *a, **k: pytest.fail("tables built"))
+            assert is_admissible_greedy(words[0], phi, bounds).verdict == REJECTED
+            assert bounds._automaton is None and bounds.settled
+        is_admissible_greedy(words[0], phi, bounds)
+        tails = bounds._automaton
+        assert tails and bounds._tails() is tails
+        for w in words:
+            is_admissible_greedy(w, phi, bounds)
+            is_admissible_lazy(complement_pairs(w, phi.floor_beta), phi, bounds)
+            assert bounds._automaton is tails
+        assert [n for n in adm.AdmissibilityBound.__slots__ if "automat" in n] == ["_automaton"]
+
     def test_binary_reports_match_the_reference(self, phi):
         bounds = reference_bounds(phi)
         scheme = build_ito_sadahiro_scheme(phi)
@@ -491,7 +559,7 @@ class TestTailAutomaton:
             got = report_tuple(is_admissible_lazy(mirror, ctx, bounds))
             assert got == reference(mirror, lazy=True), mirror
         assert verdicts == {ADMISSIBLE, REJECTED, PREFIX_OK, UNDECIDED}
-        assert bounds._tails(("top-digit", "mid-digit")) is None
+        assert bounds._tails() is None
 
     def test_tables_over_budget_fall_back(self, phi, mu, monkeypatch):
         monkeypatch.setattr(adm, "_TAIL_TABLE_BUDGET", 10)
@@ -500,21 +568,22 @@ class TestTailAutomaton:
             reference = PairReference(ctx, bounds)
             for w in words_up_to(letters, 4):
                 assert report_tuple(is_admissible_greedy(w, ctx, bounds)) == reference(w), w
-            assert bounds._tails(("top-digit", "mid-digit")) is None
+            assert bounds._tails() is None
 
     def test_state_counts_stay_small(self, phi):
         # 8 for phi, 12 for Tribonacci, 17 for Tetranacci; a blow-up shows here
         for make, _ in TAIL_BASES.values():
             ctx = make()
-            greedy_rows, lazy_rows = reference_bounds(ctx)._tails(("top-digit", "mid-digit"))
+            greedy_rows, lazy_rows = reference_bounds(ctx)._tails()
             assert row_count(greedy_rows) == row_count(lazy_rows) <= 24
         assert row_count(adm._ito_sadahiro_tails(phi)) <= 12
 
     def test_automata_freed_with_the_context(self):
         ctx = field_from_poly((-1, -1, 1), 1, 2)
+        assert reference_bounds(ctx).settled   # the checks below read the automaton
         assert is_admissible_greedy(DigitString.finite((B, C)), ctx).verdict == REJECTED
         assert is_admissible_lazy(DigitString((B,), (C,)), ctx).verdict == REJECTED
-        assert reference_bounds(ctx)._automata
+        assert reference_bounds(ctx)._automaton
         ref = weakref.ref(ctx)
         del ctx
         gc.collect()

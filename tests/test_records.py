@@ -129,11 +129,12 @@ def test_copy_and_pickle_keep_the_record():
 def test_bound_caches_stay_out_of_equality(phi):
     a, b = AdmissibilityBound(phi, 10_000), AdmissibilityBound(phi, 10_000)
     top = a.top
-    assert a.top is top and a._automata == {}
-    a._automata["key"] = "automaton"
+    assert a.top is top and a._automaton is None
+    a._tails()
+    assert a._automaton and b._automaton is None
     assert a == b and hash(a) == hash(b)
     assert a != AdmissibilityBound(phi, 9_999)
-    assert repr(a) == repr(b) and "_automata" not in repr(a) and "top" not in repr(a)
+    assert repr(a) == repr(b) and "_automaton" not in repr(a) and "top" not in repr(a)
 
 
 def test_scheme_lattice_is_cached(phi):

@@ -8,7 +8,8 @@ import pytest
 import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
                      scan_expansion, scan_steps, tie_offset)
-from negabase import (DigitString, DomainError, PairDigit, all_pair_digits,
+from negabase import (DigitString, DomainError, Interval, PairDigit, Scheme, SchemeCell,
+                      all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
                       count_representation_branches, digit_subinterval,
@@ -264,6 +265,45 @@ class TestBeta2Schemes:
         with pytest.raises(ValueError, match="^the minimal pair digit has no predecessor$"):
             pair_predecessor(phi, A)
 
+    def test_breakpoints_outside_the_alphabet(self, phi):
+        for breakpoint in (greedy_breakpoint, lazy_breakpoint):
+            for bad in (PairDigit(5, 5), (-1, 0), ("a", 0)):
+                with pytest.raises(ValueError, match="^" + re.escape(
+                        f"pair digit {bad} outside the alphabet") + "$"):
+                    breakpoint(phi, bad)
+
+    def test_plain_tuples_name_pair_digits(self, phi, mu):
+        for ctx in (phi, mu, rational_field(Fraction(14, 5))):
+            pairs = all_pair_digits(ctx)
+            for p in pairs:
+                for f in (greedy_breakpoint, lazy_breakpoint):
+                    assert f(ctx, tuple(p)) == f(ctx, p)
+            assert pair_successor(ctx, tuple(pairs[0])) == pairs[1]
+            assert pair_predecessor(ctx, tuple(pairs[-1])) == pairs[-2]
+
+    def test_pair_components_count_by_equality(self, phi):
+        for p in ((1.0, 0), (Fraction(1), 0), (True, 0)):
+            assert greedy_breakpoint(phi, p) == greedy_breakpoint(phi, A)
+            assert lazy_breakpoint(phi, p) == lazy_breakpoint(phi, A)
+            assert pair_successor(phi, p) == B
+        for bad in ((1.5, 0), ("1", 0), [1, 0], (1, 0, 0)):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"pair digit {bad} outside the alphabet") + "$"):
+                greedy_breakpoint(phi, bad)
+
+    def test_pair_lookups_build_no_table(self, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("built a table of the pair alphabet")
+
+        monkeypatch.setattr(schemes, "_beta2_tables", refuse)
+        monkeypatch.setattr(schemes, "all_pair_digits", refuse)
+        ctx = rational_field(Fraction(3001, 3))
+        for breakpoint in (greedy_breakpoint, lazy_breakpoint):
+            with pytest.raises(ValueError, match="outside the alphabet$"):
+                breakpoint(ctx, (1001, 0))
+        assert pair_successor(ctx, (1000, 1000)) == PairDigit(999, 0)
+        assert pair_predecessor(ctx, (0, 0)) == PairDigit(1, 1000)
+
     def test_left_fixed_point(self, phi):
         I = interval_I(phi)
         exp = run_scheme(build_beta2_scheme(phi, "greedy"), I.lo)
@@ -286,6 +326,36 @@ class TestBeta2Schemes:
                 build_beta2_scheme(ctx, kind).validate()
             build_ito_sadahiro_scheme(ctx).validate()
             build_positive_greedy_scheme(ctx).validate()
+
+
+class TestSchemeValidate:
+    """One bad scheme per error of Scheme.validate, on the positive map of 5/2."""
+
+    @staticmethod
+    def cell(ctx, lo, hi, digit, lo_closed=True, hi_closed=False):
+        return SchemeCell(Interval(ctx.element(Fraction(lo)), ctx.element(Fraction(hi)),
+                                   lo_closed, hi_closed), digit, ctx.element(digit))
+
+    def scheme(self, *cells):
+        ctx = rational_field(Fraction(5, 2))
+        domain = Interval(ctx.zero(), ctx.one(), True, False)
+        cells = [self.cell(ctx, *c) for c in cells]
+        return Scheme(ctx.beta(), domain, tuple(cells))
+
+    def test_good_scheme(self):
+        self.scheme(("0", "2/5", 0), ("2/5", "4/5", 1), ("4/5", "1", 2)).validate()
+
+    @pytest.mark.parametrize("cells, text", [
+        ((("0", "2", 0),), "cell [0, 2) escapes the domain [0, 1)"),
+        ((("0", "2/5", 1), ("2/5", "1", 2)),
+         "cell [0, 2/5): image [-1, 0) escapes the domain [0, 1)"),
+        ((("2/5", "4/5", 1), ("4/5", "1", 2)), "cells must span the domain"),
+        ((("0", "2/5", 0), ("2/5", "4/5", 1, False), ("4/5", "1", 2)),
+         "cells do not tile the domain"),
+    ])
+    def test_errors(self, cells, text):
+        with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
+            self.scheme(*cells).validate()
 
 
 class TestItoSadahiro:
