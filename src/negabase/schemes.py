@@ -21,7 +21,10 @@ denominator L an integer matrix, and each cut n/d or end of I tested by
 64-bit bounds of one dot product, then a tie d*v = D*n where they straddle
 (kernel_tie_count()), then the exact test (kernel_fallback_count()).  On an
 algebraic-integer base L = 1 and D stays den(x); elsewhere an orbit state
-is y in lowest terms.  Either way a value has one state.
+is y in lowest terms.  Either way a value has one state.  An orbit's step is
+that kernel written out for the degree d of the base, every dot product an
+unrolled sum of d terms, and compiled once per base: every scheme of the
+base runs one code object, its constants bound by name per scheme.
 """
 
 from bisect import bisect_left, bisect_right
@@ -109,6 +112,53 @@ def _reduced(ctx, v, D):
     """The kernel's exact path, past bounds and ties: counted, v/D in lowest terms."""
     ctx._count("kernel_fallbacks")
     return _lowest(ctx, v, D)
+
+
+_KERNEL_SOURCE = """\
+def make(D0, hi0, lo0):
+    def step(s):
+        v, D = s
+        {v}, = v
+        t = {t}   # 2^64 * D * y, up to e
+        e = gap * ({e})
+        # i counts the cuts surely below y, j those that may be: for an integer
+        # h, h < ceil((t-e)/D) iff h*D < t-e, h <= floor((t+e)/D) iff h*D <= t+e
+        if D == D0:
+            i, j = bisect_left(hi0, t - e), bisect_right(lo0, t + e)
+        else:
+            i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
+        if i != j:
+            i = straddled(v, D, i, j)
+        c = offsets[i]
+{rows}
+{tail}
+    return step
+"""
+
+_KERNEL_LOWEST = """\
+        D *= L   # lowest terms: a common factor of w and D*L divides k
+        g = gcd(gcd(k, D), {w})
+        if g != 1:
+            return digits[i], (({w_g},), D // g)
+        return digits[i], (({w},), D)"""
+
+
+@context_cached
+def _kernel_code(ctx, reduce):
+    """The orbit step of every scheme over ctx, written out for its degree d and
+    compiled once per context and flag: reduce (L != 1) puts each state in
+    lowest terms.  The source is fixed text and d; every constant is a name
+    (p_c, gap, m_r_c, offsets, ...) that Scheme._kernel binds, so no text of the
+    input and no integer of its tables is written into it."""
+    d = range(ctx.degree)
+    v, w = (", ".join(f"{name}{r}" for r in d) for name in "vw")
+    rows = "\n".join(f"        w{r} = " + "".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D"
+                     for r in d)
+    tail = (_KERNEL_LOWEST.format(w=w, w_g=", ".join(f"w{r} // g" for r in d)) if reduce
+            else f"        return digits[i], (({w},), D)")
+    source = _KERNEL_SOURCE.format(v=v, t=" + ".join(f"p{c} * v{c}" for c in d),
+                                   e=" + ".join(f"abs(v{c})" for c in d), rows=rows, tail=tail)
+    return compile(source, "<orbit kernel>", "exec")
 
 
 @context_cached
@@ -239,14 +289,13 @@ def _orbit(domain, x, stepper, depth, orbit_budget):
             digits.append(d)
         return Expansion(DigitString.finite(digits), STATUS_OK, endpoint)
     seen = {state: 0}
-    for _ in range(orbit_budget):
+    for n in range(1, orbit_budget + 1):
         d, state = step(state)
         digits.append(d)
-        if state in seen:
-            i = seen[state]
+        i = seen.setdefault(state, n)
+        if i < n:
             return Expansion(DigitString.periodic(digits[:i], digits[i:]),
                              STATUS_OK, endpoint)
-        seen[state] = len(digits)
     return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
 
 
@@ -410,55 +459,49 @@ class Scheme(_Record):
 
     @cached_property
     def _lattice(self):
-        # the kernel's table over one common denominator L: per cell, affine rows
-        # (row j of L*base, -L*(cell value)_j), so that w_j = row_j . (v, D); 64-bit
-        # bounds of the cuts made monotone for bisection; the digits; k, which every
-        # common factor of a next state (w, D*L) divides when v/D is reduced; and L
+        # the kernel's table over one common denominator L: the matrix of L*base,
+        # row r column c the r-th coordinate of L*base*beta^c, shared by every
+        # cell; per cell the offsets -L*(cell value)_r, so that
+        # w_r = sum_c m[r][c] * v_c + offset_r * D; 64-bit bounds of the cuts made
+        # monotone for bisection; the digits; L; and k, which every common factor
+        # of a next state (w, D*L) divides when v/D is reduced
         ctx, cells, d = self.base.context, self.cells, self.base.context.degree
         ys = [self.base * ctx.beta() ** j for j in range(d)] + [c.value for c in cells]
         L = lcm(*(y.den for y in ys))
         ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
-        affine = tuple(tuple((*row, -c) for row, c in zip(zip(*ys[:d]), y)) for y in ys[d:])
+        matrix = tuple(zip(*ys[:d]))
+        offsets = tuple(tuple(-c for c in y) for y in ys[d:])
         bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
         lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
         hi = tuple(accumulate([hi for _, hi in bounds], max))
         k = 1 if L == 1 else (L * lcm(*(c.value.den for c in cells))
                               * self.base.inverse().den * ctx._table_den)
-        return affine, lo, hi, tuple(c.digit for c in cells), k, L
+        return matrix, offsets, lo, hi, tuple(c.digit for c in cells), L, k
+
+    @cached_property
+    def _kernel(self):
+        """make(D0, hi0, lo0) -> step: the context's compiled step (_kernel_code)
+        run in a namespace that binds this scheme's table by name."""
+        ctx = self.base.context
+        matrix, offsets, lo, hi, digits, L, k = self._lattice
+        powers, gap = _lattice_powers(ctx)
+        names = {f"p{c}": p for c, p in enumerate(powers)}
+        names.update((f"m{r}_{c}", m) for r, row in enumerate(matrix) for c, m in enumerate(row))
+        names.update(gap=gap, offsets=offsets, digits=digits, lo=lo, hi=hi, L=L, k=k,
+                     straddled=self._straddled, bisect_left=bisect_left,
+                     bisect_right=bisect_right, gcd=gcd)
+        exec(_kernel_code(ctx, L != 1), names)
+        return names["make"]
 
     def _stepper(self, x):
         """(step, start): step(state) -> (digit, state') along the orbit of x,
-        on hashable states (v, D), y = v/D; the cell is read off one dot product
-        against the cut bounds, scaled by den(x) once per orbit and used while
-        D = den(x) (always when L = 1), and _straddled deciding a straddle."""
-        ctx = self.base.context
-        affine, lo, hi, digits, k, L = self._lattice
-        powers, gap = _lattice_powers(ctx)
+        on hashable states (v, D), y = v/D: the scheme's kernel, written out for
+        the degree and compiled once per base, with the cut bounds scaled by
+        den(x) once per orbit."""
+        _, _, lo, hi, *_ = self._lattice
         D0 = x.den
-        lo0, hi0 = tuple(b * D0 for b in lo), tuple(b * D0 for b in hi)
-
-        def step(s):
-            v, D = s
-            t = sum(map(mul, v, powers))   # 2^64 * D * y, up to e
-            e = gap * sum(map(abs, v))
-            # i counts the cuts surely below y, j those that may be: for an
-            # integer h, h < ceil((t-e)/D) iff h*D < t-e, h <= floor((t+e)/D) iff h*D <= t+e
-            if D == D0:
-                i, j = bisect_left(hi0, t - e), bisect_right(lo0, t + e)
-            else:
-                i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
-            if i != j:
-                i = self._straddled(v, D, i, j)
-            vD = (*v, D)
-            w = tuple([sum(map(mul, row, vD)) for row in affine[i]])
-            if L != 1:   # lowest terms: a common factor of w and D*L divides k
-                D *= L
-                g = gcd(gcd(k, D), *w)
-                if g != 1:
-                    w, D = tuple(c // g for c in w), D // g
-            return digits[i], (w, D)
-
-        return step, (x.num, x.den)
+        return self._kernel(D0, tuple(b * D0 for b in hi), tuple(b * D0 for b in lo)), \
+            (x.num, x.den)
 
     def locate(self, x):
         _require_in(self.domain, x)

@@ -8,11 +8,14 @@ with.  Where an oracle computes with elements, it uses only the library's
 exact arithmetic and interval_I, never its digit rules.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-
-from math import isqrt, lcm
+from itertools import accumulate
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from negabase import DigitString, PairDigit, interval_I, minimal_alphabet
+from negabase.field import _dyadic_bounds, _lattice_powers
 
 
 def eval_int_poly(coeffs, x):
@@ -181,6 +184,52 @@ def scan_expansion(x, depth, use_min=True):
         digits.append(a)
         use_min = not use_min
     return DigitString.finite(digits)
+
+
+def reference_stepper(scheme, x):
+    """(step, start) along the scheme's orbit from x: the orbit kernel as one
+    loop closure, the form that schemes writes out and compiles per degree.
+    Its own table over one common denominator L holds, per cell, affine rows
+    (row j of L*base, -L*(cell value)_j), so that w_j = row_j . (v, D); the
+    64-bit cut bounds made monotone for bisection; the digits; and k, which
+    every common factor of a next state (w, D*L) divides when v/D is reduced.
+    A straddle goes to the scheme's own _straddled, so the counters rise as
+    the kernel's do."""
+    ctx, cells, d = scheme.base.context, scheme.cells, scheme.base.context.degree
+    ys = [scheme.base * ctx.beta() ** j for j in range(d)] + [c.value for c in cells]
+    L = lcm(*(y.den for y in ys))
+    ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
+    affine = tuple(tuple((*row, -c) for row, c in zip(zip(*ys[:d]), y)) for y in ys[d:])
+    bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
+    lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
+    hi = tuple(accumulate([hi for _, hi in bounds], max))
+    digits = tuple(c.digit for c in cells)
+    k = 1 if L == 1 else (L * lcm(*(c.value.den for c in cells))
+                          * scheme.base.inverse().den * ctx._table_den)
+    powers, gap = _lattice_powers(ctx)
+    D0 = x.den
+    lo0, hi0 = tuple(b * D0 for b in lo), tuple(b * D0 for b in hi)
+
+    def step(s):
+        v, D = s
+        t = sum(map(mul, v, powers))   # 2^64 * D * y, up to e
+        e = gap * sum(map(abs, v))
+        if D == D0:
+            i, j = bisect_left(hi0, t - e), bisect_right(lo0, t + e)
+        else:
+            i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
+        if i != j:
+            i = scheme._straddled(v, D, i, j)
+        vD = (*v, D)
+        w = tuple([sum(map(mul, row, vD)) for row in affine[i]])
+        if L != 1:   # lowest terms: a common factor of w and D*L divides k
+            D *= L
+            g = gcd(gcd(k, D), *w)
+            if g != 1:
+                w, D = tuple(c // g for c in w), D // g
+        return digits[i], (w, D)
+
+    return step, (x.num, x.den)
 
 
 # every algebraic-integer base of the tests: a monic integer modulus

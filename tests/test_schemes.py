@@ -7,7 +7,7 @@ import pytest
 
 import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
-                     scan_expansion, scan_steps, tie_offset)
+                     reference_stepper, scan_expansion, scan_steps, tie_offset)
 from negabase import (DigitString, DomainError, Interval, PairDigit, Scheme, SchemeCell,
                       all_pair_digits,
                       alt_compare, build_beta2_scheme,
@@ -16,7 +16,7 @@ from negabase import (DigitString, DomainError, Interval, PairDigit, Scheme, Sch
                       eval_beta2_pairs, eval_neg_beta, eval_pos_beta,
                       feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
-                      lazy_breakpoint, lazy_neg_beta, lex_compare,
+                      lazy_breakpoint, lazy_neg_beta, lex_compare, parse_base,
                       pair_predecessor, pair_successor, psi_expand,
                       rational_field, restricted_scheme, run_scheme,
                       step_max_digit, step_min_digit, symmetric_partner)
@@ -774,3 +774,74 @@ def test_off_lattice_kernel_falls_back_at_the_beta2_breakpoints():
             got = _kernel(kind, schemes[kind], x, 1)
             _assert_tie_or_fallback(ctx, before, tie, x, (kind, x))
             assert got == _exact(kind, schemes[kind], x, 1), (kind, x)
+
+
+# -- the compiled kernel against the loop it is written out from ----------------
+
+# every test base, and two large alphabets: the beta^2 schemes of 31/3 have
+# 121 cells, the Ito-Sadahiro scheme of 301/3 has 101
+KERNEL_BASES = {**WALK_BASES, "thirty-one-thirds": ((-31, 3), 10, 11),
+                "three-hundred-one-thirds": ((-301, 3), 100, 101)}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+def test_compiled_kernel_matches_the_loop_reference(name):
+    # from every cut and end of each domain, tie_offset either side of it and
+    # seeded rationals: at each step the same digit, the same state and the
+    # same rise of the tie and fallback counters as the loop
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    rng, eps = random.Random(name), tie_offset(ctx)
+    # 301/3 runs its 101-cell schemes, not the beta^2 ones of 101^2 cells
+    by_kind = _schemes(ctx) if ctx.floor_beta < 100 else {
+        "is": build_ito_sadahiro_scheme(ctx), "positive": build_positive_greedy_scheme(ctx)}
+    for kind, scheme in by_kind.items():
+        domain = scheme.domain
+        ties = [domain.lo, *(c.interval.hi for c in scheme.cells[:-1]), domain.hi]
+        points = [y for t in ties for y in (t - eps, t, t + eps)]
+        points += [random_point(rng, domain) for _ in range(8)]
+        for x in filter(domain.contains, points):
+            (step, state), (reference, start) = scheme._stepper(x), reference_stepper(scheme, x)
+            assert state == start, (kind, x)
+            for _ in range(ORBIT_DEPTH):
+                before = _kernel_counts(ctx)
+                got = step(state)
+                mid = _kernel_counts(ctx)
+                assert got == reference(state), (kind, x, state)
+                after = _kernel_counts(ctx)
+                assert [m - b for b, m in zip(before, mid)] == \
+                    [a - m for m, a in zip(mid, after)], (kind, x, state)
+                state = got[1]
+    assert all(_kernel_counts(ctx)), "no straddle was decided by a tie and by the exact path"
+
+
+@pytest.mark.parametrize("name", sorted(WALK_BASES))
+def test_one_compiled_step_per_context_and_flag(name):
+    # the schemes of one base with the same flag L != 1 run one code object
+    ctx = field_from_poly(*WALK_BASES[name])
+    codes = {}
+    for scheme in _schemes(ctx).values():
+        step, _ = scheme._stepper(scheme.domain.lo)
+        codes.setdefault(scheme._lattice[5] != 1, set()).add(step.__code__)
+    assert [len(c) for c in codes.values()] == [1] * len(codes)
+
+
+def test_the_compiled_step_holds_no_constant():
+    # two bases of degree 2 compile their own kernels to the same bytecode:
+    # every constant of a base is a name bound per scheme
+    codes = []
+    for name in ("phi", "rt3"):
+        ctx = field_from_poly(*LATTICE_BASES[name])
+        scheme = build_ito_sadahiro_scheme(ctx)
+        codes.append(scheme._stepper(scheme.domain.lo)[0].__code__)
+    a, b = codes
+    assert a is not b
+    assert (a.co_code, a.co_consts, a.co_names) == (b.co_code, b.co_consts, b.co_names)
+
+
+def test_degree_one_hundred_on_the_compiled_kernel():
+    # the largest degree the parser admits: a dense kernel of 10 000 terms
+    ctx = parse_base("root(x^100-x-1, 1, 2)")
+    x = ctx.element(Fraction(-1, 3))
+    words = [greedy_neg_beta(x, depth=20).word, lazy_neg_beta(x, depth=20).word,
+             run_scheme(build_ito_sadahiro_scheme(ctx), x, depth=20).word]
+    assert [w.preperiod for w in words] == [(0, 1) * 10, (1, 0) * 10, (0,) * 20]
