@@ -39,7 +39,7 @@ after it reads the automaton.
 """
 
 from .field import ContextMismatchError, context_cached, phi_field
-from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _tiled_scheme,
+from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _pair_index, _tiled_scheme,
                       all_pair_digits, build_ito_sadahiro_scheme, interval_I, run_scheme)
 from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _dataclass_fields,
                     _Record, _set, format_word, psi_inverse)
@@ -109,9 +109,8 @@ def minimal_alphabet(ctx):
     of the value order (fb = floor(beta)), all of them (full) exactly when
     beta^2 > fb(beta + 1).  The complement b:a -> (fb - b):(fb - a) reverses
     that order, so the lazy alphabet is as many pairs from the top."""
-    fb = ctx.floor_beta
     pairs = all_pair_digits(ctx)
-    n = fb * (fb + 1) + (ctx.beta() * ctx.frac_beta()).ceil()
+    n = _critical(ctx)[0]
     greedy, lazy = pairs[:n], pairs[len(pairs) - n:]
     return AlphabetInfo(greedy, lazy, greedy[-1], lazy[0], n == len(pairs))
 
@@ -130,18 +129,14 @@ def restricted_scheme(ctx):
 
 
 @context_cached
-def _pair_letters(ctx):
-    """Each minimal-alphabet digit's rank in the value order, keyed by the
-    greedy digit and, for lazy words, by its complement; and the rule of
-    each critical rank: the maximal digit, and -b*beta + floor(beta), b >= 1."""
-    alpha = minimal_alphabet(ctx)
+def _critical(ctx):
+    """The size n = fb(fb + 1) + ceil(beta frac(beta)) of the minimal
+    greedy alphabet (fb = floor(beta)), and the rule of each critical rank:
+    the maximal digit at n - 1, and -b*beta + fb, b >= 1, at its place
+    (fb - b)(fb + 1) + fb.  A letter's rank is its place in the value order."""
     fb = ctx.floor_beta
-    n = len(alpha.greedy)
-    greedy = dict(zip(alpha.greedy, range(n)))
-    lazy = dict(zip(reversed(alpha.lazy), range(n)))   # greedy[i]'s complement is lazy[-1 - i]
-    rules = {n - 1: RULE_TOP}
-    rules.update((k * (fb + 1) + fb, RULE_MID) for k in range(fb))   # b:floor(beta), b >= 1
-    return greedy, lazy, rules
+    n = fb * (fb + 1) + (ctx.beta() * ctx.frac_beta()).ceil()
+    return n, {**dict.fromkeys(range(fb, fb * (fb + 1), fb + 1), RULE_MID), n - 1: RULE_TOP}
 
 
 def _tail_tables(bounds, letters, alternate, budget=None):
@@ -150,14 +145,13 @@ def _tail_tables(bounds, letters, alternate, budget=None):
 
     A state has one entry per position of the concatenated bounds: LT, EQ or
     GT as the tail read so far is below, equal to or above the bound from
-    there, or None when a finite word runs out first.  Returns the states,
-    the next-state table, where each bound starts in a state, and the two
-    start states (all None; all EQ).  None when `budget` entry computations
-    do not suffice."""
-    at, succ, firsts = [], [], []
+    there, or None when a finite word runs out first; each bound's entries
+    start where the bounds before it end.  Returns the states, the
+    next-state table and the two start states (all None; all EQ).  None
+    when `budget` entry computations do not suffice."""
+    at, succ = [], []
     for digits, loop in bounds:
         first = len(at)
-        firsts.append(first)
         at.extend(digits)
         succ.extend(range(first + 1, first + len(digits)))
         succ.append(first + loop)
@@ -185,17 +179,18 @@ def _tail_tables(bounds, letters, alternate, budget=None):
                 states.append(v)
             row.append(index[v])
         trans.append(tuple(row))
-    return states, trans, firsts, tuple(index[v] for v in starts)
+    return states, trans, tuple(index[v] for v in starts)
 
 
 def _link(tables, outcome, letters):
-    """The tables as linked rows keyed by the actual letters: row[letter] is
-    (next row, outcome), the outcome being None or the rule that rejects
-    at this letter.  Returns the two start rows."""
-    states, trans, _, starts = tables
+    """The tables as linked rows keyed by the actual letters, given in rank
+    order (letters[x] has rank x): row[letter] is (next row, outcome), the
+    outcome being None or the rule that rejects at this letter.  Returns
+    the two start rows."""
+    states, trans, starts = tables
     rows = [{} for _ in states]
     for row, state, nxt in zip(rows, states, trans):
-        for letter, x in letters.items():
+        for x, letter in enumerate(letters):
             row[letter] = (rows[nxt[x]], outcome(state, x, states[nxt[x]]))
     return tuple(rows[s] for s in starts)
 
@@ -264,8 +259,7 @@ class AdmissibilityBound(_Record):
             else:
                 start = interval_I(self.ctx).lo + self.ctx.frac_beta()
             exp = run_scheme(scheme, start, orbit_budget=self.orbit_budget)
-            bound = self._bounds.setdefault(
-                rule, (exp, _code(exp.word, _pair_letters(self.ctx)[0])))
+            bound = self._bounds.setdefault(rule, (exp, _ranked(exp.word, self.ctx, False)))
         return bound
 
     def _tails(self):
@@ -277,20 +271,19 @@ class AdmissibilityBound(_Record):
         return self._automaton or None
 
     def _build_tails(self):
-        greedy, lazy, critical = _pair_letters(self.ctx)
-        rules = (RULE_TOP, RULE_MID)
-        tables = _tail_tables([self._bound(rule)[1] for rule in rules], len(greedy),
-                              False, _TAIL_TABLE_BUDGET)
+        alpha, critical = minimal_alphabet(self.ctx), _critical(self.ctx)[1]
+        top, mid = self._bound(RULE_TOP)[1], self._bound(RULE_MID)[1]
+        tables = _tail_tables([top, mid], len(alpha.greedy), False, _TAIL_TABLE_BUDGET)
         if tables is None:
             return False
-        first = dict(zip(rules, tables[2]))
+        first = {RULE_TOP: 0, RULE_MID: len(top[0])}   # where each bound's entries start
 
         def outcome(state, x, _):
             rule = critical.get(x)
             c = None if rule is None else state[first[rule]]   # None: a finite word ends first
             return rule if c is not None and c >= EQ else None   # nor is equality admissible
 
-        return _link(tables, outcome, greedy), _link(tables, outcome, lazy)
+        return _link(tables, outcome, alpha.greedy), _link(tables, outcome, alpha.lazy[::-1])
 
 
 def reference_bounds(ctx, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -309,21 +302,32 @@ def _factor_text(word, start, length):
     return format_word(DigitString.finite(word.prefix(stop)[start:]))
 
 
-def _ranked(word, rank, lazy):
-    """The word coded by rank; a digit outside the alphabet is an error."""
-    try:
-        return _code(word, rank)
-    except KeyError as bad:
-        side = "lazy" if lazy else "greedy"
-        raise ValueError(
-            f"digit {bad.args[0]!r} outside the minimal {side} alphabet") from None
+def _ranked(word, ctx, lazy):
+    """The word coded by letter rank: a pair's place in the value order, or
+    for a lazy word (fb + 1)^2 - 1 less it, as the complement reverses that
+    order.  A letter with no place, or ranked past the minimal alphabet, is
+    an error."""
+    n = _critical(ctx)[0]
+    top = (ctx.floor_beta + 1) ** 2 - 1
+    side = "lazy" if lazy else "greedy"
+
+    def rank(p):
+        try:
+            r = top - _pair_index(ctx, p) if lazy else _pair_index(ctx, p)
+        except ValueError:
+            r = n
+        if r >= n:
+            raise ValueError(f"digit {p!r} outside the minimal {side} alphabet")
+        return r
+
+    return _code(word, rank)
 
 
-def _by_critical_digit(coded, bounds, critical):
+def _by_critical_digit(coded, bounds):
     """Each critical digit's tail compared on its own, bounds computed as
     they are needed: the check until both bounds are known, and for bounds
     with no period."""
-    undecided = False
+    critical, undecided = _critical(bounds.ctx)[1], False
     for k, r in enumerate(coded[0], 1):   # k: the critical digit's 1-based position
         rule = critical.get(r)
         if rule is None:
@@ -346,14 +350,12 @@ def _pair_check(word, ctx, bounds, lazy):
         raise ContextMismatchError("bounds of a different base")
     tails = bounds._tails() if len(bounds._bounds) == 2 else None
     if tails is None:
-        letters = _pair_letters(ctx)
-        coded = _ranked(word, letters[lazy], lazy)
-        rule, where, undecided = _by_critical_digit(coded, bounds, letters[2])
+        rule, where, undecided = _by_critical_digit(_ranked(word, ctx, lazy), bounds)
         return _report(word, rule, where, 4, undecided)
     try:
         rule, where = _scan(tails[lazy], word)
-    except KeyError:
-        _ranked(word, _pair_letters(ctx)[lazy], lazy)   # names the first digit outside
+    except (KeyError, TypeError):   # TypeError: an unhashable letter
+        _ranked(word, ctx, lazy)   # names the first digit outside
         raise
     return _report(word, rule, where, 4)
 
@@ -436,7 +438,7 @@ def _ito_sadahiro_tails(ctx):
         below = after[0] == LT or (x == 0 and state[0] == EQ)
         return RULE_FACTOR if below else None
 
-    return _link(tables, outcome, {d: d for d in range(ctx.floor_beta + 1)})
+    return _link(tables, outcome, range(ctx.floor_beta + 1))
 
 
 def ito_sadahiro_admissible(word):

@@ -348,7 +348,7 @@ def all_pair_digits(ctx):
 def _pair_index(ctx, p):
     """Pair p's place (fb - b)(fb + 1) + a in the value order, fb = floor(beta); 1.0 counts as 1."""
     digits = range(ctx.floor_beta + 1)
-    if isinstance(p, tuple) and len(p) == 2 and all(c in digits for c in p):
+    if isinstance(p, tuple) and len(p) == 2 and p[0] in digits and p[1] in digits:
         return (digits[-1] - digits.index(p[0])) * len(digits) + digits.index(p[1])
     raise ValueError(f"pair digit {p} outside the alphabet")
 
@@ -367,11 +367,16 @@ def pair_predecessor(ctx, p):
 
 def _pair_neighbour(ctx, p, step):
     """The pair digit `step` places from p in the value order."""
-    n = ctx.floor_beta + 1
     i = _pair_index(ctx, p) + step
-    if not 0 <= i < n * n:
+    if not 0 <= i < (ctx.floor_beta + 1) ** 2:
         raise ValueError("the maximal pair digit has no successor" if step > 0
                          else "the minimal pair digit has no predecessor")
+    return _pair_at(ctx, i)
+
+
+def _pair_at(ctx, i):
+    """The pair digit at place i of the value order."""
+    n = ctx.floor_beta + 1
     return _pair_digit((n - 1 - i // n, i % n))
 
 
@@ -387,15 +392,22 @@ def _beta2_tables(ctx):
 
 
 def greedy_breakpoint(ctx, p):
-    """Left endpoint of the squared-base greedy cell of pair digit p."""
-    i = _pair_index(ctx, p)
-    return _beta2_tables(ctx)[2][i]
+    """Left endpoint gamma_p = (v_p + l)/beta^2 of the squared-base greedy
+    cell of pair digit p, I = [l, r]."""
+    return _breakpoint(ctx, p, interval_I(ctx).lo)
 
 
 def lazy_breakpoint(ctx, p):
-    """Right endpoint of the squared-base lazy cell of pair digit p."""
-    i = _pair_index(ctx, p)
-    return _beta2_tables(ctx)[3][i]
+    """Right endpoint delta_p = (v_p + r)/beta^2 of the squared-base lazy
+    cell of pair digit p, I = [l, r]."""
+    return _breakpoint(ctx, p, interval_I(ctx).hi)
+
+
+def _breakpoint(ctx, p, end):
+    """(v_p + end)/beta^2, v_p the value of the pair at p's place, so that
+    (1.0, 0) is 1:0; no table of the pair alphabet is built."""
+    v = pair_value(ctx, _pair_at(ctx, _pair_index(ctx, p)))
+    return (v + end) * (ctx.beta() * ctx.beta()).inverse()
 
 
 class SchemeCell(_Record):

@@ -199,12 +199,12 @@ class DigitString(_Record):
 
 
 def _code(word, rank=None):
-    """A word as (digits, index where the period starts), digits mapped by
-    rank if given.  A finite word (or an orbit prefix with no period found)
-    gets its length as the index."""
+    """A word as (digits, index where the period starts), each digit mapped
+    by the function rank if given.  A finite word (or an orbit prefix with
+    no period found) gets its length as the index."""
     digits = word.preperiod + word.period
     if rank is not None:
-        digits = tuple(rank[d] for d in digits)
+        digits = tuple(map(rank, digits))
     return digits, len(word.preperiod)
 
 

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import negabase.admissibility as adm
-from helpers import (PairReference, all_words, eventually_periodic_words,
+import negabase.schemes as schemes
+from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, PairReference, all_words,
+                     eventually_periodic_words,
                      forbidden_factor_reject, golden_reference,
                      ito_sadahiro_reference, random_point, report_tuple)
 from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, ContextMismatchError,
@@ -110,7 +112,10 @@ class TestMinimalAlphabet:
 
 class TestRestrictedScheme:
     def test_cells_tile_attractor(self, phi, mu):
-        for ctx in (phi, mu):
+        # 7/2 and the non-monic base have L != 1; Tetranacci is uncertified
+        for ctx in (phi, mu, rational_field(Fraction(7, 2)),
+                    field_from_poly(*OFF_LATTICE_BASES["non-monic"]),
+                    field_from_poly(*LATTICE_BASES["tetranacci"])):
             rs = restricted_scheme(ctx)
             I = interval_I(ctx)
             lows = tuple(c.interval.lo for c in rs.cells)
@@ -119,7 +124,9 @@ class TestRestrictedScheme:
             assert (highs[-1] - (I.lo + 1)).sign() == 0
             for i in range(len(rs.cells) - 1):
                 assert (highs[i] - lows[i + 1]).sign() == 0
-            assert lows == tuple(greedy_breakpoint(ctx, c.digit) for c in rs.cells)
+            gammas = tuple(greedy_breakpoint(ctx, c.digit) for c in rs.cells)
+            assert lows == gammas
+            assert [(x.num, x.den) for x in lows] == [(g.num, g.den) for g in gammas]
 
     def test_restriction_agrees_with_full_scheme(self, phi, mu):
         rng = random.Random(43)
@@ -597,6 +604,31 @@ class TestTailAutomaton:
                 is_admissible_greedy(word, phi, bounds)
             with pytest.raises(ValueError, match=r"PairDigit\(b=1, a=0\) outside the minimal lazy"):
                 is_admissible_lazy(DigitString((B, A, bad), (C,)), phi, bounds)
+
+    def test_a_letter_that_is_not_a_pair_is_named(self, phi):
+        # the per-digit path on a fresh bound, the automaton on a settled one
+        fresh, settled = adm.AdmissibilityBound(phi, 10_000), adm.AdmissibilityBound(phi, 10_000)
+        assert settled.settled and settled._tails()
+        word = DigitString((B, [1, 0]), (C,))
+        for bounds in (fresh, settled):
+            for check, side in ((is_admissible_greedy, "greedy"), (is_admissible_lazy, "lazy")):
+                with pytest.raises(ValueError, match=r"^digit \[1, 0\] outside the minimal "
+                                                     + side + " alphabet$"):
+                    check(word, phi, bounds)
+        assert not fresh._bounds
+
+    def test_a_large_alphabet_builds_no_table_without_a_critical_digit(self, monkeypatch):
+        def refuse(ctx):
+            raise AssertionError("built a table of the pair alphabet")
+
+        for module in (schemes, adm):
+            monkeypatch.setattr(module, "_beta2_tables", refuse)
+            monkeypatch.setattr(module, "all_pair_digits", refuse)
+        ctx = rational_field(Fraction(3001, 3))
+        greedy = parse_word("1:0(0:0)", pair=True)
+        lazy = parse_word("999:1000(1000:1000)", pair=True)
+        assert is_admissible_greedy(greedy, ctx).verdict == ADMISSIBLE
+        assert is_admissible_lazy(lazy, ctx).verdict == ADMISSIBLE
 
     def test_bounds_of_another_base_are_refused(self, phi):
         # phi's letter ranks read against Tribonacci's bounds would accept this word

@@ -226,12 +226,15 @@ class TestBeta2Schemes:
         assert [c.interval.hi_closed for c in cells] == [True] * 4
 
     def test_lazy_breakpoints_are_the_lazy_cell_ends(self, phi, mu):
-        from negabase import lazy_breakpoint
-
-        for ctx in (phi, mu, rational_field(Fraction(14, 5))):
+        # 7/2 and the non-monic base have L != 1; Tetranacci is uncertified
+        for ctx in (phi, mu, rational_field(Fraction(14, 5)), rational_field(Fraction(7, 2)),
+                    field_from_poly(*OFF_LATTICE_BASES["non-monic"]),
+                    field_from_poly(*LATTICE_BASES["tetranacci"])):
             cells = build_beta2_scheme(ctx, "lazy").cells
-            assert [c.interval.hi for c in cells] == [
-                lazy_breakpoint(ctx, c.digit) for c in cells]
+            ends = [lazy_breakpoint(ctx, c.digit) for c in cells]
+            assert [c.interval.hi for c in cells] == ends
+            assert [(c.interval.hi.num, c.interval.hi.den) for c in cells] == [
+                (e.num, e.den) for e in ends]
 
     def test_discontinuity_count(self, phi):
         # (#A)^2 - 1 interior breakpoints
@@ -303,6 +306,15 @@ class TestBeta2Schemes:
                 breakpoint(ctx, (1001, 0))
         assert pair_successor(ctx, (1000, 1000)) == PairDigit(999, 0)
         assert pair_predecessor(ctx, (0, 0)) == PairDigit(1, 1000)
+        # in-alphabet pairs, against (-b*beta + a + l)/beta^2 and (... + r)/beta^2 in Fraction
+        beta = Fraction(3001, 3)
+        l, r = -1000 * beta / (beta * beta - 1), 1000 / (beta * beta - 1)
+        for b, a in ((1000, 0), (1000, 1000), (999, 1), (1, 1000), (0, 0), (0, 1000),
+                     (1.0, 0)):
+            v = -Fraction(b) * beta + a
+            assert greedy_breakpoint(ctx, (b, a)).coeffs == ((v + l) / (beta * beta),)
+            assert lazy_breakpoint(ctx, (b, a)).coeffs == ((v + r) / (beta * beta),)
+        assert greedy_breakpoint(ctx, (1000, 0)).as_text() == "-1125375/1125749"
 
     def test_left_fixed_point(self, phi):
         I = interval_I(phi)
