@@ -39,8 +39,8 @@ after it reads the automaton.
 """
 
 from .field import ContextMismatchError, context_cached, phi_field
-from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _beta2_tables, _pair_index, _tiled_scheme,
-                      all_pair_digits, build_ito_sadahiro_scheme, interval_I, run_scheme)
+from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _pair_index, _pair_tiling, all_pair_digits,
+                      build_ito_sadahiro_scheme, interval_I, run_scheme)
 from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _dataclass_fields,
                     _Record, _set, format_word, psi_inverse)
 
@@ -118,14 +118,12 @@ def minimal_alphabet(ctx):
 @context_cached
 def restricted_scheme(ctx):
     """The left-continuous squared-base greedy map on the invariant
-    subinterval (l, l+1]: cells (gamma_i, gamma_{i+1}] over the minimal
-    greedy alphabet, an initial segment of the value order."""
-    alpha = minimal_alphabet(ctx)
-    _, values, gammas, _ = _beta2_tables(ctx)
-    n = len(alpha.greedy)
+    subinterval (l, l+1]: the minimal greedy alphabet, an initial segment of
+    the value order, tiling it in cells (gamma_i, gamma_{i+1}], cut by
+    greedy_breakpoint's formula."""
     l = interval_I(ctx).lo
-    return _tiled_scheme(ctx.beta() * ctx.beta(), Interval(l, l + 1, False, True),
-                         gammas[1:n], alpha.greedy, values[:n], True)
+    return _pair_tiling(ctx, minimal_alphabet(ctx).greedy, Interval(l, l + 1, False, True),
+                        False, True)
 
 
 @context_cached

@@ -380,17 +380,6 @@ def _pair_at(ctx, i):
     return _pair_digit((n - 1 - i // n, i % n))
 
 
-@context_cached
-def _beta2_tables(ctx):
-    pairs = all_pair_digits(ctx)
-    I = interval_I(ctx)
-    b2inv = (ctx.beta() * ctx.beta()).inverse()
-    values = tuple(pair_value(ctx, p) for p in pairs)
-    gammas = tuple((v + I.lo) * b2inv for v in values)
-    deltas = tuple((v + I.hi) * b2inv for v in values)
-    return pairs, values, gammas, deltas
-
-
 def greedy_breakpoint(ctx, p):
     """Left endpoint gamma_p = (v_p + l)/beta^2 of the squared-base greedy
     cell of pair digit p, I = [l, r]."""
@@ -406,8 +395,18 @@ def lazy_breakpoint(ctx, p):
 def _breakpoint(ctx, p, end):
     """(v_p + end)/beta^2, v_p the value of the pair at p's place, so that
     (1.0, 0) is 1:0; no table of the pair alphabet is built."""
-    v = pair_value(ctx, _pair_at(ctx, _pair_index(ctx, p)))
-    return (v + end) * (ctx.beta() * ctx.beta()).inverse()
+    return _pair_cut(ctx, pair_value(ctx, _pair_at(ctx, _pair_index(ctx, p))), end)
+
+
+def _pair_cut(ctx, v, end):
+    """(v + end)/beta^2: a pair tiling's cut, and a breakpoint."""
+    return (v + end) * _beta2_inverse(ctx)
+
+
+@context_cached
+def _beta2_inverse(ctx):
+    """1/beta^2, computed once per context."""
+    return (ctx.beta() * ctx.beta()).inverse()
 
 
 class SchemeCell(_Record):
@@ -538,20 +537,28 @@ def _tiled_scheme(base, domain, cuts, digits, values, right_closed):
     return Scheme(base, domain, cells).validate()
 
 
+def _pair_tiling(ctx, pairs, domain, lazy, right_closed):
+    """The squared-base tiling of `domain` by `pairs`, in increasing value:
+    each pair's value v computed once, the domain cut at (v + l)/beta^2
+    before every pair but the first (greedy_breakpoint), or, lazy, at
+    (v + r)/beta^2 after every pair but the last (lazy_breakpoint), I = [l, r]."""
+    values = tuple(pair_value(ctx, p) for p in pairs)
+    I = interval_I(ctx)
+    cuts = [_pair_cut(ctx, v, I.hi) for v in values[:-1]] if lazy \
+        else [_pair_cut(ctx, v, I.lo) for v in values[1:]]
+    return _tiled_scheme(ctx.beta() * ctx.beta(), domain, cuts, pairs, values, right_closed)
+
+
 @context_cached
 def build_beta2_scheme(ctx, kind):
     """The squared-base scheme whose digit string maps under the pair
-    morphism to the greedy (resp. lazy) digits in base -beta: cells
-    [gamma_i, gamma_{i+1}) (resp. (delta_{i-1}, delta_i]) over I."""
-    pairs, values, gammas, deltas = _beta2_tables(ctx)
-    if kind == "greedy":
-        cuts, right_closed = gammas[1:], False
-    elif kind == "lazy":
-        cuts, right_closed = deltas[:-1], True
-    else:
+    morphism to the greedy (resp. lazy) digits in base -beta: the whole
+    pair alphabet tiling I, cells [gamma_i, gamma_{i+1}) (resp.
+    (delta_{i-1}, delta_i]).  The kind is tested before anything is built."""
+    if kind not in ("greedy", "lazy"):
         raise ValueError("kind must be 'greedy' or 'lazy'")
-    return _tiled_scheme(ctx.beta() * ctx.beta(), interval_I(ctx), cuts, pairs,
-                         values, right_closed)
+    lazy = kind == "lazy"
+    return _pair_tiling(ctx, all_pair_digits(ctx), interval_I(ctx), lazy, lazy)
 
 
 def build_ito_sadahiro_scheme(ctx):

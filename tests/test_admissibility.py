@@ -21,8 +21,8 @@ from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, ContextMismatc
                       eval_neg_beta, field_from_poly,
                       golden_forbidden_factor_check, greedy_breakpoint,
                       interval_I, is_admissible_greedy, is_admissible_lazy,
-                      ito_sadahiro_admissible, minimal_alphabet, pair_sort_key, parse_word,
-                      phi_field, psi_inverse, rational_field, reference_bounds,
+                      ito_sadahiro_admissible, minimal_alphabet, pair_sort_key, pair_value,
+                      parse_word, phi_field, psi_inverse, rational_field, reference_bounds,
                       restricted_scheme, run_scheme, tribonacci_field)
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
@@ -112,10 +112,12 @@ class TestMinimalAlphabet:
 
 class TestRestrictedScheme:
     def test_cells_tile_attractor(self, phi, mu):
-        # 7/2 and the non-monic base have L != 1; Tetranacci is uncertified
+        # 7/2 and the non-monic base have L != 1; Tetranacci is uncertified;
+        # 31/3 has 114 pairs in its minimal alphabet
         for ctx in (phi, mu, rational_field(Fraction(7, 2)),
                     field_from_poly(*OFF_LATTICE_BASES["non-monic"]),
-                    field_from_poly(*LATTICE_BASES["tetranacci"])):
+                    field_from_poly(*LATTICE_BASES["tetranacci"]),
+                    rational_field(Fraction(31, 3))):
             rs = restricted_scheme(ctx)
             I = interval_I(ctx)
             lows = tuple(c.interval.lo for c in rs.cells)
@@ -127,6 +129,9 @@ class TestRestrictedScheme:
             gammas = tuple(greedy_breakpoint(ctx, c.digit) for c in rs.cells)
             assert lows == gammas
             assert [(x.num, x.den) for x in lows] == [(g.num, g.den) for g in gammas]
+            values = [pair_value(ctx, c.digit) for c in rs.cells]
+            assert [(c.value.num, c.value.den) for c in rs.cells] == [
+                (v.num, v.den) for v in values]
 
     def test_restriction_agrees_with_full_scheme(self, phi, mu):
         rng = random.Random(43)
@@ -622,7 +627,7 @@ class TestTailAutomaton:
             raise AssertionError("built a table of the pair alphabet")
 
         for module in (schemes, adm):
-            monkeypatch.setattr(module, "_beta2_tables", refuse)
+            monkeypatch.setattr(module, "_pair_tiling", refuse)
             monkeypatch.setattr(module, "all_pair_digits", refuse)
         ctx = rational_field(Fraction(3001, 3))
         greedy = parse_word("1:0(0:0)", pair=True)

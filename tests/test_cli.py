@@ -84,7 +84,7 @@ class TestExpand:
     @pytest.mark.parametrize("kind", ["greedy", "lazy", "beta2-greedy", "beta2-lazy"])
     def test_domain_error_builds_no_table(self, capsys, monkeypatch, kind):
         # the beta^2 scheme of 1001/3 has 111 556 cells and takes seconds to build
-        monkeypatch.setattr("negabase.schemes._beta2_tables",
+        monkeypatch.setattr("negabase.schemes.all_pair_digits",
                             lambda *a: pytest.fail("tables built"))
         code, out, err = run_cli(capsys, "expand", "--base", "1001/3", "--x", "1/7",
                                  "--kind", kind)

@@ -16,13 +16,27 @@ from negabase import (DigitString, DomainError, Interval, PairDigit, Scheme, Sch
                       eval_beta2_pairs, eval_neg_beta, eval_pos_beta,
                       feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
-                      lazy_breakpoint, lazy_neg_beta, lex_compare, parse_base,
-                      pair_predecessor, pair_successor, psi_expand,
+                      lazy_breakpoint, lazy_neg_beta, lex_compare, pair_predecessor,
+                      pair_successor, pair_value, parse_base, psi_expand,
                       rational_field, restricted_scheme, run_scheme,
                       step_max_digit, step_min_digit, symmetric_partner)
 from negabase.field import _lattice_powers
 
 A, B, C, D = PairDigit(1, 0), PairDigit(1, 1), PairDigit(0, 0), PairDigit(0, 1)
+
+
+def _tiled_bases(phi, mu):
+    # 7/2 and the non-monic base have L != 1, Tetranacci is uncertified, and
+    # 31/3 tiles I with 121 pairs
+    return (phi, mu, rational_field(Fraction(14, 5)), rational_field(Fraction(7, 2)),
+            field_from_poly(*OFF_LATTICE_BASES["non-monic"]),
+            field_from_poly(*LATTICE_BASES["tetranacci"]), rational_field(Fraction(31, 3)))
+
+
+def _assert_cell_values(ctx, cells):
+    """Each cell's value is its pair's value, vector and denominator alike."""
+    values = [pair_value(ctx, c.digit) for c in cells]
+    assert [(c.value.num, c.value.den) for c in cells] == [(v.num, v.den) for v in values]
 
 
 def F(*coeffs):
@@ -191,7 +205,7 @@ class TestGreedyLazy:
 
     def test_domain_is_tested_before_any_table(self, monkeypatch):
         # the beta^2 scheme of 1001/3 has 111 556 cells and takes seconds to build
-        monkeypatch.setattr(schemes, "_beta2_tables", lambda *a: pytest.fail("tables built"))
+        monkeypatch.setattr(schemes, "all_pair_digits", lambda *a: pytest.fail("tables built"))
         ctx = rational_field(Fraction(1001, 3))
         x = ctx.element(Fraction(1, 7))
         text = re.escape(f"x = 1/7 outside {interval_I(ctx)}")
@@ -225,16 +239,33 @@ class TestBeta2Schemes:
         assert [c.interval.lo_closed for c in cells] == [True, False, False, False]
         assert [c.interval.hi_closed for c in cells] == [True] * 4
 
+    def test_greedy_breakpoints_are_the_greedy_cell_starts(self, phi, mu):
+        for ctx in _tiled_bases(phi, mu):
+            cells = build_beta2_scheme(ctx, "greedy").cells
+            starts = [greedy_breakpoint(ctx, c.digit) for c in cells]
+            assert [c.interval.lo for c in cells] == starts
+            assert [(c.interval.lo.num, c.interval.lo.den) for c in cells] == [
+                (s.num, s.den) for s in starts]
+            _assert_cell_values(ctx, cells)
+
     def test_lazy_breakpoints_are_the_lazy_cell_ends(self, phi, mu):
-        # 7/2 and the non-monic base have L != 1; Tetranacci is uncertified
-        for ctx in (phi, mu, rational_field(Fraction(14, 5)), rational_field(Fraction(7, 2)),
-                    field_from_poly(*OFF_LATTICE_BASES["non-monic"]),
-                    field_from_poly(*LATTICE_BASES["tetranacci"])):
+        for ctx in _tiled_bases(phi, mu):
             cells = build_beta2_scheme(ctx, "lazy").cells
             ends = [lazy_breakpoint(ctx, c.digit) for c in cells]
             assert [c.interval.hi for c in cells] == ends
             assert [(c.interval.hi.num, c.interval.hi.den) for c in cells] == [
                 (e.num, e.den) for e in ends]
+            _assert_cell_values(ctx, cells)
+
+    def test_a_bad_kind_is_refused_before_any_table(self, monkeypatch):
+        # 3001/3 has 1002^2 pairs, seconds of work: a bad kind builds none
+        def refuse(ctx):
+            raise AssertionError("built a table of the pair alphabet")
+
+        monkeypatch.setattr(schemes, "all_pair_digits", refuse)
+        ctx = rational_field(Fraction(3001, 3))
+        with pytest.raises(ValueError, match="^kind must be 'greedy' or 'lazy'$"):
+            build_beta2_scheme(ctx, "bogus")
 
     def test_discontinuity_count(self, phi):
         # (#A)^2 - 1 interior breakpoints
@@ -298,7 +329,7 @@ class TestBeta2Schemes:
         def refuse(ctx):
             raise AssertionError("built a table of the pair alphabet")
 
-        monkeypatch.setattr(schemes, "_beta2_tables", refuse)
+        monkeypatch.setattr(schemes, "_pair_tiling", refuse)
         monkeypatch.setattr(schemes, "all_pair_digits", refuse)
         ctx = rational_field(Fraction(3001, 3))
         for breakpoint in (greedy_breakpoint, lazy_breakpoint):
