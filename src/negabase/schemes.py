@@ -23,8 +23,10 @@ denominator L an integer matrix, and each cut n/d or end of I tested by
 algebraic-integer base L = 1 and D stays den(x); elsewhere an orbit state
 is y in lowest terms.  Either way a value has one state.  An orbit's step is
 that kernel written out for the degree d of the base, every dot product an
-unrolled sum of d terms, and compiled once per base: every scheme of the
-base runs one code object, its constants bound by name per scheme.
+unrolled sum of d terms, and compiled once per process for each degree and
+flag L != 1: every scheme of every base with that degree and flag runs one
+code object, its constants bound by name per scheme.  Every cell search is
+a bisection over cuts that Scheme.validate proves increasing.
 """
 
 from bisect import bisect_left, bisect_right
@@ -115,18 +117,14 @@ def _reduced(ctx, v, D):
 
 
 _KERNEL_SOURCE = """\
-def make(D0, hi0, lo0):
+def make(hi, lo):
     def step(s):
         v, D = s
         {v}, = v
         t = {t}   # 2^64 * D * y, up to e
         e = gap * ({e})
-        # i counts the cuts surely below y, j those that may be: for an integer
-        # h, h < ceil((t-e)/D) iff h*D < t-e, h <= floor((t+e)/D) iff h*D <= t+e
-        if D == D0:
-            i, j = bisect_left(hi0, t - e), bisect_right(lo0, t + e)
-        else:
-            i, j = bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)
+        # i counts the cuts surely below y, j those that may be
+        i, j = {search}
         if i != j:
             i = straddled(v, D, i, j)
         c = offsets[i]
@@ -135,6 +133,12 @@ def make(D0, hi0, lo0):
     return step
 """
 
+# by the flag L != 1: with L = 1, D stays den(x), by which make's bounds are
+# scaled; else D grows and t is divided by it, as for an integer h,
+# h < ceil((t-e)/D) iff h*D < t-e and h <= floor((t+e)/D) iff h*D <= t+e
+_KERNEL_SEARCH = ("bisect_left(hi, t - e), bisect_right(lo, t + e)",
+                  "bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)")
+
 _KERNEL_LOWEST = """\
         D *= L   # lowest terms: a common factor of w and D*L divides k
         g = gcd(gcd(k, D), {w})
@@ -142,23 +146,29 @@ _KERNEL_LOWEST = """\
             return digits[i], (({w_g},), D // g)
         return digits[i], (({w},), D)"""
 
+_KERNEL_CODES = {}
 
-@context_cached
-def _kernel_code(ctx, reduce):
-    """The orbit step of every scheme over ctx, written out for its degree d and
-    compiled once per context and flag: reduce (L != 1) puts each state in
-    lowest terms.  The source is fixed text and d; every constant is a name
-    (p_c, gap, m_r_c, offsets, ...) that Scheme._kernel binds, so no text of the
-    input and no integer of its tables is written into it."""
-    d = range(ctx.degree)
+
+def _kernel_code(degree, reduce):
+    """The orbit step of every scheme of a degree and flag, written out for
+    the degree d and compiled once per process: reduce (L != 1) divides by the
+    growing D and puts each state in lowest terms, else the bounds come scaled
+    by D.  The source is fixed text and d; every constant is a name (p_c, gap,
+    m_r_c, offsets, ...) that Scheme._kernel binds, so no text of the input and
+    no integer of its tables is written into it."""
+    key = degree, reduce
+    if key in _KERNEL_CODES:
+        return _KERNEL_CODES[key]
+    d = range(degree)
     v, w = (", ".join(f"{name}{r}" for r in d) for name in "vw")
     rows = "\n".join(f"        w{r} = " + "".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D"
                      for r in d)
     tail = (_KERNEL_LOWEST.format(w=w, w_g=", ".join(f"w{r} // g" for r in d)) if reduce
             else f"        return digits[i], (({w},), D)")
     source = _KERNEL_SOURCE.format(v=v, t=" + ".join(f"p{c} * v{c}" for c in d),
-                                   e=" + ".join(f"abs(v{c})" for c in d), rows=rows, tail=tail)
-    return compile(source, "<orbit kernel>", "exec")
+                                   e=" + ".join(f"abs(v{c})" for c in d),
+                                   search=_KERNEL_SEARCH[reduce], rows=rows, tail=tail)
+    return _KERNEL_CODES.setdefault(key, compile(source, "<orbit kernel>", "exec"))
 
 
 @context_cached
@@ -418,55 +428,62 @@ class Scheme(_Record):
 
     The digit map is piecewise constant over the cells, which tile the
     domain left to right; construction via validate() checks exactly that
-    the cells tile the domain and that every cell image lands inside the
-    domain again.
+    the cells tile the domain in increasing order and that every cell image
+    lands inside the domain again.  Every cell search is one bisection over
+    the cells' right ends, which that order makes increasing.
     """
 
     __slots__ = ("base", "domain", "cells", "__dict__")
     _fields = ("base", "domain", "cells")
 
     def validate(self):
+        """The end cells lie in the domain and span it, its ends and their
+        closedness included; each cell shares its right end with the next,
+        which holds it if it does not; each has its left end below its right,
+        the order every bisection over them needs.  Together these put every
+        cell in the domain.  Each end is multiplied by the base once for the
+        images."""
+        cells, domain = self.cells, self.domain
+        first, last = cells[0].interval, cells[-1].interval
+        for iv in (first, last):
+            if not _subset(iv, domain):
+                raise ValueError(f"cell {iv} escapes the domain {domain}")
+        if Interval(first.lo, last.hi, first.lo_closed, last.hi_closed) != domain:
+            raise ValueError("cells must span the domain")
+        for a, b in zip(cells, cells[1:]):
+            if a.interval.hi != b.interval.lo or a.interval.hi_closed == b.interval.lo_closed:
+                raise ValueError("cells do not tile the domain")
         up = self.base.sign() > 0
-        for cell in self.cells:
+        ends = [self.base * domain.lo] + [self.base * cell.interval.hi for cell in cells]
+        for cell, lo_end, hi_end in zip(cells, ends, ends[1:]):
             iv = cell.interval
-            if not _subset(iv, self.domain):
-                raise ValueError(f"cell {iv} escapes the domain {self.domain}")
-            lo_img = self.base * iv.lo - cell.value
-            hi_img = self.base * iv.hi - cell.value
+            if iv.lo.compare(iv.hi) >= 0:
+                raise ValueError(f"cell {iv} is out of order")
+            lo_img, hi_img = lo_end - cell.value, hi_end - cell.value
             if up:
                 image = Interval(lo_img, hi_img, iv.lo_closed, iv.hi_closed)
             else:
                 image = Interval(hi_img, lo_img, iv.hi_closed, iv.lo_closed)
-            if not _subset(image, self.domain):
-                raise ValueError(
-                    f"cell {iv}: image {image} escapes the domain {self.domain}")
-        cells = self.cells
-        if cells[0].interval.lo != self.domain.lo or cells[-1].interval.hi != self.domain.hi:
-            raise ValueError("cells must span the domain")
-        for a, b in zip(cells, cells[1:]):
-            if a.interval.hi != b.interval.lo \
-                    or a.interval.hi_closed == b.interval.lo_closed:
-                raise ValueError("cells do not tile the domain")
+            if not _subset(image, domain):
+                raise ValueError(f"cell {iv}: image {image} escapes the domain {domain}")
         return self
 
-    def _index(self, x):
-        # the cells tile the domain, so the first whose right end is not
-        # left of x holds it
-        for i, cell in enumerate(self.cells[:-1]):
-            iv = cell.interval
-            s = iv.hi.compare(x)
-            if s > 0 or (s == 0 and iv.hi_closed):
-                return i
-        return len(self.cells) - 1
+    def _index(self, x, i, j):
+        """The place of x's cell, given that cells i..j hold x: a bisection for
+        the first of cells i..j-1 whose right end is above x, or is x and
+        closed, else j."""
+        return bisect_left(self.cells, (0, True), i, j,
+                           key=lambda cell: (cell.interval.hi.compare(x), cell.interval.hi_closed))
 
     def _straddled(self, v, D, i, j):
-        """The cell of y = v/D where the bounds leave cuts i..j-1 undecided:
-        the closed side of a cut y ties, else the exact cell search."""
+        """The cell of y = v/D where the bounds leave cuts i..j-1 undecided, so
+        that cells i..j hold y: the closed side of a cut y ties, else the exact
+        bisection over cells i..j only."""
         for k in range(i, j):
             iv = self.cells[k].interval
             if _ties(self.base.context, v, D, iv.hi):
                 return k if iv.hi_closed else k + 1
-        return self._index(_reduced(self.base.context, v, D))
+        return self._index(_reduced(self.base.context, v, D), i, j)
 
     @cached_property
     def _lattice(self):
@@ -491,32 +508,33 @@ class Scheme(_Record):
 
     @cached_property
     def _kernel(self):
-        """make(D0, hi0, lo0) -> step: the context's compiled step (_kernel_code)
-        run in a namespace that binds this scheme's table by name."""
+        """make(hi, lo) -> step: the compiled step of the base's degree and of
+        the flag L != 1 (_kernel_code), run in a namespace that binds this
+        scheme's table by name."""
         ctx = self.base.context
         matrix, offsets, lo, hi, digits, L, k = self._lattice
         powers, gap = _lattice_powers(ctx)
         names = {f"p{c}": p for c, p in enumerate(powers)}
         names.update((f"m{r}_{c}", m) for r, row in enumerate(matrix) for c, m in enumerate(row))
-        names.update(gap=gap, offsets=offsets, digits=digits, lo=lo, hi=hi, L=L, k=k,
+        names.update(gap=gap, offsets=offsets, digits=digits, L=L, k=k,
                      straddled=self._straddled, bisect_left=bisect_left,
                      bisect_right=bisect_right, gcd=gcd)
-        exec(_kernel_code(ctx, L != 1), names)
+        exec(_kernel_code(ctx.degree, L != 1), names)
         return names["make"]
 
     def _stepper(self, x):
         """(step, start): step(state) -> (digit, state') along the orbit of x,
-        on hashable states (v, D), y = v/D: the scheme's kernel, written out for
-        the degree and compiled once per base, with the cut bounds scaled by
-        den(x) once per orbit."""
-        _, _, lo, hi, *_ = self._lattice
-        D0 = x.den
-        return self._kernel(D0, tuple(b * D0 for b in hi), tuple(b * D0 for b in lo)), \
-            (x.num, x.den)
+        on hashable states (v, D), y = v/D: the scheme's compiled kernel.  With
+        L = 1, D stays den(x), and the cut bounds are scaled by it once per
+        orbit; otherwise the kernel divides by D and the bounds stay as they are."""
+        _, _, lo, hi, _, L, _ = self._lattice
+        if L == 1:
+            lo, hi = (tuple(b * x.den for b in bounds) for bounds in (lo, hi))
+        return self._kernel(hi, lo), (x.num, x.den)
 
     def locate(self, x):
         _require_in(self.domain, x)
-        return self.cells[self._index(x)]
+        return self.cells[self._index(x, 0, len(self.cells) - 1)]
 
     def step(self, x):
         cell = self.locate(x)

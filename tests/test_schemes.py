@@ -1,15 +1,15 @@
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, log2
 
 import pytest
 
 import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
                      reference_stepper, scan_expansion, scan_steps, tie_offset)
-from negabase import (DigitString, DomainError, Interval, PairDigit, Scheme, SchemeCell,
-                      all_pair_digits,
+from negabase import (DigitString, DomainError, ExactReal, Interval, PairDigit, Scheme,
+                      SchemeCell, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
                       count_representation_branches, digit_subinterval,
@@ -395,6 +395,12 @@ class TestSchemeValidate:
         ((("2/5", "4/5", 1), ("4/5", "1", 2)), "cells must span the domain"),
         ((("0", "2/5", 0), ("2/5", "4/5", 1, False), ("4/5", "1", 2)),
          "cells do not tile the domain"),
+        # a reversed cell: [1/2, 3/5) is covered twice
+        ((("0", "2/5", 0), ("2/5", "3/5", 1), ("3/5", "1/2", 1), ("1/2", "4/5", 1),
+          ("4/5", "1", 2)), "cell [3/5, 1/2) is out of order"),
+        # no cell holds 0, which the domain does
+        ((("0", "2/5", 0, False), ("2/5", "4/5", 1), ("4/5", "1", 2)),
+         "cells must span the domain"),
     ])
     def test_errors(self, cells, text):
         with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
@@ -869,16 +875,30 @@ def test_one_compiled_step_per_context_and_flag(name):
 
 
 def test_the_compiled_step_holds_no_constant():
-    # two bases of degree 2 compile their own kernels to the same bytecode:
-    # every constant of a base is a name bound per scheme
+    # two bases of degree 2 and L = 1 run one compiled kernel: every constant
+    # of a base is a name bound per scheme.  7/4 (L = 4) runs another
     codes = []
     for name in ("phi", "rt3"):
         ctx = field_from_poly(*LATTICE_BASES[name])
         scheme = build_ito_sadahiro_scheme(ctx)
         codes.append(scheme._stepper(scheme.domain.lo)[0].__code__)
     a, b = codes
-    assert a is not b
+    assert a is b
     assert (a.co_code, a.co_consts, a.co_names) == (b.co_code, b.co_consts, b.co_names)
+    scheme = build_ito_sadahiro_scheme(field_from_poly(*OFF_LATTICE_BASES["seven-quarters"]))
+    assert scheme._stepper(scheme.domain.lo)[0].__code__ is not a
+
+
+def test_locate_bisects_the_cells(monkeypatch):
+    # the right ends of 301/3's 10 201 beta^2 greedy cells increase, which
+    # validate proves: locate(r) makes the domain test and one bisection
+    scheme = build_beta2_scheme(rational_field(Fraction(301, 3)), "greedy")
+    n, calls = len(scheme.cells), []
+    compare = ExactReal.compare
+    monkeypatch.setattr(ExactReal, "compare", lambda x, y: calls.append(1) or compare(x, y))
+    assert scheme.locate(scheme.domain.hi) is scheme.cells[-1]
+    assert n == 101 ** 2
+    assert len(calls) <= 2 * ceil(log2(n)) + 2
 
 
 def test_degree_one_hundred_on_the_compiled_kernel():
