@@ -11,9 +11,10 @@ oracle for their digit choices and for uniqueness experiments.
 
 The test is the oracle's own, not the squared-base tilings it checks:
 every digit is tested against I.  The walk reads each node's children off
-schemes._children, which runs on the orbit kernel's integer states on
-every base and decides l and r by the kernel's rule: 64-bit bounds, then
-a tie on the integer vectors, then the exact test.
+schemes._children, a step compiled once per degree on the orbit kernel's
+integer states, whose bounds keep one range of digits on every alphabet
+and decide l and r by the kernel's rule: 64-bit bounds, then a tie on the
+integer vectors, then the exact test.
 
 Counts and the listing are brute force over the distinct remainders of
 each level: equal-length prefixes that reach one remainder share their
@@ -59,13 +60,13 @@ def _merged_walk(x, depth, node_budget, start, extend, merge, weight=None):
         steps, D = children(D)
         nxt = {}
         for y, value in level.items():
-            n = weight(value) if weight else 1
-            for a, w in steps(y):
+            kids = steps(y)
+            nodes += (weight(value) if weight else 1) * len(kids)
+            if nodes > node_budget:
+                raise _budget_error(node_budget, depth)
+            for a, w in kids:
                 v = extend(value, a)
                 nxt[w] = merge(nxt[w], v) if w in nxt else v
-                nodes += n
-                if nodes > node_budget:
-                    raise _budget_error(node_budget, depth)
         if not nxt:   # the first level: a remainder in I has children
             _require_in(interval_I(x.context), x)
         level = nxt

@@ -26,14 +26,14 @@ that kernel written out for the degree d of the base, every dot product an
 unrolled sum of d terms, and compiled once per process for each degree and
 flag L != 1: every scheme of every base with that degree and flag runs one
 code object, its constants bound by name per scheme.  Every cell search is
-a bisection over cuts that Scheme.validate proves increasing.
+a bisection over cuts that Scheme.validate proves increasing.  The walk's
+step is compiled once per degree too, its digits read off two floor divisions.
 """
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, product
 from math import gcd, lcm
-from operator import mul
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
 from .words import DigitString, _dataclass_fields, _pair_digit, _Record, psi_expand
@@ -146,45 +146,86 @@ _KERNEL_LOWEST = """\
             return digits[i], (({w_g},), D // g)
         return digits[i], (({w},), D)"""
 
+_WALK_SOURCE = """\
+def make(E, l_lo, l_hi, r_lo, r_hi, unit):   # unit: the digit 1 at the scale of t
+    def steps(v):
+        {v}, = v
+{z}
+        t = {t}   # 2^64 * E * (-beta*y), up to e
+        e = gap * ({e})
+        lo, hi = t - e, t + e
+        i, j = -((r_hi - lo) // unit), (hi - l_lo) // unit   # the digits whose bounds meet [l, r]
+        out = []
+        for a in range(i if i > 0 else 0, (j if j < fb else fb) + 1):
+            w, s = (z0 - a * E, {z_rest}), a * unit
+            # the end of I that the bounds straddle, if any
+            end = lo_end if lo - s < l_hi else hi_end if hi - s > r_lo else None
+            if end is None or ties(ctx, w, E, end) or contains(reduced(ctx, w, E)):
+                out.append((a, w))
+        return out
+    return steps
+"""
+
 _KERNEL_CODES = {}
+
+
+def _compiled(write, ctx, names, *flags):
+    """The make of write(d, *flags), compiled once per process for each writer,
+    degree d of ctx and flags, run in names and the 64-bit powers p_c of beta
+    and their gap: the source is fixed text and d, every constant a name."""
+    key = write.__name__, ctx.degree, *flags
+    code = _KERNEL_CODES.get(key) or _KERNEL_CODES.setdefault(
+        key, compile(write(*key[1:]), f"<{key[0]}>", "exec"))
+    powers, names["gap"] = _lattice_powers(ctx)
+    names.update((f"p{c}", p) for c, p in enumerate(powers))
+    exec(code, names)
+    return names["make"]
 
 
 def _kernel_code(degree, reduce):
     """The orbit step of every scheme of a degree and flag, written out for
-    the degree d and compiled once per process: reduce (L != 1) divides by the
-    growing D and puts each state in lowest terms, else the bounds come scaled
-    by D.  The source is fixed text and d; every constant is a name (p_c, gap,
-    m_r_c, offsets, ...) that Scheme._kernel binds, so no text of the input and
-    no integer of its tables is written into it."""
-    key = degree, reduce
-    if key in _KERNEL_CODES:
-        return _KERNEL_CODES[key]
+    the degree d: reduce (L != 1) divides by the growing D and puts each state
+    in lowest terms, else the bounds come scaled by D.  Its other names
+    (m_r_c, offsets, ...) are bound by Scheme._kernel."""
     d = range(degree)
     v, w = (", ".join(f"{name}{r}" for r in d) for name in "vw")
     rows = "\n".join(f"        w{r} = " + "".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D"
                      for r in d)
     tail = (_KERNEL_LOWEST.format(w=w, w_g=", ".join(f"w{r} // g" for r in d)) if reduce
             else f"        return digits[i], (({w},), D)")
-    source = _KERNEL_SOURCE.format(v=v, t=" + ".join(f"p{c} * v{c}" for c in d),
-                                   e=" + ".join(f"abs(v{c})" for c in d),
-                                   search=_KERNEL_SEARCH[reduce], rows=rows, tail=tail)
-    return _KERNEL_CODES.setdefault(key, compile(source, "<orbit kernel>", "exec"))
+    return _KERNEL_SOURCE.format(v=v, t=" + ".join(f"p{c} * v{c}" for c in d),
+                                 e=" + ".join(f"abs(v{c})" for c in d),
+                                 search=_KERNEL_SEARCH[reduce], rows=rows, tail=tail)
+
+
+def _walk_code(degree):
+    """The walk's step for the degree d: z_c = -(M*v_(c-1) + v_(d-1)*q_c), then
+    the digits a with -beta*y - a in [l, r], one range, its cuts one unit
+    apart.  Its other names (q_c, M, fb, ...) are bound by _children."""
+    d = range(degree)
+    return _WALK_SOURCE.format(
+        v=", ".join(f"v{c}" for c in d), t=" + ".join(f"p{c} * z{c}" for c in d),
+        z="\n".join(f"        z{c} = -(" + f"M * v{c - 1} + " * (c > 0) + f"v{d[-1]} * q{c})"
+                    for c in d),
+        e=" + ".join(f"abs(z{c})" for c in d), z_rest=", ".join(f"z{c}" for c in d[1:]))
 
 
 @context_cached
 def _children(ctx):
-    """level(D) -> (steps, D*M) for a level of nodes v/D: steps(v) yields
+    """level(D) -> (steps, D*M) for a level of nodes v/D: steps(v) lists
     (a, w) for every digit a with -beta*v/D - a = w/(D*M) in I, ascending,
-    M the denominator of the modulus, each digit tested by the kernel's rule
-    on M*(-beta)*v; a tie with l or r is feasible, I being closed.  No node is
-    reduced: a level's nodes share D*M, so equal vectors are equal remainders.
-    The last level is kept, so a monic base (M = 1) builds one per walk."""
+    M the denominator of the modulus, by _walk_code's step; a tie with l or r
+    is feasible, I being closed.  No node is reduced: a level's nodes share
+    D*M, so equal vectors are equal remainders.  The last level is kept, so a
+    monic base (M = 1) builds one per walk."""
     I = interval_I(ctx)
-    powers, gap = _lattice_powers(ctx)
     power = ctx.beta() ** ctx.degree
-    M, top = power.den, power.num   # beta^d = top/M
+    M = power.den   # beta^d = (q_0 + ... + q_(d-1) beta^(d-1))/M
     ll, lh, rl, rh = *_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi)
-    digits = range(ctx.floor_beta + 1)
+    names = {f"q{c}": q for c, q in enumerate(power.num)}
+    names.update(M=M, fb=ctx.floor_beta, ctx=ctx, lo_end=I.lo, hi_end=I.hi,
+                 contains=I.contains, ties=_ties, reduced=_reduced)
+    make = _compiled(_walk_code, ctx, names)
     last = [(None, None)]   # replaced whole and read in one unpack: no lock
 
     def level(D):
@@ -192,28 +233,9 @@ def _children(ctx):
         if D0 == D:
             return built
         E = D * M
-        l_lo, l_hi, r_lo, r_hi = E * ll, E * lh, E * rl, E * rh
-        unit = E << _FILTER_BITS   # the digit 1 at the scale of t
-
-        def steps(v):
-            # the companion shift, the top coefficient folded by M*beta^d
-            z = [-(M * c + v[-1] * t) for c, t in zip((0, *v[:-1]), top)]
-            t = sum(map(mul, z, powers))   # 2^64 * E * (-beta*y), up to e
-            e = gap * sum(map(abs, z))
-            z0 = z[0]
-            for a in digits:
-                lo, hi = t - e - a * unit, t + e - a * unit
-                if hi < l_lo or lo > r_hi:
-                    continue
-                z[0] = z0 - a * E
-                w = tuple(z)
-                if (lo < l_hi or hi > r_lo) and not _ties(ctx, w, E, I.lo if lo < l_hi else I.hi) \
-                        and not I.contains(_reduced(ctx, w, E)):
-                    continue
-                yield a, w
-
-        last[0] = D, (steps, E)
-        return steps, E
+        built = make(E, E * ll, E * lh, E * rl, E * rh, E << _FILTER_BITS), E
+        last[0] = D, built
+        return built
 
     return level
 
@@ -241,7 +263,7 @@ def _descend(x, depth, i):
     children, w, E = _children(x.context), x.num, x.den
     for _ in range(depth):
         steps, E = children(E)
-        feasible = list(steps(w))
+        feasible = steps(w)
         if not feasible:
             _require_in(interval_I(x.context), x)
         a, w = feasible[i]
@@ -356,10 +378,17 @@ def all_pair_digits(ctx):
 
 
 def _pair_index(ctx, p):
-    """Pair p's place (fb - b)(fb + 1) + a in the value order, fb = floor(beta); 1.0 counts as 1."""
-    digits = range(ctx.floor_beta + 1)
-    if isinstance(p, tuple) and len(p) == 2 and p[0] in digits and p[1] in digits:
-        return (digits[-1] - digits.index(p[0])) * len(digits) + digits.index(p[1])
+    """Pair p's place (fb - b)(fb + 1) + a in the value order, fb = floor(beta)."""
+    n = ctx.floor_beta + 1
+    if isinstance(p, tuple) and len(p) == 2:
+        b, a = p
+        if type(b) is not int or type(a) is not int:
+            try:   # equal numbers hash alike, so 1.0, Fraction(1) and True are 1
+                b, a = (c if type(c) is int else hash(c) for c in p)
+            except TypeError:   # an unhashable letter
+                b = -1
+        if 0 <= b < n and 0 <= a < n and b == p[0] and a == p[1]:
+            return (n - 1 - b) * n + a
     raise ValueError(f"pair digit {p} outside the alphabet")
 
 
@@ -444,6 +473,8 @@ class Scheme(_Record):
         cell in the domain.  Each end is multiplied by the base once for the
         images."""
         cells, domain = self.cells, self.domain
+        if not cells:
+            raise ValueError("cells must span the domain")
         first, last = cells[0].interval, cells[-1].interval
         for iv in (first, last):
             if not _subset(iv, domain):
@@ -511,16 +542,11 @@ class Scheme(_Record):
         """make(hi, lo) -> step: the compiled step of the base's degree and of
         the flag L != 1 (_kernel_code), run in a namespace that binds this
         scheme's table by name."""
-        ctx = self.base.context
         matrix, offsets, lo, hi, digits, L, k = self._lattice
-        powers, gap = _lattice_powers(ctx)
-        names = {f"p{c}": p for c, p in enumerate(powers)}
-        names.update((f"m{r}_{c}", m) for r, row in enumerate(matrix) for c, m in enumerate(row))
-        names.update(gap=gap, offsets=offsets, digits=digits, L=L, k=k,
-                     straddled=self._straddled, bisect_left=bisect_left,
-                     bisect_right=bisect_right, gcd=gcd)
-        exec(_kernel_code(ctx.degree, L != 1), names)
-        return names["make"]
+        names = {f"m{r}_{c}": m for r, row in enumerate(matrix) for c, m in enumerate(row)}
+        names.update(offsets=offsets, digits=digits, L=L, k=k, straddled=self._straddled,
+                     bisect_left=bisect_left, bisect_right=bisect_right, gcd=gcd)
+        return _compiled(_kernel_code, self.base.context, names, L != 1)
 
     def _stepper(self, x):
         """(step, start): step(state) -> (digit, state') along the orbit of x,

@@ -16,6 +16,7 @@ from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
                       field_from_poly, greedy_neg_beta, interval_I,
                       lazy_neg_beta, rational_field, sample_unique_numbers,
                       step_max_digit, step_min_digit)
+from negabase.schemes import _children, _lowest
 
 B, C = PairDigit(1, 1), PairDigit(0, 0)
 
@@ -147,6 +148,37 @@ def test_lattice_walk_matches_the_alphabet_scan(name):
         depth = 8 + i % 3
         want = sorted(_scan_walk(x, depth)[0], key=alt_sort_key)
         assert enumerate_prefixes(x, depth) == want, (x, depth)
+
+
+# monic and not, degrees 1 to 4, and an alphabet of 334 digits
+COMPILED_WALK_BASES = {name: WALK_BASES[name] for name in (
+    "phi", "tribonacci", "rt3", "tetranacci", "seven-quarters", "fourteen-fifths", "non-monic")}
+COMPILED_WALK_BASES["1001/3"] = ((-1001, 3), 333, 334)
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_WALK_BASES))
+def test_compiled_walk_matches_the_exact_scan(name):
+    # the compiled step visits only the digits that two floor divisions keep:
+    # at l, r, every cut and every p/q with q <= 7, its digits and its
+    # children's reduced remainders are the exact scan of the whole alphabet
+    ctx = field_from_poly(*COMPILED_WALK_BASES[name])
+    children = _children(ctx)
+    for x in _walk_points(ctx):
+        scan = scan_steps(x)
+        assert feasible_digits(x) == [a for a, _ in scan], x
+        steps, E = children(x.den)
+        assert [(a, _lowest(ctx, w, E)) for a, w in steps(x.num)] == scan, x
+
+
+def test_one_compiled_walk_per_degree():
+    # phi and 1 + sqrt(3), both of degree 2, walk one code object: every
+    # constant of a base is a name bound per context.  7/4, of degree 1, walks another
+    def code(ctx):
+        return _children(ctx)(1)[0].__code__
+
+    a = code(field_from_poly(*WALK_BASES["phi"]))
+    assert code(field_from_poly(*WALK_BASES["rt3"])) is a
+    assert code(field_from_poly(*WALK_BASES["seven-quarters"])) is not a
 
 
 def _straddle_points(ctx):

@@ -1,5 +1,6 @@
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, gcd, log2
 
@@ -325,6 +326,31 @@ class TestBeta2Schemes:
                     f"pair digit {bad} outside the alphabet") + "$"):
                 greedy_breakpoint(phi, bad)
 
+    def test_pair_places_match_the_range_rule(self):
+        # a letter's place by its hash and ==, against the rule it replaced:
+        # membership and .index in range(fb + 1), which compare by ==
+        def by_range(ctx, p):
+            digits = range(ctx.floor_beta + 1)
+            if isinstance(p, tuple) and len(p) == 2 and p[0] in digits and p[1] in digits:
+                return (digits[-1] - digits.index(p[0])) * len(digits) + digits.index(p[1])
+            raise ValueError(f"pair digit {p} outside the alphabet")
+
+        def outcome(rule, ctx, p):
+            try:
+                return rule(ctx, p)
+            except ValueError as e:
+                return str(e)
+
+        letters = (0, 1, 3, 4, -1, 333333, True, False, 1.0, 3.0, -0.0, 314159.0, Fraction(1),
+                   Fraction(3, 2), Decimal(2), 1 + 0j, 1.5, float("nan"), float("inf"),
+                   float("-inf"), "1", b"1", None, [1], {1})
+        pairs = ([(b, 2) for b in letters] + [(1, a) for a in letters]
+                 + [PairDigit(1, 2), (1,), (1, 2, 3), (), [1, 2], "12", None])
+        # fb = 3, and fb = 333 333, above hash(inf) = 314 159
+        for ctx in (rational_field(Fraction(7, 2)), rational_field(Fraction(1000001, 3))):
+            for p in pairs:
+                assert outcome(schemes._pair_index, ctx, p) == outcome(by_range, ctx, p), p
+
     def test_pair_lookups_build_no_table(self, monkeypatch):
         def refuse(ctx):
             raise AssertionError("built a table of the pair alphabet")
@@ -401,6 +427,8 @@ class TestSchemeValidate:
         # no cell holds 0, which the domain does
         ((("0", "2/5", 0, False), ("2/5", "4/5", 1), ("4/5", "1", 2)),
          "cells must span the domain"),
+        # no cell at all
+        ((), "cells must span the domain"),
     ])
     def test_errors(self, cells, text):
         with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
