@@ -28,12 +28,12 @@ from .admissibility import (UNDECIDED, golden_forbidden_factor_check,
 from .field import phi_field
 from .oracle import (DEFAULT_NODE_BUDGET, BranchBudgetError, enumerate_prefixes,
                      sample_unique_numbers)
-from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, _beta2_orbit,
+from .schemes import (DEFAULT_ORBIT_BUDGET, DomainError, Expansion,
                       build_ito_sadahiro_scheme, eval_beta2_pairs,
                       eval_neg_beta, greedy_neg_beta, interval_I,
                       lazy_neg_beta, run_scheme)
 from .syntax import ParseError, coeff_vector, parse_base, parse_element
-from .words import DigitString, _code, _compare_tail, format_word, parse_word
+from .words import DigitString, _code, _compare_tail, format_word, parse_word, psi_inverse
 
 SCHEMA_VERSION = 1
 
@@ -108,15 +108,15 @@ def _cmd_expand(args):
     depth = _bounded_depth(args.depth, budget)
     kind = args.kind
     evaluate = eval_neg_beta
-    if kind == "greedy":
-        exp = greedy_neg_beta(x, depth, budget)
-    elif kind == "lazy":
-        exp = lazy_neg_beta(x, depth, budget)
-    elif kind == "is":
+    if kind == "is":
         exp = run_scheme(build_ito_sadahiro_scheme(ctx), x, depth, budget)
-    else:   # beta2-greedy or beta2-lazy: argparse checks the choices
-        exp = _beta2_orbit(x, kind.split("-")[1], depth, budget)
-        evaluate = eval_beta2_pairs
+    else:   # the theorem: a beta2-* word is the greedy or lazy word read in pairs
+        n = 2 if kind.startswith("beta2-") else 1
+        expand = greedy_neg_beta if kind.endswith("greedy") else lazy_neg_beta
+        exp = expand(x, None if depth is None else n * depth, n * budget)
+        if n == 2:
+            exp = Expansion(psi_inverse(exp.word), exp.status, exp.endpoint)
+            evaluate = eval_beta2_pairs
     evaluated = round_trip = None
     if exp.ok:
         # a prefix cut off by the orbit budget is not a value of x; its

@@ -30,7 +30,7 @@ from operator import add, iadd
 
 from .field import FieldError
 from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
-from .words import DigitString, PairDigit, _Record, alt_sort_key, psi_expand
+from .words import DigitString, _Record, alt_sort_key
 
 DEFAULT_NODE_BUDGET = 500_000
 MAX_WORD_LENGTH = 4096   # a sampled period's exact value costs superlinear time
@@ -141,11 +141,9 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     for _ in range(samples):
         if fb >= 3:
             digits = tuple(rng.randint(1, fb - 1) for _ in range(word_length))
-            word = DigitString.periodic((), digits)
-        else:
-            pair_word = DigitString.periodic(
-                (), tuple(PairDigit(1, rng.randint(0, 2)) for _ in range(word_length)))
-            word = psi_expand(pair_word)
+        else:   # the pairs 1:0, 1:1 and 1:2, read as letters
+            digits = tuple(c for _ in range(word_length) for c in (1, rng.randint(0, 2)))
+        word = DigitString.periodic((), digits)
         value = eval_neg_beta(ctx, word)
         count = count_representation_branches(value, depth, node_budget)
         out.append(UniqueSample(word, value, count))

@@ -14,6 +14,9 @@ Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
 Orbits of points with large denominators need not repeat within the
 budget; those come back as finite prefixes with an explicit status.
+Every expansion reads its orbit once: _orbit gives the digits and where
+the period starts, and _expansion builds the one DigitString.  Greedy and
+lazy flatten the squared-base pair digits into letters before it.
 
 Every orbit and the oracle's walk run on one integer kernel, on every
 base: y = v/D with v an integer vector, the base times a common
@@ -32,11 +35,11 @@ step is compiled once per degree too, its digits read off two floor divisions.
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd, lcm
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, _dataclass_fields, _pair_digit, _Record, psi_expand
+from .words import DigitString, _dataclass_fields, _pair_digit, _Record
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -300,14 +303,14 @@ class Expansion(_Record):
 
 
 def _orbit(domain, x, stepper, depth, orbit_budget):
-    """Digits along the orbit of the point x of `domain`, where
-    stepper(x) -> (step, start) and step(state) -> (digit, state).
+    """(digits, start, endpoint) along the orbit of the point x of `domain`,
+    where stepper(x) -> (step, state) and step(state) -> (digit, state); start
+    is where the period starts, or None when orbit_budget ran out first.
 
     x and the depth are tested before stepper runs, so a point outside
-    the domain builds no tables.  With a depth, exactly that many digits.
-    Otherwise the states are hashed as they are and the first repeat
-    closes the period; no repeat within orbit_budget steps leaves a finite
-    prefix marked period-not-found.
+    the domain builds no tables.  With a depth, exactly that many digits,
+    start being their number.  Otherwise the states are hashed as they are
+    and the first repeat closes the period.
     """
     _require_in(domain, x)
     endpoint = "l" if x == domain.lo else "r" if x == domain.hi else None
@@ -319,34 +322,39 @@ def _orbit(domain, x, stepper, depth, orbit_budget):
         for _ in range(depth):
             d, state = step(state)
             digits.append(d)
-        return Expansion(DigitString.finite(digits), STATUS_OK, endpoint)
+        return digits, depth, endpoint
     seen = {state: 0}
     for n in range(1, orbit_budget + 1):
         d, state = step(state)
         digits.append(d)
         i = seen.setdefault(state, n)
         if i < n:
-            return Expansion(DigitString.periodic(digits[:i], digits[i:]),
-                             STATUS_OK, endpoint)
-    return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
+            return digits, i, endpoint
+    return digits, None, endpoint
 
 
-def _beta2_orbit(x, kind, depth, orbit_budget):
-    """run_scheme on the context's squared-base scheme of `kind`, which is
-    built (once per context) only after x has been found in I."""
-    return _orbit(interval_I(x.context), x,
-                  lambda y: build_beta2_scheme(y.context, kind)._stepper(y), depth, orbit_budget)
+def _expansion(digits, start, endpoint):
+    """The Expansion of _orbit's digits: the period from `start` on, or a
+    finite prefix marked period-not-found when start is None."""
+    if start is None:
+        return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
+    return Expansion(DigitString(digits[:start], digits[start:]), STATUS_OK, endpoint)
 
 
 def _pair_orbit(x, kind, depth, orbit_budget):
-    # the theorem: greedy (lazy) digits are the beta^2 greedy (lazy) pair digits,
-    # two letters each; a finite word is cut back to the depth or the budget
+    """The theorem: greedy (lazy) digits are the beta^2 greedy (lazy) pair
+    digits, two letters each.  The scheme's orbit runs ceil(n/2) pair steps
+    for n letters; its pairs are read as letters, and a period found starts at
+    twice its pair place, while a finite word is cut back to the depth or the
+    budget.  The scheme is built (once per context) after x is found in I."""
     n = orbit_budget if depth is None else depth
-    exp = _beta2_orbit(x, kind, None if depth is None else -(-n // 2), -(-orbit_budget // 2))
-    word = psi_expand(exp.word)
-    if word.is_finite:
-        word = DigitString.finite(word.preperiod[:n])
-    return Expansion(word, exp.status, exp.endpoint)
+    pairs, start, endpoint = _orbit(
+        interval_I(x.context), x, lambda y: build_beta2_scheme(y.context, kind)._stepper(y),
+        None if depth is None else -(-n // 2), -(-orbit_budget // 2))
+    letters = list(chain.from_iterable(pairs))
+    if depth is None and start is not None:
+        return _expansion(letters, 2 * start, endpoint)
+    return _expansion(letters[:n], None if start is None else n, endpoint)
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -363,8 +371,8 @@ def lazy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
 def symmetric_partner(x):
     """The point -floor(beta)/(beta+1) - x; its lazy digits are the
     digitwise complement of the greedy digits of x."""
-    ctx = x.context
-    return -(ctx.element(ctx.floor_beta) * (ctx.beta() + 1).inverse()) - x
+    I = interval_I(x.context)
+    return I.lo + I.hi - x   # l + r = -floor(beta)/(beta+1)
 
 
 # -- squared-base schemes ---------------------------------------------------------
@@ -631,7 +639,7 @@ def build_positive_greedy_scheme(ctx):
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    return _orbit(scheme.domain, x, scheme._stepper, depth, orbit_budget)
+    return _expansion(*_orbit(scheme.domain, x, scheme._stepper, depth, orbit_budget))
 
 
 # -- evaluation ------------------------------------------------------------------

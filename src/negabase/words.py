@@ -115,7 +115,7 @@ def pair_sort_key(p):
 
 def _primitive_period(per):
     n = len(per)
-    for d in range(1, n + 1):
+    for d in range(1, n // 2 + 1):   # a proper period divides n, so d <= n/2
         if n % d == 0 and per[:d] * (n // d) == per:
             return per[:d]
     return per

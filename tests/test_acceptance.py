@@ -16,7 +16,7 @@ from negabase import (ADMISSIBLE, REJECTED, DigitString, PairDigit,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
                       count_representation_branches, eval_beta2_pairs,
-                      extremal_prefix, golden_forbidden_factor_check,
+                      extremal_prefix, field_from_poly, golden_forbidden_factor_check,
                       greedy_neg_beta,
                       interval_I, is_admissible_greedy, lazy_neg_beta,
                       lex_compare, minimal_alphabet, phi_field, psi_expand,
@@ -119,6 +119,33 @@ def test_c05_oracle_extremality():
                 greedy_neg_beta(x, depth=12).word.preperiod
             assert extremal_prefix(x, 12, "min") == \
                 lazy_neg_beta(x, depth=12).word.preperiod
+
+
+def _quadratic_pisot_bases():
+    """x^2 - ax - b, 1 <= b <= a <= 6, beta in (a, a+1), and x^2 - ax + b,
+    b + 2 <= a <= 7, beta in (a-1, a): every such beta is a Pisot number."""
+    for a in range(1, 7):
+        for b in range(1, a + 1):
+            yield field_from_poly((-b, -a, 1), a, a + 1)
+    for a in range(3, 8):
+        for b in range(1, a - 1):
+            yield field_from_poly((b, -a, 1), a - 1, a)
+
+
+def test_c05_and_the_theorem_on_quadratic_pisot_bases():
+    # at every p/q of I with q <= 5: the extremal prefixes are the greedy and
+    # lazy prefixes, and the greedy and lazy words grouped in pairs are the
+    # beta^2 schemes' words
+    fractions = sorted({Fraction(p, q) for q in range(1, 6) for p in range(-q, q + 1)})
+    for ctx in _quadratic_pisot_bases():
+        I = interval_I(ctx)
+        for x in filter(I.contains, map(ctx.element, fractions)):
+            for which, kind, expand in (("max", "greedy", greedy_neg_beta),
+                                        ("min", "lazy", lazy_neg_beta)):
+                assert extremal_prefix(x, 20, which) == \
+                    expand(x, depth=20).word.preperiod, (ctx.min_poly, x, kind)
+                assert psi_inverse(expand(x).word) == \
+                    run_scheme(build_beta2_scheme(ctx, kind), x).word, (ctx.min_poly, x, kind)
 
 
 PHI_FORBIDDEN = ([(B, C)], [(B,), (C,)])

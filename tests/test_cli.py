@@ -124,6 +124,31 @@ class TestExpand:
         assert code == 2 and rep["status"] == "ERROR"
 
 
+@pytest.mark.parametrize("base, x", [("phi", "-1/2"), ("phi", "0"), ("phi", "-1"),
+                                     ("tribonacci", "-1/3"), ("7/4", "-1/3")])
+def test_beta2_kinds_group_the_greedy_and_lazy_words(capsys, monkeypatch, base, x):
+    from negabase import (build_beta2_scheme, format_word, greedy_neg_beta, lazy_neg_beta,
+                          parse_element, psi_inverse, run_scheme)
+    ctx = parse_base(base)
+    point = parse_element(x, ctx)
+    for budget in range(1, 6):
+        monkeypatch.setenv("NEGABASE_ORBIT_BUDGET", str(budget))
+        for depth in (None, 1, 2, 3, 4):
+            if depth is not None and depth > budget:
+                continue   # refused before any orbit runs
+            for kind, expand in (("greedy", greedy_neg_beta), ("lazy", lazy_neg_beta)):
+                argv = ["expand", "--base", base, "--x", x, "--kind", f"beta2-{kind}"]
+                code, rep = run_json(capsys, *argv, *(() if depth is None else
+                                                      ("--depth", str(depth))))
+                letters = expand(point, None if depth is None else 2 * depth, 2 * budget)
+                pairs = run_scheme(build_beta2_scheme(ctx, kind), point, depth, budget)
+                assert psi_inverse(letters.word) == pairs.word
+                assert rep["result"]["word"] == format_word(psi_inverse(letters.word))
+                assert rep["result"]["status"] == ("OK" if letters.ok else "PERIOD_NOT_FOUND")
+                assert rep["result"]["endpoint"] == letters.endpoint == pairs.endpoint
+                assert code == (0 if letters.ok else 3), (kind, budget, depth)
+
+
 @pytest.mark.parametrize("name, argv", [
     ("NEGABASE_ORBIT_BUDGET", ("expand", "--base", "phi", "--x", "0")),
     ("NEGABASE_NODE_BUDGET", ("branches", "--base", "phi", "--x", "0", "--depth", "4"))])

@@ -2,6 +2,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from math import ceil, gcd, log2
 
 import pytest
@@ -110,10 +111,10 @@ ROUNDING_BASES = {
 }
 
 
-def _rounding_points(ctx):
-    """l, r and the rational points p/q of I with q <= 13."""
+def _rounding_points(ctx, q_max=13):
+    """l, r and the rational points p/q of I with q <= q_max."""
     I = interval_I(ctx)
-    fractions = {Fraction(p, q) for q in range(1, 14) for p in range(-q, q + 1)}
+    fractions = {Fraction(p, q) for q in range(1, q_max + 1) for p in range(-q, q + 1)}
     return [I.lo, I.hi] + [x for x in map(ctx.element, sorted(fractions)) if I.contains(x)]
 
 
@@ -142,6 +143,66 @@ def test_greedy_and_lazy_words_match_the_scan(name):
     for x in _rounding_points(ctx):
         assert greedy_neg_beta(x, depth=40).word == scan_expansion(x, 40, True), x
         assert lazy_neg_beta(x, depth=40).word == scan_expansion(x, 40, False), x
+
+
+# the bases on which greedy and lazy are checked against the beta^2 orbit read in pairs
+PAIR_ORBIT_BASES = {
+    "phi": ((-1, -1, 1), 1, 2),
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "rt3": ((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)),
+    "tetranacci": ((-1, -1, -1, -1, 1), 1, 2),
+    "7/4": ((-7, 4), 1, 2),
+    "non-monic": ((-1, -3, 2), 1, 2),
+    "31/3": ((-31, 3), 10, 11),
+}
+
+
+def _psi_expanded(ctx, kind, x, depth, orbit_budget):
+    """The greedy or lazy word as the beta^2 scheme's pair word spelled out
+    by psi_expand: ceil(n/2) pair steps for n letters, and a finite word cut
+    back to the depth or the budget."""
+    n = orbit_budget if depth is None else depth
+    exp = run_scheme(build_beta2_scheme(ctx, kind), x,
+                     None if depth is None else -(-n // 2), -(-orbit_budget // 2))
+    word = psi_expand(exp.word)
+    if word.is_finite:
+        word = DigitString.finite(word.preperiod[:n])
+    return word, exp.status, exp.endpoint
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_ORBIT_BASES))
+def test_greedy_and_lazy_are_the_beta2_orbit_read_in_letters(name):
+    ctx = field_from_poly(*PAIR_ORBIT_BASES[name])
+    default = schemes.DEFAULT_ORBIT_BUDGET
+    runs = [(n, default) for n in range(1, 10)] + [(None, n) for n in range(1, 10)] \
+        + [(None, default)]
+    for x in _rounding_points(ctx, 7):
+        for kind, expand in (("greedy", greedy_neg_beta), ("lazy", lazy_neg_beta)):
+            for depth, budget in runs:
+                exp = expand(x, depth, budget)
+                assert (exp.word, exp.status, exp.endpoint) == \
+                    _psi_expanded(ctx, kind, x, depth, budget), (x, kind, depth, budget)
+
+
+def test_one_digit_string_per_expansion(monkeypatch, phi, seven_quarters):
+    made = []
+    init = DigitString.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DigitString, "__init__", counted)
+    # a period found, a depth, and a budget run out
+    runs = ({}, {"depth": 7}, {"depth": 8}, {"orbit_budget": 3}, {"orbit_budget": 4})
+    for ctx in (phi, seven_quarters):
+        x = ctx.element(Fraction(-1, 2))
+        for expand in (greedy_neg_beta, lazy_neg_beta,
+                       partial(run_scheme, build_ito_sadahiro_scheme(ctx))):
+            for kwargs in runs:
+                made.clear()
+                expand(x, **kwargs)
+                assert len(made) == 1, (ctx.min_poly, expand, kwargs)
 
 
 class TestGreedyLazy:
@@ -518,6 +579,18 @@ class TestTheoremConsistency:
                 zs = greedy_neg_beta(x, depth=30).word.preperiod
                 ys = lazy_neg_beta(y, depth=30).word.preperiod
                 assert all(a + b == fb for a, b in zip(zs, ys))
+
+    @pytest.mark.parametrize("name", ["phi", "tribonacci", "rt3", "7/4", "31/3"])
+    def test_symmetric_partner_is_l_plus_r_minus_x(self, monkeypatch, name):
+        ctx = field_from_poly(*PAIR_ORBIT_BASES[name])
+        fb = ctx.floor_beta
+        # the formula -floor(beta)/(beta+1) - x, by its inverse of beta + 1
+        old = [-(ctx.element(fb) * (ctx.beta() + 1).inverse()) - x
+               for x in _rounding_points(ctx, 7)]
+        monkeypatch.setattr(ExactReal, "inverse", lambda self: pytest.fail("inverse taken"))
+        for x, want in zip(_rounding_points(ctx, 7), old):
+            y = symmetric_partner(x)
+            assert (y.num, y.den) == (want.num, want.den), x
 
     def test_lazy_attractor_prefix_form(self, phi):
         # left of the lazy attractor (r-1, r], the lazy word starts (10)^M;

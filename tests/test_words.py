@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,23 @@ class TestCanonical:
 
     def test_primitive_period(self):
         assert DigitString((), (1, 0, 1, 0)).period == (1, 0)
+
+        def shortest_root(per):   # the least d dividing n with per d-periodic
+            n = len(per)
+            return next(per[:d] for d in range(1, n + 1)
+                        if n % d == 0 and all(per[i] == per[i % d] for i in range(n)))
+
+        words = [w for n in range(1, 13) for w in itertools.product((0, 1), repeat=n)]
+        rng = random.Random(33)
+        pairs = [PairDigit(b, a) for b in range(3) for a in range(3)]
+        for _ in range(300):   # a seeded root repeated, sometimes with one letter changed
+            root = [rng.choice(pairs) for _ in range(rng.randint(1, 12))]
+            word = root * rng.randint(1, 60 // len(root))
+            if rng.random() < 0.3:
+                word[rng.randrange(len(word))] = rng.choice(pairs)
+            words.append(tuple(word))
+        for per in words:
+            assert DigitString((), per).period == shortest_root(per), per
 
     def test_preperiod_absorption(self):
         w = DigitString((1, 0, 0), (0,))
