@@ -122,8 +122,7 @@ def restricted_scheme(ctx):
     the value order, tiling it in cells (gamma_i, gamma_{i+1}], cut by
     greedy_breakpoint's formula."""
     l = interval_I(ctx).lo
-    return _pair_tiling(ctx, minimal_alphabet(ctx).greedy, Interval(l, l + 1, False, True),
-                        False, True)
+    return _pair_tiling(ctx, minimal_alphabet(ctx).greedy, Interval(l, l + 1, False, True))
 
 
 @context_cached

@@ -8,7 +8,10 @@ squared-base schemes over the pair-digit alphabet, whose pair digits read
 two letters each are the greedy and lazy digits in base -beta (the
 paper's theorem), the Ito-Sadahiro scheme, a minimal positive-base scheme,
 and exact evaluation of eventually periodic digit strings.  Every scheme
-is one tiling of its domain: cut points, and the side each cell is closed on.
+is one tiling of its domain by one preimage rule: each cell ends where its
+map x -> base*x - v reaches a chosen end of the domain, at (v + end)/base,
+and holds that point exactly when the domain holds the end.  The same
+preimages are the beta^2 breakpoints and the ends of the digit subintervals.
 
 Infinite expansions are produced in period-detection mode: the exact
 orbit of remainders is hashed and the first repeat closes the period.
@@ -93,10 +96,8 @@ def digit_subinterval(ctx, a):
     """I_a: the numbers whose representation can start with digit a."""
     if not 0 <= a <= ctx.floor_beta:
         raise ValueError(f"digit {a} outside the alphabet")
-    I = interval_I(ctx)
-    minus_binv = -ctx.beta().inverse()
-    return Interval((ctx.element(a) + I.hi) * minus_binv,
-                    (ctx.element(a) + I.lo) * minus_binv, True, True)
+    I, base, v = interval_I(ctx), -ctx.beta(), ctx.element(a)
+    return Interval(_preimage(base, v, I.hi), _preimage(base, v, I.lo), True, True)
 
 
 def _lowest(ctx, v, D):
@@ -442,18 +443,22 @@ def lazy_breakpoint(ctx, p):
 def _breakpoint(ctx, p, end):
     """(v_p + end)/beta^2, v_p the value of the pair at p's place, so that
     (1.0, 0) is 1:0; no table of the pair alphabet is built."""
-    return _pair_cut(ctx, pair_value(ctx, _pair_at(ctx, _pair_index(ctx, p))), end)
+    v = pair_value(ctx, _pair_at(ctx, _pair_index(ctx, p)))
+    return _preimage(ctx.beta() * ctx.beta(), v, end)
 
 
-def _pair_cut(ctx, v, end):
-    """(v + end)/beta^2: a pair tiling's cut, and a breakpoint."""
-    return (v + end) * _beta2_inverse(ctx)
+def _preimage(base, v, end):
+    """(v + end)/base: the point that x -> base*x - v sends to `end`.  Every
+    cut of every scheme is one, as is every beta^2 breakpoint and every end
+    of a digit subinterval."""
+    return (v + end) * _inverse(base.context, base.num, base.den)
 
 
 @context_cached
-def _beta2_inverse(ctx):
-    """1/beta^2, computed once per context."""
-    return (ctx.beta() * ctx.beta()).inverse()
+def _inverse(ctx, num, den):
+    """1/base for the base num/den, once per context: only -beta, beta and
+    beta^2 come here."""
+    return ExactReal(ctx, num, den).inverse()
 
 
 class SchemeCell(_Record):
@@ -575,30 +580,33 @@ class Scheme(_Record):
         return cell.digit, self.base * x - cell.value
 
 
-def _tiled_scheme(base, domain, cuts, digits, values, right_closed):
-    """The scheme whose cells cut the domain at the increasing cuts, one
-    digit and value per cell.  Each cell is closed on its right end, or on
-    its left end when right_closed is false; the two end cells are closed
-    where the domain is."""
+def _tiled_scheme(base, domain, digits, values, at_hi=False):
+    """The scheme of x -> base*x - v on `domain`, one digit and value v per
+    cell in increasing order, each cell cut where its map reaches the low end
+    of the domain, or the high end when at_hi: at (v + end)/base.  That is the
+    cell's left end when the map rises to the low end or falls to the high
+    one, so the cuts go before every cell but the first, else after every
+    cell but the last; a cell holds its cut exactly when the domain holds
+    the end, and the two end cells are closed where the domain is."""
+    values = tuple(values)
+    end, closed = (domain.hi, domain.hi_closed) if at_hi else (domain.lo, domain.lo_closed)
+    before = (base.sign() > 0) != at_hi
+    cuts = [_preimage(base, v, end) for v in (values[1:] if before else values[:-1])]
     ends = (domain.lo, *cuts, domain.hi)
-    last = len(cuts)
-    cells = tuple(
-        SchemeCell(Interval(lo, hi, domain.lo_closed if i == 0 else not right_closed,
-                            domain.hi_closed if i == last else right_closed), d, v)
-        for i, (lo, hi, d, v) in enumerate(zip(ends, ends[1:], digits, values)))
+    # holds[i]: whether ends[i] lies in the cell on its right
+    holds = (domain.lo_closed, *[closed == before] * len(cuts), not domain.hi_closed)
+    cells = tuple(SchemeCell(Interval(ends[i], ends[i + 1], holds[i], not holds[i + 1]), d, v)
+                  for i, (d, v) in enumerate(zip(digits, values)))
     return Scheme(base, domain, cells).validate()
 
 
-def _pair_tiling(ctx, pairs, domain, lazy, right_closed):
-    """The squared-base tiling of `domain` by `pairs`, in increasing value:
-    each pair's value v computed once, the domain cut at (v + l)/beta^2
-    before every pair but the first (greedy_breakpoint), or, lazy, at
-    (v + r)/beta^2 after every pair but the last (lazy_breakpoint), I = [l, r]."""
-    values = tuple(pair_value(ctx, p) for p in pairs)
-    I = interval_I(ctx)
-    cuts = [_pair_cut(ctx, v, I.hi) for v in values[:-1]] if lazy \
-        else [_pair_cut(ctx, v, I.lo) for v in values[1:]]
-    return _tiled_scheme(ctx.beta() * ctx.beta(), domain, cuts, pairs, values, right_closed)
+def _pair_tiling(ctx, pairs, domain, at_hi=False):
+    """The squared-base tiling of `domain` by `pairs`, in increasing value,
+    each pair's value v computed once: the cells start at (v + l)/beta^2
+    (greedy_breakpoint) when `domain` starts at l, or, at_hi, end at
+    (v + r)/beta^2 (lazy_breakpoint), I = [l, r]."""
+    return _tiled_scheme(ctx.beta() * ctx.beta(), domain, pairs,
+                         [pair_value(ctx, p) for p in pairs], at_hi)
 
 
 @context_cached
@@ -609,31 +617,28 @@ def build_beta2_scheme(ctx, kind):
     (delta_{i-1}, delta_i]).  The kind is tested before anything is built."""
     if kind not in ("greedy", "lazy"):
         raise ValueError("kind must be 'greedy' or 'lazy'")
-    lazy = kind == "lazy"
-    return _pair_tiling(ctx, all_pair_digits(ctx), interval_I(ctx), lazy, lazy)
+    return _pair_tiling(ctx, all_pair_digits(ctx), interval_I(ctx), kind == "lazy")
 
 
+@context_cached
 def build_ito_sadahiro_scheme(ctx):
     """The classical Ito-Sadahiro system: D(x) = floor(-beta*x + beta/(beta+1))
-    on [-beta/(beta+1), 1/(beta+1))."""
+    on [l, l + 1), l = -beta/(beta+1); the digit-k cell ends where
+    -beta*x - k reaches l."""
     beta = ctx.beta()
-    inv = (beta + 1).inverse()
-    binv = beta.inverse()
+    l = -(beta * (beta + 1).inverse())
     digits = range(ctx.floor_beta, -1, -1)
-    # the digit-k cell ends where -beta*x + beta/(beta+1) = k
-    cuts = [(beta * inv - k) * binv for k in digits[:-1]]
-    return _tiled_scheme(-beta, Interval(-(beta * inv), inv, True, False), cuts,
-                         digits, map(ctx.element, digits), True)
+    return _tiled_scheme(-beta, Interval(l, l + 1, True, False), digits,
+                         map(ctx.element, digits))
 
 
+@context_cached
 def build_positive_greedy_scheme(ctx):
     """The classical positive-base greedy scheme D(x) = floor(beta*x) on
     [0, 1); used for order-preservation checks against the negative case."""
-    binv = ctx.beta().inverse()
     digits = range(ctx.floor_beta + 1)
-    cuts = [ctx.element(k) * binv for k in digits[1:]]
     return _tiled_scheme(ctx.beta(), Interval(ctx.element(0), ctx.element(1), True, False),
-                         cuts, digits, map(ctx.element, digits), False)
+                         digits, map(ctx.element, digits))
 
 
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):

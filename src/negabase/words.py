@@ -12,6 +12,7 @@ two-digit-at-a-time alphabet of the squared-base system.
 
 from collections import namedtuple
 from functools import partial
+from itertools import chain, cycle, islice
 from math import lcm
 from operator import attrgetter
 
@@ -121,6 +122,11 @@ def _primitive_period(per):
     return per
 
 
+def _require_natural(i):
+    if i < 0:
+        raise IndexError(f"negative position {i}")
+
+
 class DigitString(_Record):
     """Canonical finite or eventually periodic word: preperiod + period."""
 
@@ -131,9 +137,14 @@ class DigitString(_Record):
         per = tuple(period)
         if per:
             per = _primitive_period(per)
-            while pre and pre[-1] == per[-1]:
-                pre = pre[:-1]
-                per = (per[-1],) + per[:-1]
+            if pre and pre[-1] == per[-1]:
+                # the k last letters of pre that repeat the period read backwards
+                # cyclically are absorbed into it: one cut and one rotation by k
+                p, k = len(per), 1
+                while k < len(pre) and pre[~k] == per[~(k % p)]:
+                    k += 1
+                pre, j = pre[:len(pre) - k], -k % p
+                per = per[j:] + per[:j]
         _set(self, "preperiod", pre)
         _set(self, "period", per)
 
@@ -161,6 +172,7 @@ class DigitString(_Record):
 
     def digit_at(self, i):
         """Digit at 0-based position i."""
+        _require_natural(i)
         if i < len(self.preperiod):
             return self.preperiod[i]
         if not self.period:
@@ -169,19 +181,14 @@ class DigitString(_Record):
 
     def prefix(self, n):
         """First n digits as a tuple (raises for a too-short finite word)."""
-        if self.is_finite:
-            if n > len(self.preperiod):
-                raise IndexError("prefix longer than the finite word")
-            return self.preperiod[:n]
-        out = list(self.preperiod[:n])
-        i = len(out)
-        while len(out) < n:
-            out.append(self.period[(i - len(self.preperiod)) % len(self.period)])
-            i += 1
-        return tuple(out)
+        _require_natural(n)
+        if self.is_finite and n > len(self.preperiod):
+            raise IndexError("prefix longer than the finite word")
+        return tuple(islice(chain(self.preperiod, cycle(self.period)), n))
 
     def shift(self, k):
         """The word with its first k digits removed."""
+        _require_natural(k)
         pre, per = self.preperiod, self.period
         if k <= len(pre):
             return DigitString(pre[k:], per)

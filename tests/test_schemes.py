@@ -18,7 +18,8 @@ from negabase import (DigitString, DomainError, ExactReal, Interval, PairDigit, 
                       eval_beta2_pairs, eval_neg_beta, eval_pos_beta,
                       feasible_digits, field_from_poly,
                       greedy_breakpoint, greedy_neg_beta, interval_I,
-                      lazy_breakpoint, lazy_neg_beta, lex_compare, pair_predecessor,
+                      lazy_breakpoint, lazy_neg_beta, lex_compare, minimal_alphabet,
+                      pair_predecessor,
                       pair_successor, pair_value, parse_base, psi_expand,
                       rational_field, restricted_scheme, run_scheme,
                       step_max_digit, step_min_digit, symmetric_partner)
@@ -1009,3 +1010,106 @@ def test_degree_one_hundred_on_the_compiled_kernel():
     words = [greedy_neg_beta(x, depth=20).word, lazy_neg_beta(x, depth=20).word,
              run_scheme(build_ito_sadahiro_scheme(ctx), x, depth=20).word]
     assert [w.preperiod for w in words] == [(0, 1) * 10, (1, 0) * 10, (0,) * 20]
+
+
+# -- one preimage rule cuts every scheme ------------------------------------------
+
+def _rule_bases():
+    # every base of tools/identity.py is here, and 31/3, whose I is tiled by 121 pairs
+    return ([field_from_poly(*spec) for spec in WALK_BASES.values()]
+            + [rational_field(Fraction(5, 2)), rational_field(Fraction(31, 3))])
+
+
+def _key(x):
+    return x.num, x.den
+
+
+def test_every_cut_is_its_old_formula():
+    """The cuts and closed sides each builder had before the one rule:
+    IS at (beta/(beta+1) - k)/beta closed on the right, positive at k/beta
+    closed on the left, beta^2 greedy and restricted at (v + l)/beta^2,
+    lazy at (v + r)/beta^2, and the digit subintervals
+    [(a + r)(-1/beta), (a + l)(-1/beta)]."""
+    for ctx in _rule_bases():
+        beta, I, fb = ctx.beta(), interval_I(ctx), ctx.floor_beta
+        binv, b2inv, inv = beta.inverse(), (beta * beta).inverse(), (beta + 1).inverse()
+        pairs = all_pair_digits(ctx)
+        greedy = minimal_alphabet(ctx).greedy
+        old = {"is": ([(beta * inv - k) * binv for k in range(fb, 0, -1)], False),
+               "positive": ([ctx.element(k) * binv for k in range(1, fb + 1)], True),
+               "beta2-greedy": ([(pair_value(ctx, p) + I.lo) * b2inv for p in pairs[1:]], True),
+               "beta2-lazy": ([(pair_value(ctx, p) + I.hi) * b2inv for p in pairs[:-1]], False),
+               "restricted": ([(pair_value(ctx, p) + I.lo) * b2inv for p in greedy[1:]], False)}
+        for kind, scheme in _schemes(ctx).items():
+            cuts, left_closed = old[kind]
+            inner = [cell.interval.hi for cell in scheme.cells[:-1]]
+            assert list(map(_key, inner)) == list(map(_key, cuts)), (ctx, kind)
+            for a, b in zip(scheme.cells, scheme.cells[1:]):
+                assert (a.interval.hi_closed, b.interval.lo_closed) \
+                    == (not left_closed, left_closed), (ctx, kind)
+        for a in range(fb + 1):
+            iv = digit_subinterval(ctx, a)
+            ends = ((ctx.element(a) + I.hi) * -binv, (ctx.element(a) + I.lo) * -binv)
+            assert (_key(iv.lo), _key(iv.hi)) == tuple(map(_key, ends))
+
+
+def test_every_cut_maps_to_its_end_and_sits_where_the_domain_says():
+    """Each cut c between two cells is sent exactly to the builder's end of
+    the domain by one of the two cells' maps, and that cell holds c exactly
+    when the domain holds the end."""
+    for ctx in _rule_bases():
+        for kind, scheme in _schemes(ctx).items():
+            domain = scheme.domain
+            end, closed = ((domain.hi, domain.hi_closed) if kind == "beta2-lazy"
+                           else (domain.lo, domain.lo_closed))
+            for left, right in zip(scheme.cells, scheme.cells[1:]):
+                c = left.interval.hi
+                owners = [cell for cell in (left, right) if scheme.base * c - cell.value == end]
+                assert len(owners) == 1, (ctx, kind)
+                assert (scheme.locate(c) is owners[0]) == closed, (ctx, kind)
+
+
+def _window_points(ctx):
+    I = interval_I(ctx)
+    points = [I.lo, I.hi]
+    for a in range(ctx.floor_beta + 1):
+        iv = digit_subinterval(ctx, a)
+        points += [iv.lo, iv.hi]
+    points += [x for q in range(1, 14) for p in range(-q * 11, q + 1)
+               if gcd(p, q) == 1 and I.contains(x := ctx.element(Fraction(p, q)))]
+    return points
+
+
+@pytest.mark.parametrize("base", ["phi", "tribonacci", "rt3", "tetranacci", "cubic",
+                                  "seven-quarters", "non-monic", "31/3"])
+def test_the_alternating_window_maps_are_calls_of_the_builder(base):
+    """The two one-step maps of base -beta on I, built with the schemes'
+    call: the smallest feasible digit cut at the high end, the largest at
+    the low end.  Greedy starts with the smallest and lazy with the
+    largest, alternating, and both agree with the beta^2 route."""
+    ctx = (rational_field(Fraction(31, 3)) if base == "31/3"
+           else field_from_poly(*WALK_BASES[base]))
+    digits = range(ctx.floor_beta, -1, -1)
+    values = [ctx.element(a) for a in digits]
+    I = interval_I(ctx)
+    smallest = schemes._tiled_scheme(-ctx.beta(), I, digits, values, at_hi=True)
+    largest = schemes._tiled_scheme(-ctx.beta(), I, digits, values)
+    for x in _window_points(ctx):
+        assert smallest.step(x) == step_min_digit(x)
+        assert largest.step(x) == step_max_digit(x)
+        for first, second, expand in ((smallest, largest, greedy_neg_beta),
+                                      (largest, smallest, lazy_neg_beta)):
+            word, y = [], x
+            for n in range(24):
+                d, y = (second if n % 2 else first).step(y)
+                word.append(d)
+            assert tuple(word) == expand(x, depth=24).word.preperiod, (base, x.as_text())
+
+
+def test_every_scheme_is_built_once_per_base(phi):
+    """Each builder is context-cached: compare, expand --kind is and the
+    Ito-Sadahiro automaton share one scheme per base."""
+    for build in (build_ito_sadahiro_scheme, build_positive_greedy_scheme, restricted_scheme,
+                  lambda ctx: build_beta2_scheme(ctx, "greedy"),
+                  lambda ctx: build_beta2_scheme(ctx, "lazy")):
+        assert build(phi) is build(phi)

@@ -55,6 +55,30 @@ class TestCanonical:
         assert w.shift(1) == DigitString((), (1, 0))
         assert w.shift(4) == DigitString((), (0, 1))
 
+    def test_negative_positions_raise(self):
+        w = DigitString((1, 2, 3), (4, 5))
+        for read, n in ((w.shift, -1), (w.prefix, -2), (w.digit_at, -1)):
+            with pytest.raises(IndexError):
+                read(n)
+        assert w.prefix(0) == () and w.shift(0) == w and w.digit_at(0) == 1
+
+    def test_absorption_is_the_letter_by_letter_rule(self):
+        def absorbed(pre, per):   # one letter at a time, rotating the period each time
+            while pre and pre[-1] == per[-1]:
+                pre, per = pre[:-1], (per[-1],) + per[:-1]
+            return pre, per
+
+        rng = random.Random(34)
+        for _ in range(3000):
+            k = rng.randint(1, 3)
+            per = tuple(rng.randrange(k) for _ in range(rng.randint(1, 6)))
+            pre = tuple(rng.randrange(k) for _ in range(rng.randint(0, 6)))
+            pre += (per * 4)[rng.randint(0, 4 * len(per)):]
+            w = DigitString(pre, per)
+            assert (w.preperiod, w.period) == absorbed(pre, DigitString((), per).period)
+        w = DigitString((2,) + (1, 0) * 40_000, (1, 0))
+        assert (w.preperiod, w.period) == ((2,), (1, 0))
+
     def test_periodic_requires_period(self):
         with pytest.raises(ValueError):
             DigitString.periodic((1,), ())
