@@ -27,13 +27,17 @@ denominator L an integer matrix, and each cut n/d or end of I tested by
 64-bit bounds of one dot product, then a tie d*v = D*n where they straddle
 (kernel_tie_count()), then the exact test (kernel_fallback_count()).  On an
 algebraic-integer base L = 1 and D stays den(x); elsewhere an orbit state
-is y in lowest terms.  Either way a value has one state.  An orbit's step is
-that kernel written out for the degree d of the base, every dot product an
-unrolled sum of d terms, and compiled once per process for each degree and
-flag L != 1: every scheme of every base with that degree and flag runs one
-code object, its constants bound by name per scheme.  Every cell search is
-a bisection over cuts that Scheme.validate proves increasing.  The walk's
-step is compiled once per degree too, its digits read off two floor divisions.
+is y in lowest terms.  Either way a value has one state.  An orbit is one
+call of a loop that runs that kernel written out for the degree d of the
+base, every dot product an unrolled sum of d terms, and detects the period
+itself, one setdefault per step keyed by v (L = 1) or (v, D).  The loop is
+compiled once per process for each degree and flag L != 1: every scheme of
+every base with that degree and flag runs one code object, its constants
+bound by name per scheme.  Before it, x is tested against the domain by its
+64-bit bounds and those of the domain's ends; only where they straddle an
+end does the exact test run.  Every cell search is a bisection over cuts
+that Scheme.validate proves increasing.  The walk's step is compiled once
+per degree too, its digits read off two floor divisions.
 """
 
 from bisect import bisect_left, bisect_right
@@ -120,35 +124,43 @@ def _reduced(ctx, v, D):
     return _lowest(ctx, v, D)
 
 
-_KERNEL_SOURCE = """\
+_ORBIT_SOURCE = """\
 def make(hi, lo):
-    def step(s):
-        v, D = s
+    def orbit(v, D, n, detect):
         {v}, = v
-        t = {t}   # 2^64 * D * y, up to e
-        e = gap * ({e})
-        # i counts the cuts surely below y, j those that may be
-        i, j = {search}
-        if i != j:
-            i = straddled(v, D, i, j)
-        c = offsets[i]
-{rows}
-{tail}
-    return step
+        out = []
+        seen = {{{key}: 0}}
+        for m in range(1, n + 1):
+            t = {t}   # 2^64 * D * y, up to e
+            e = gap * ({e})
+            # i counts the cuts surely below y, j those that may be
+            i, j = {search}
+            if i != j:
+                i = straddled(({v},), D, i, j)
+            c = offsets[i]
+            {v}, = {rows},
+{lowest}
+            out.append(digits[i])
+            if detect:
+                s = seen.setdefault({key}, m)
+                if s != m:
+                    return out, s, (({v},), D)
+        return out, None, (({v},), D)
+    return orbit
 """
 
 # by the flag L != 1: with L = 1, D stays den(x), by which make's bounds are
-# scaled; else D grows and t is divided by it, as for an integer h,
-# h < ceil((t-e)/D) iff h*D < t-e and h <= floor((t+e)/D) iff h*D <= t+e
-_KERNEL_SEARCH = ("bisect_left(hi, t - e), bisect_right(lo, t + e)",
-                  "bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)")
+# scaled, and a state is keyed by v alone; else D grows and t is divided by
+# it, as for an integer h, h < ceil((t-e)/D) iff h*D < t-e and
+# h <= floor((t+e)/D) iff h*D <= t+e, and the key holds D
+_ORBIT_SEARCH = ("bisect_left(hi, t - e), bisect_right(lo, t + e)",
+                 "bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)")
 
-_KERNEL_LOWEST = """\
-        D *= L   # lowest terms: a common factor of w and D*L divides k
-        g = gcd(gcd(k, D), {w})
-        if g != 1:
-            return digits[i], (({w_g},), D // g)
-        return digits[i], (({w},), D)"""
+_ORBIT_LOWEST = """\
+            D *= L   # lowest terms: a common factor of v and D*L divides k
+            g = gcd(gcd(k, D), {v})
+            if g != 1:
+                {v}, D = {v_g}, D // g"""
 
 _WALK_SOURCE = """\
 def make(E, l_lo, l_hi, r_lo, r_hi, unit):   # unit: the digit 1 at the scale of t
@@ -187,19 +199,23 @@ def _compiled(write, ctx, names, *flags):
 
 
 def _kernel_code(degree, reduce):
-    """The orbit step of every scheme of a degree and flag, written out for
-    the degree d: reduce (L != 1) divides by the growing D and puts each state
-    in lowest terms, else the bounds come scaled by D.  Its other names
-    (m_r_c, offsets, ...) are bound by Scheme._kernel."""
+    """The orbit loop of every scheme of a degree and flag: make(hi, lo) ->
+    orbit(v, D, n, detect) -> (digits, start, state).  Each of up to n steps
+    is the kernel written out for the degree d on the locals v_0..v_(d-1), D;
+    with detect, one setdefault per step keys the state and the first repeat
+    returns where the period starts, else start is None after n steps.  The
+    last state (v, D) comes back too, so orbit(v, D, 1, False) is one step.
+    reduce (L != 1) divides by the growing D and puts each state in lowest
+    terms, keyed (v, D); else the bounds come scaled by D and the key is v.
+    Its other names (m_r_c, offsets, ...) are bound by Scheme._kernel."""
     d = range(degree)
-    v, w = (", ".join(f"{name}{r}" for r in d) for name in "vw")
-    rows = "\n".join(f"        w{r} = " + "".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D"
-                     for r in d)
-    tail = (_KERNEL_LOWEST.format(w=w, w_g=", ".join(f"w{r} // g" for r in d)) if reduce
-            else f"        return digits[i], (({w},), D)")
-    return _KERNEL_SOURCE.format(v=v, t=" + ".join(f"p{c} * v{c}" for c in d),
-                                 e=" + ".join(f"abs(v{c})" for c in d),
-                                 search=_KERNEL_SEARCH[reduce], rows=rows, tail=tail)
+    v = ", ".join(f"v{r}" for r in d)
+    rows = ", ".join("".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D" for r in d)
+    lowest = _ORBIT_LOWEST.format(v=v, v_g=", ".join(f"v{r} // g" for r in d)) if reduce else ""
+    return _ORBIT_SOURCE.format(v=v, key=f"({v}, D)" if reduce else f"({v},)",
+                                t=" + ".join(f"p{c} * v{c}" for c in d),
+                                e=" + ".join(f"abs(v{c})" for c in d),
+                                search=_ORBIT_SEARCH[reduce], rows=rows, lowest=lowest)
 
 
 def _walk_code(degree):
@@ -225,7 +241,7 @@ def _children(ctx):
     I = interval_I(ctx)
     power = ctx.beta() ** ctx.degree
     M = power.den   # beta^d = (q_0 + ... + q_(d-1) beta^(d-1))/M
-    ll, lh, rl, rh = *_dyadic_bounds(I.lo), *_dyadic_bounds(I.hi)
+    ll, lh, rl, rh = _I_bounds(ctx)
     names = {f"q{c}": q for c, q in enumerate(power.num)}
     names.update(M=M, fb=ctx.floor_beta, ctx=ctx, lo_end=I.lo, hi_end=I.hi,
                  contains=I.contains, ties=_ties, reduced=_reduced)
@@ -303,35 +319,41 @@ class Expansion(_Record):
         return self.status == STATUS_OK
 
 
-def _orbit(domain, x, stepper, depth, orbit_budget):
+def _end_bounds(domain):
+    """(l_lo, l_hi, r_lo, r_hi): the 64-bit bounds of the ends l, r of `domain`."""
+    return (*_dyadic_bounds(domain.lo), *_dyadic_bounds(domain.hi))
+
+
+@context_cached
+def _I_bounds(ctx):
+    return _end_bounds(interval_I(ctx))
+
+
+def _orbit(domain, ends, x, stepper, depth, orbit_budget):
     """(digits, start, endpoint) along the orbit of the point x of `domain`,
-    where stepper(x) -> (step, state) and step(state) -> (digit, state); start
-    is where the period starts, or None when orbit_budget ran out first.
+    ends the 64-bit bounds of its ends (_end_bounds), where stepper(x) ->
+    (orbit, (v, D)) and orbit is the compiled loop of _kernel_code; start is
+    where the period starts, or None when orbit_budget ran out first.
 
     x and the depth are tested before stepper runs, so a point outside
-    the domain builds no tables.  With a depth, exactly that many digits,
-    start being their number.  Otherwise the states are hashed as they are
-    and the first repeat closes the period.
+    the domain builds no tables.  Where the 64-bit bounds of x lie strictly
+    between those of the ends, x is in the domain and on neither end; only
+    where they straddle an end, or x has another context object, does the
+    exact test run, and tag l or r or refuse a foreign field.
+    With a depth, exactly that many digits, start being their number.
+    Otherwise the loop keys each state and the first repeat closes the
+    period: one call of the loop either way.
     """
-    _require_in(domain, x)
-    endpoint = "l" if x == domain.lo else "r" if x == domain.hi else None
+    lo, hi = _dyadic_bounds(x)
+    endpoint = None
+    if lo <= ends[1] or hi >= ends[2] or x.context is not domain.lo.context:
+        _require_in(domain, x)
+        endpoint = "l" if x == domain.lo else "r" if x == domain.hi else None
     if depth is not None and depth < 1:
         raise ValueError("depth must be at least 1")
-    step, state = stepper(x)
-    digits = []
-    if depth is not None:
-        for _ in range(depth):
-            d, state = step(state)
-            digits.append(d)
-        return digits, depth, endpoint
-    seen = {state: 0}
-    for n in range(1, orbit_budget + 1):
-        d, state = step(state)
-        digits.append(d)
-        i = seen.setdefault(state, n)
-        if i < n:
-            return digits, i, endpoint
-    return digits, None, endpoint
+    orbit, (v, D) = stepper(x)
+    digits, start, _ = orbit(v, D, orbit_budget if depth is None else depth, depth is None)
+    return digits, start if depth is None else depth, endpoint
 
 
 def _expansion(digits, start, endpoint):
@@ -350,7 +372,8 @@ def _pair_orbit(x, kind, depth, orbit_budget):
     budget.  The scheme is built (once per context) after x is found in I."""
     n = orbit_budget if depth is None else depth
     pairs, start, endpoint = _orbit(
-        interval_I(x.context), x, lambda y: build_beta2_scheme(y.context, kind)._stepper(y),
+        interval_I(x.context), _I_bounds(x.context), x,
+        lambda y: build_beta2_scheme(y.context, kind)._stepper(y),
         None if depth is None else -(-n // 2), -(-orbit_budget // 2))
     letters = list(chain.from_iterable(pairs))
     if depth is None and start is not None:
@@ -551,8 +574,12 @@ class Scheme(_Record):
         return matrix, offsets, lo, hi, tuple(c.digit for c in cells), L, k
 
     @cached_property
+    def _ends(self):
+        return _end_bounds(self.domain)
+
+    @cached_property
     def _kernel(self):
-        """make(hi, lo) -> step: the compiled step of the base's degree and of
+        """make(hi, lo) -> orbit: the compiled loop of the base's degree and of
         the flag L != 1 (_kernel_code), run in a namespace that binds this
         scheme's table by name."""
         matrix, offsets, lo, hi, digits, L, k = self._lattice
@@ -562,13 +589,13 @@ class Scheme(_Record):
         return _compiled(_kernel_code, self.base.context, names, L != 1)
 
     def _stepper(self, x):
-        """(step, start): step(state) -> (digit, state') along the orbit of x,
-        on hashable states (v, D), y = v/D: the scheme's compiled kernel.  With
-        L = 1, D stays den(x), and the cut bounds are scaled by it once per
-        orbit; otherwise the kernel divides by D and the bounds stay as they are."""
+        """(orbit, (v, D)): the scheme's compiled loop (_kernel_code) for the
+        orbit of x, and x's state y = v/D.  With L = 1, D stays den(x), and the
+        cut bounds are scaled by it once per orbit; otherwise the loop divides
+        by D and the bounds stay as they are."""
         _, _, lo, hi, _, L, _ = self._lattice
         if L == 1:
-            lo, hi = (tuple(b * x.den for b in bounds) for bounds in (lo, hi))
+            lo, hi = [b * x.den for b in lo], [b * x.den for b in hi]
         return self._kernel(hi, lo), (x.num, x.den)
 
     def locate(self, x):
@@ -644,7 +671,8 @@ def build_positive_greedy_scheme(ctx):
 def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
-    return _expansion(*_orbit(scheme.domain, x, scheme._stepper, depth, orbit_budget))
+    return _expansion(*_orbit(scheme.domain, scheme._ends, x, scheme._stepper, depth,
+                              orbit_budget))
 
 
 # -- evaluation ------------------------------------------------------------------

@@ -187,8 +187,9 @@ def scan_expansion(x, depth, use_min=True):
 
 
 def reference_stepper(scheme, x):
-    """(step, start) along the scheme's orbit from x: the orbit kernel as one
-    loop closure, the form that schemes writes out and compiles per degree.
+    """(step, start) along the scheme's orbit from x: the orbit kernel's step
+    as one closure, the step that schemes writes out, inside its orbit loop,
+    and compiles per degree.
     Its own table over one common denominator L holds, per cell, affine rows
     (row j of L*base, -L*(cell value)_j), so that w_j = row_j . (v, D); the
     64-bit cut bounds made monotone for bisection; the digits; and k, which

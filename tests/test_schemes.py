@@ -10,7 +10,8 @@ import pytest
 import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
                      reference_stepper, scan_expansion, scan_steps, tie_offset)
-from negabase import (DigitString, DomainError, ExactReal, Interval, PairDigit, Scheme,
+from negabase import (ContextMismatchError, DigitString, DomainError, ExactReal, Interval,
+                      PairDigit, Scheme,
                       SchemeCell, all_pair_digits,
                       alt_compare, build_beta2_scheme,
                       build_ito_sadahiro_scheme, build_positive_greedy_scheme,
@@ -788,10 +789,10 @@ def test_lattice_states_keep_the_start_denominator(name):
     for kind, scheme in _schemes(ctx).items():
         assert scheme._lattice[5] == 1, kind   # L
         for x in filter(scheme.domain.contains, points):
-            step, state = scheme._stepper(x)
+            orbit, state = scheme._stepper(x)
             y = x
             for _ in range(ORBIT_DEPTH):
-                d, state = step(state)
+                d, state = _one_step(orbit, state)
                 a, y = scheme.step(y)
                 v, D = state
                 assert (d, D) == (a, x.den), (kind, x)
@@ -818,6 +819,13 @@ def test_lattice_kernel_falls_back_next_to_the_cut_points(name):
             after = ctx.fallback_count()
             assert after > before, (kind, x)
             assert got == _exact(kind, scheme, x, ORBIT_DEPTH), (kind, x)
+
+
+def _one_step(orbit, state):
+    # one step of the compiled orbit loop from state (v, D): (digit, state')
+    (d,), start, state = orbit(*state, 1, False)
+    assert start is None
+    return d, state
 
 
 def _kernel_counts(ctx):
@@ -901,10 +909,10 @@ def test_off_lattice_states_are_in_lowest_terms(name):
     for kind, scheme in _schemes(ctx).items():
         assert scheme._lattice[5] > 1, kind   # L
         for x in filter(scheme.domain.contains, points):
-            step, state = scheme._stepper(x)
+            orbit, state = scheme._stepper(x)
             y = x
             for _ in range(ORBIT_DEPTH):
-                d, state = step(state)
+                d, state = _one_step(orbit, state)
                 a, y = scheme.step(y)
                 assert (d, state) == (a, (y.num, y.den)), (kind, x)
 
@@ -951,11 +959,11 @@ def test_compiled_kernel_matches_the_loop_reference(name):
         points = [y for t in ties for y in (t - eps, t, t + eps)]
         points += [random_point(rng, domain) for _ in range(8)]
         for x in filter(domain.contains, points):
-            (step, state), (reference, start) = scheme._stepper(x), reference_stepper(scheme, x)
+            (orbit, state), (reference, start) = scheme._stepper(x), reference_stepper(scheme, x)
             assert state == start, (kind, x)
             for _ in range(ORBIT_DEPTH):
                 before = _kernel_counts(ctx)
-                got = step(state)
+                got = _one_step(orbit, state)
                 mid = _kernel_counts(ctx)
                 assert got == reference(state), (kind, x, state)
                 after = _kernel_counts(ctx)
@@ -967,18 +975,19 @@ def test_compiled_kernel_matches_the_loop_reference(name):
 
 @pytest.mark.parametrize("name", sorted(WALK_BASES))
 def test_one_compiled_step_per_context_and_flag(name):
-    # the schemes of one base with the same flag L != 1 run one code object
+    # the schemes of one base with the same flag L != 1 run one code object:
+    # one orbit loop, whose one-step calls are the step
     ctx = field_from_poly(*WALK_BASES[name])
     codes = {}
     for scheme in _schemes(ctx).values():
-        step, _ = scheme._stepper(scheme.domain.lo)
-        codes.setdefault(scheme._lattice[5] != 1, set()).add(step.__code__)
+        orbit, _ = scheme._stepper(scheme.domain.lo)
+        codes.setdefault(scheme._lattice[5] != 1, set()).add(orbit.__code__)
     assert [len(c) for c in codes.values()] == [1] * len(codes)
 
 
 def test_the_compiled_step_holds_no_constant():
-    # two bases of degree 2 and L = 1 run one compiled kernel: every constant
-    # of a base is a name bound per scheme.  7/4 (L = 4) runs another
+    # two bases of degree 2 and L = 1 run one compiled orbit loop: every
+    # constant of a base is a name bound per scheme.  7/4 (L = 4) runs another
     codes = []
     for name in ("phi", "rt3"):
         ctx = field_from_poly(*LATTICE_BASES[name])
@@ -989,6 +998,109 @@ def test_the_compiled_step_holds_no_constant():
     assert (a.co_code, a.co_consts, a.co_names) == (b.co_code, b.co_consts, b.co_names)
     scheme = build_ito_sadahiro_scheme(field_from_poly(*OFF_LATTICE_BASES["seven-quarters"]))
     assert scheme._stepper(scheme.domain.lo)[0].__code__ is not a
+
+
+def _reference_orbit(scheme, x, n, stop=False):
+    # the period detection of the loop, in Python over the reference step:
+    # every state (v, D) keyed whole.  n steps, or up to the first repeat
+    # when stop, and the step m of that repeat with the place where its
+    # period starts, or (None, None)
+    step, state = reference_stepper(scheme, x)
+    digits, seen, repeat = [], {state: 0}, (None, None)
+    for m in range(1, n + 1):
+        d, state = step(state)
+        digits.append(d)
+        if seen.setdefault(state, m) != m and repeat[0] is None:
+            repeat = m, seen[state]
+            if stop:
+                break
+    return digits, repeat
+
+
+def _detected(reference, budget):
+    # (digits, start) of a period detection cut at the budget
+    digits, (m, start) = reference
+    return (digits[:m], start) if m is not None and m <= budget else (digits[:budget], None)
+
+
+# the bases whose orbits of p/q, q <= 3, close within the default budget;
+# one orbit each of sqrt(3) and 7/4 (L = 4) runs it out
+_CLOSING_BASES = ("phi", "tribonacci", "rt3", "tetranacci", "reducible", "cubic")
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+def test_the_orbit_loop_matches_a_reference_period_detection(name):
+    # _orbit's one call of the compiled loop against a Python loop over the
+    # reference step that keys each state (v, D) whole, from the ends, the
+    # cuts and every p/q, q <= 4, of each domain: budgets 1-9, which most
+    # orbits run out, and depths 1-9; the default budget on the orbits that
+    # close in it, and on two that run it out.  Over L != 1 a key without D
+    # closes false periods here (7/4's Ito-Sadahiro orbit of -1/2)
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    by_kind = _schemes(ctx) if ctx.floor_beta < 100 else {
+        "is": build_ito_sadahiro_scheme(ctx), "positive": build_positive_greedy_scheme(ctx)}
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 5)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    default, closed = schemes.DEFAULT_ORBIT_BUDGET, 0
+    for kind, scheme in by_kind.items():
+        domain = scheme.domain
+        points = [domain.lo, *(c.interval.hi for c in scheme.cells[:-1]), domain.hi, *rationals]
+        for x in filter(domain.contains, points):
+            def orbit(depth, budget):
+                return schemes._orbit(domain, scheme._ends, x, scheme._stepper,
+                                      depth, budget)[:2]
+            reference = _reference_orbit(scheme, x, 9)
+            for n in range(1, 10):
+                assert orbit(None, n) == _detected(reference, n), (kind, x, n)
+                assert orbit(n, 1) == (reference[0][:n], n), (kind, x, n)
+            if x.den <= 3 and (name in _CLOSING_BASES or kind == "is" and x == rationals[0]
+                               and name in ("sqrt3", "seven-quarters")):
+                want = _detected(_reference_orbit(scheme, x, default, True), default)
+                assert orbit(None, default) == want, (kind, x)
+                closed += want[1] is not None
+    assert closed or name not in _CLOSING_BASES
+
+
+@pytest.mark.parametrize("name", ["phi", "rt3", "seven-quarters", "non-monic"])
+def test_the_domain_test_compares_only_where_the_bounds_straddle(name, monkeypatch):
+    # an interior point of I and one of the Ito-Sadahiro domain [l, l + 1)
+    # are inside by the 64-bit bounds of the ends alone: no compare.  At the
+    # ends, tie_offset either side of them and the open end l + 1 the bounds
+    # straddle, and the exact test tags l and r or refuses the point as before.
+    # A point of another field, inside the scheme's domain by its bounds, is
+    # refused by name
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    other = field_from_poly(*KERNEL_BASES["rt3" if name == "phi" else "phi"])
+    I, eps = interval_I(ctx), tie_offset(ctx)
+    scheme = build_ito_sadahiro_scheme(ctx)
+    l = scheme.domain.lo
+    runs = {"greedy": (partial(greedy_neg_beta, depth=3), I),
+            "lazy": (partial(lazy_neg_beta, depth=3), I),
+            "is": (partial(run_scheme, scheme, depth=3), scheme.domain)}
+    tags = {"greedy": {I.lo: "l", I.hi: "r", I.lo + eps: None, I.hi - eps: None,
+                       I.lo - eps: DomainError, I.hi + eps: DomainError}}
+    tags["lazy"] = tags["greedy"]
+    tags["is"] = {l: "l", l + eps: None, l + 1 - eps: None,
+                  l - eps: DomainError, l + 1: DomainError, l + 1 + eps: DomainError}
+    calls = []
+    compare = ExactReal.compare
+    monkeypatch.setattr(ExactReal, "compare", lambda x, y: calls.append(1) or compare(x, y))
+    for kind, (run, domain) in runs.items():
+        run(random_point(random.Random(name), domain))   # every table built
+        for x in (ctx.zero(), random_point(random.Random(kind), domain)):
+            del calls[:]
+            assert run(x).endpoint is None, (kind, x)
+            assert not calls, (kind, x)
+        for x, tag in tags[kind].items():
+            del calls[:]
+            if tag is DomainError:
+                with pytest.raises(DomainError):
+                    run(x)
+            else:
+                assert run(x).endpoint == tag, (kind, x)
+            assert calls, (kind, x)
+    with pytest.raises(ContextMismatchError):
+        run_scheme(scheme, other.zero())
 
 
 def test_locate_bisects_the_cells(monkeypatch):
