@@ -19,7 +19,12 @@ Orbits of points with large denominators need not repeat within the
 budget; those come back as finite prefixes with an explicit status.
 Every expansion reads its orbit once: _orbit gives the digits and where
 the period starts, and _expansion builds the one DigitString.  Greedy and
-lazy flatten the squared-base pair digits into letters before it.
+lazy flatten the squared-base pair digits into letters there.  Where a
+state's value fixes its key and the digits after a state fix its value (a
+certified context, |base| > 1 and a digit per cell, as every scheme built
+here has), the first repeat gives the shortest preperiod and period in steps,
+and the word is taken as it stands, testing only the two ways a word of two
+letters per step can be shorter; elsewhere the general constructor runs.
 
 Every orbit and the oracle's walk run on one integer kernel, on every
 base: y = v/D with v an integer vector, the base times a common
@@ -36,8 +41,11 @@ every base with that degree and flag runs one code object, its constants
 bound by name per scheme.  Before it, x is tested against the domain by its
 64-bit bounds and those of the domain's ends; only where they straddle an
 end does the exact test run.  Every cell search is a bisection over cuts
-that Scheme.validate proves increasing.  The walk's step is compiled once
-per degree too, its digits read off two floor divisions.
+that Scheme.validate proves increasing: one per step, and a second only
+where the bounds straddle a cut.  With L = 1 the loop holds the cut bounds
+and cell offsets scaled by den(x), and a scheme keeps the loop of its last
+denominator.  The walk's step is compiled once per degree too, its digits
+read off two floor divisions.
 """
 
 from bisect import bisect_left, bisect_right
@@ -46,7 +54,7 @@ from itertools import accumulate, chain, product
 from math import gcd, lcm
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, _dataclass_fields, _pair_digit, _Record
+from .words import DigitString, _dataclass_fields, _pair_digit, _Record, _set
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -125,19 +133,20 @@ def _reduced(ctx, v, D):
 
 
 _ORBIT_SOURCE = """\
-def make(hi, lo):
+def make(hi, lo, offsets):
+    {o}, = map(offsets.__getitem__, columns)   # each coordinate's offsets, cell by cell
     def orbit(v, D, n, detect):
         {v}, = v
         out = []
         seen = {{{key}: 0}}
         for m in range(1, n + 1):
             t = {t}   # 2^64 * D * y, up to e
-            e = gap * ({e})
-            # i counts the cuts surely below y, j those that may be
-            i, j = {search}
-            if i != j:
-                i = straddled(({v},), D, i, j)
-            c = offsets[i]
+            e = gap * ({e})   # each |v_c| inline, cheaper than a call of abs
+            # i counts the cuts that may be below y; the bounds straddle the last if
+            # it may be above y too, and only then are the cuts surely below counted
+            i = bisect_right(lo, {upper})
+            if i and {straddle}:
+                i = straddled(({v},), D, bisect_left(hi, {lower}), i)
             {v}, = {rows},
 {lowest}
             out.append(digits[i])
@@ -149,12 +158,14 @@ def make(hi, lo):
     return orbit
 """
 
-# by the flag L != 1: with L = 1, D stays den(x), by which make's bounds are
-# scaled, and a state is keyed by v alone; else D grows and t is divided by
-# it, as for an integer h, h < ceil((t-e)/D) iff h*D < t-e and
-# h <= floor((t+e)/D) iff h*D <= t+e, and the key holds D
-_ORBIT_SEARCH = ("bisect_left(hi, t - e), bisect_right(lo, t + e)",
-                 "bisect_left(hi, -((e - t) // D)), bisect_right(lo, (t + e) // D)")
+# by the flag L != 1: with L = 1, D stays den(x), by which make's bounds and
+# offsets are scaled, and a state is keyed by v alone; else D grows and t is
+# divided by it, as for an integer h, h < ceil((t-e)/D) iff h*D < t-e and
+# h <= floor((t+e)/D) iff h*D <= t+e, the offsets are multiplied by it, and
+# the key holds D
+_ORBIT_SEARCH = (dict(upper="t + e", straddle="hi[i - 1] >= t - e", lower="t - e", offset=""),
+                 dict(upper="(t + e) // D", straddle="hi[i - 1] * D >= t - e",
+                      lower="-((e - t) // D)", offset=" * D"))
 
 _ORBIT_LOWEST = """\
             D *= L   # lowest terms: a common factor of v and D*L divides k
@@ -199,23 +210,27 @@ def _compiled(write, ctx, names, *flags):
 
 
 def _kernel_code(degree, reduce):
-    """The orbit loop of every scheme of a degree and flag: make(hi, lo) ->
-    orbit(v, D, n, detect) -> (digits, start, state).  Each of up to n steps
-    is the kernel written out for the degree d on the locals v_0..v_(d-1), D;
-    with detect, one setdefault per step keys the state and the first repeat
-    returns where the period starts, else start is None after n steps.  The
-    last state (v, D) comes back too, so orbit(v, D, 1, False) is one step.
-    reduce (L != 1) divides by the growing D and puts each state in lowest
-    terms, keyed (v, D); else the bounds come scaled by D and the key is v.
-    Its other names (m_r_c, offsets, ...) are bound by Scheme._kernel."""
-    d = range(degree)
+    """The orbit loop of every scheme of a degree and flag: make(hi, lo,
+    offsets) -> orbit(v, D, n, detect) -> (digits, start, state).  Each of up
+    to n steps is the kernel written out for the degree d on the locals
+    v_0..v_(d-1), D, its cell one bisection of the cut bounds, and a second
+    only where the bounds straddle a cut; with detect, one setdefault per step
+    keys the state and the first repeat returns where the period starts, else
+    start is None after n steps.  The last state (v, D) comes back too, so
+    orbit(v, D, 1, False) is one step.  reduce (L != 1) divides by the growing
+    D and puts each state in lowest terms, keyed (v, D); else the cut bounds
+    and cell offsets come scaled by D and the key is v.  Its other names
+    (m_r_c, digits, ...) are bound by Scheme._kernel."""
+    d, search = range(degree), _ORBIT_SEARCH[reduce]
     v = ", ".join(f"v{r}" for r in d)
-    rows = ", ".join("".join(f"m{r}_{c} * v{c} + " for c in d) + f"c[{r}] * D" for r in d)
+    rows = ", ".join("".join(f"m{r}_{c} * v{c} + " for c in d) + f"o{r}[i]{search['offset']}"
+                     for r in d)
     lowest = _ORBIT_LOWEST.format(v=v, v_g=", ".join(f"v{r} // g" for r in d)) if reduce else ""
     return _ORBIT_SOURCE.format(v=v, key=f"({v}, D)" if reduce else f"({v},)",
+                                o=", ".join(f"o{r}" for r in d),
                                 t=" + ".join(f"p{c} * v{c}" for c in d),
-                                e=" + ".join(f"abs(v{c})" for c in d),
-                                search=_ORBIT_SEARCH[reduce], rows=rows, lowest=lowest)
+                                e=" + ".join(f"(v{c} if v{c} >= 0 else -v{c})" for c in d),
+                                rows=rows, lowest=lowest, **search)
 
 
 def _walk_code(degree):
@@ -314,6 +329,13 @@ class Expansion(_Record):
     _defaults = {"status": STATUS_OK, "endpoint": None}
     __dataclass_fields__ = _dataclass_fields
 
+    def __init__(self, word, status=STATUS_OK, endpoint=None):
+        # the fields set by name, with no generic argument handling: every
+        # expansion builds one record
+        _set(self, "word", word)
+        _set(self, "status", status)
+        _set(self, "endpoint", endpoint)
+
     @property
     def ok(self):
         return self.status == STATUS_OK
@@ -356,12 +378,24 @@ def _orbit(domain, ends, x, stepper, depth, orbit_budget):
     return digits, start if depth is None else depth, endpoint
 
 
-def _expansion(digits, start, endpoint):
-    """The Expansion of _orbit's digits: the period from `start` on, or a
-    finite prefix marked period-not-found when start is None."""
+def _letters(pairs):
+    return tuple(chain.from_iterable(pairs))
+
+
+def _expansion(digits, start, endpoint, scheme=None, pairs=False):
+    """The Expansion of _orbit's digits, read as two letters each with
+    `pairs`: the period from step `start` on, or a finite prefix marked
+    period-not-found when start is None.  A period found on a scheme whose
+    orbits close on their canonical word (Scheme._closes) is built as the
+    loop's first repeat left it (DigitString._of_orbit), any other by the
+    general constructor; a word cut to the depth is canonical as it stands."""
     if start is None:
         return Expansion(DigitString.finite(digits), STATUS_PERIOD_NOT_FOUND, endpoint)
-    return Expansion(DigitString(digits[:start], digits[start:]), STATUS_OK, endpoint)
+    flat = _letters if pairs else tuple
+    pre, per = flat(digits[:start]), flat(digits[start:])
+    if per and not scheme._closes:
+        return Expansion(DigitString(pre, per), STATUS_OK, endpoint)
+    return Expansion(DigitString._of_orbit(pre, per, pairs), STATUS_OK, endpoint)
 
 
 def _pair_orbit(x, kind, depth, orbit_budget):
@@ -370,15 +404,13 @@ def _pair_orbit(x, kind, depth, orbit_budget):
     for n letters; its pairs are read as letters, and a period found starts at
     twice its pair place, while a finite word is cut back to the depth or the
     budget.  The scheme is built (once per context) after x is found in I."""
-    n = orbit_budget if depth is None else depth
+    ctx, n = x.context, orbit_budget if depth is None else depth
     pairs, start, endpoint = _orbit(
-        interval_I(x.context), _I_bounds(x.context), x,
-        lambda y: build_beta2_scheme(y.context, kind)._stepper(y),
+        interval_I(ctx), _I_bounds(ctx), x, lambda y: build_beta2_scheme(ctx, kind)._stepper(y),
         None if depth is None else -(-n // 2), -(-orbit_budget // 2))
-    letters = list(chain.from_iterable(pairs))
     if depth is None and start is not None:
-        return _expansion(letters, 2 * start, endpoint)
-    return _expansion(letters[:n], None if start is None else n, endpoint)
+        return _expansion(pairs, start, endpoint, build_beta2_scheme(ctx, kind), True)
+    return _expansion(_letters(pairs)[:n], None if start is None else n, endpoint)
 
 
 def greedy_neg_beta(x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
@@ -556,8 +588,9 @@ class Scheme(_Record):
     def _lattice(self):
         # the kernel's table over one common denominator L: the matrix of L*base,
         # row r column c the r-th coordinate of L*base*beta^c, shared by every
-        # cell; per cell the offsets -L*(cell value)_r, so that
-        # w_r = sum_c m[r][c] * v_c + offset_r * D; 64-bit bounds of the cuts made
+        # cell; the offsets -L*(cell value)_r of every cell, coordinate by
+        # coordinate in one tuple, so that w_r = sum_c m[r][c] * v_c + offset_r * D,
+        # and one pass scales them all by D; 64-bit bounds of the cuts made
         # monotone for bisection; the digits; L; and k, which every common factor
         # of a next state (w, D*L) divides when v/D is reduced
         ctx, cells, d = self.base.context, self.cells, self.base.context.degree
@@ -565,7 +598,7 @@ class Scheme(_Record):
         L = lcm(*(y.den for y in ys))
         ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
         matrix = tuple(zip(*ys[:d]))
-        offsets = tuple(tuple(-c for c in y) for y in ys[d:])
+        offsets = tuple(-y[r] for r in range(d) for y in ys[d:])
         bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
         lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
         hi = tuple(accumulate([hi for _, hi in bounds], max))
@@ -579,24 +612,43 @@ class Scheme(_Record):
 
     @cached_property
     def _kernel(self):
-        """make(hi, lo) -> orbit: the compiled loop of the base's degree and of
-        the flag L != 1 (_kernel_code), run in a namespace that binds this
-        scheme's table by name."""
-        matrix, offsets, lo, hi, digits, L, k = self._lattice
+        """make(hi, lo, offsets) -> orbit: the compiled loop of the base's
+        degree and of the flag L != 1 (_kernel_code), run in a namespace that
+        binds this scheme's matrix, digits and constants by name."""
+        matrix, _, _, _, digits, L, k = self._lattice
         names = {f"m{r}_{c}": m for r, row in enumerate(matrix) for c, m in enumerate(row)}
-        names.update(offsets=offsets, digits=digits, L=L, k=k, straddled=self._straddled,
+        n = len(digits)   # the offsets of coordinate r are offsets[r*n:(r+1)*n]
+        names.update(digits=digits, columns=[slice(r * n, r * n + n) for r in range(len(matrix))],
+                     L=L, k=k, straddled=self._straddled,
                      bisect_left=bisect_left, bisect_right=bisect_right, gcd=gcd)
         return _compiled(_kernel_code, self.base.context, names, L != 1)
+
+    _entry = (None, None)   # the stepper's (D, orbit), replaced whole: no lock
 
     def _stepper(self, x):
         """(orbit, (v, D)): the scheme's compiled loop (_kernel_code) for the
         orbit of x, and x's state y = v/D.  With L = 1, D stays den(x), and the
-        cut bounds are scaled by it once per orbit; otherwise the loop divides
-        by D and the bounds stay as they are."""
-        _, _, lo, hi, _, L, _ = self._lattice
-        if L == 1:
-            lo, hi = [b * x.den for b in lo], [b * x.den for b in hi]
-        return self._kernel(hi, lo), (x.num, x.den)
+        loop holds the cut bounds and cell offsets scaled by it; one entry keeps
+        the loop of the last D, read in one unpack, as _children keeps its last
+        level.  Otherwise the loop divides by D, and one serves every D."""
+        _, offsets, lo, hi, _, L, _ = self._lattice
+        D = x.den if L == 1 else 1
+        last, orbit = self._entry
+        if last != D:
+            if D != 1:
+                hi, lo, offsets = [b * D for b in hi], [b * D for b in lo], [c * D for c in offsets]
+            orbit = self._kernel(hi, lo, offsets)
+            _set(self, "_entry", (D, orbit))
+        return orbit, (x.num, x.den)
+
+    @cached_property
+    def _closes(self):
+        """Whether an orbit closes on its canonical word at its first repeat
+        (DigitString._of_orbit): on a certified context a state's value fixes
+        its key, and with |base| > 1 and a digit per cell the digits after a
+        state fix its value."""
+        return (self.base.context._certified and (self.base * self.base - 1).sign() > 0
+                and len({cell.digit for cell in self.cells}) == len(self.cells))
 
     def locate(self, x):
         _require_in(self.domain, x)
@@ -672,7 +724,7 @@ def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
     """Iterate the scheme from x, collecting digits; period-detect when
     depth is None."""
     return _expansion(*_orbit(scheme.domain, scheme._ends, x, scheme._stepper, depth,
-                              orbit_budget))
+                              orbit_budget), scheme)
 
 
 # -- evaluation ------------------------------------------------------------------

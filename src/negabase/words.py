@@ -149,6 +149,26 @@ class DigitString(_Record):
         _set(self, "period", per)
 
     @classmethod
+    def _of_orbit(cls, pre, per, pairs=False):
+        """The word of the tuples pre per^omega where an orbit closed at its
+        first repeat, each step one letter (two with `pairs`), on a scheme
+        whose states are fixed by the digits after them (Scheme._closes): the
+        repeat gives the shortest preperiod and period in steps, so a word of
+        one letter per step is canonical.  Of two, only a period of half the
+        letters (an odd number of steps) or a preperiod one letter short can
+        be shorter, and only those are tested."""
+        if pairs and per:
+            n = len(per) // 2
+            if n % 2 and per[:n] == per[n:]:
+                per = per[:n]
+            if pre and pre[-1] == per[-1]:
+                pre, per = pre[:-1], per[-1:] + per[:-1]
+        word = cls.__new__(cls)
+        _set(word, "preperiod", pre)
+        _set(word, "period", per)
+        return word
+
+    @classmethod
     def finite(cls, digits):
         return cls(tuple(digits), ())
 

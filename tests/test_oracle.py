@@ -10,11 +10,12 @@ import pytest
 from helpers import (WALK_BASES, random_point, scan_merged, scan_steps,
                      tie_offset)
 from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
-                      PairDigit, alt_sort_key, count_representation_branches,
+                      PairDigit, alt_sort_key, build_ito_sadahiro_scheme,
+                      count_representation_branches,
                       digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
                       eval_neg_beta, extremal_prefix, feasible_digits,
                       field_from_poly, greedy_neg_beta, interval_I,
-                      lazy_neg_beta, rational_field, sample_unique_numbers,
+                      lazy_neg_beta, rational_field, run_scheme, sample_unique_numbers,
                       step_max_digit, step_min_digit)
 from negabase.schemes import _children, _lowest
 
@@ -331,6 +332,44 @@ def test_walk_levels_under_threads():
     assert errors == []
     assert results == {t: want[t % 2] for t in range(4)}
     assert len(ctx._tables) == tables
+
+
+def test_orbit_steppers_under_threads():
+    # a scheme keeps the orbit loop of its last denominator, one entry replaced
+    # whole: four threads expanding over two alternating denominators on one
+    # Ito-Sadahiro and one beta^2 greedy scheme flip both entries all the time,
+    # and every word is the single-thread one
+    ctx = field_from_poly((-1, -1, 1), 1, 2)
+    xs = [ctx.element(Fraction(-5, 23)), ctx.element(Fraction(-7, 31))]
+    scheme = build_ito_sadahiro_scheme(ctx)
+
+    def run(order):
+        return [(run_scheme(scheme, x).word, greedy_neg_beta(x).word, lazy_neg_beta(x).word)
+                for _ in range(50) for x in order]
+
+    want = [run(xs), run(xs[::-1])]
+    results, errors = {}, []
+
+    def work(t):
+        try:
+            results[t] = run(xs[::-1] if t % 2 else xs)
+        except Exception as exc:   # reported by the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == {t: want[t % 2] for t in range(4)}
+    assert scheme._entry[0] in (23, 31)
 
 
 def test_count_past_the_prefix_budget(phi):

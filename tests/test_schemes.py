@@ -187,14 +187,20 @@ def test_greedy_and_lazy_are_the_beta2_orbit_read_in_letters(name):
 
 
 def test_one_digit_string_per_expansion(monkeypatch, phi, seven_quarters):
+    # by the general constructor or by the orbit word's, which calls no __init__
     made = []
-    init = DigitString.__init__
+    init, of_orbit = DigitString.__init__, DigitString._of_orbit.__func__
 
     def counted(self, *args):
         made.append(args)
         init(self, *args)
 
+    def counted_orbit(cls, *args):
+        made.append(args)
+        return of_orbit(cls, *args)
+
     monkeypatch.setattr(DigitString, "__init__", counted)
+    monkeypatch.setattr(DigitString, "_of_orbit", classmethod(counted_orbit))
     # a period found, a depth, and a budget run out
     runs = ({}, {"depth": 7}, {"depth": 8}, {"orbit_budget": 3}, {"orbit_budget": 4})
     for ctx in (phi, seven_quarters):
@@ -1122,6 +1128,67 @@ def test_degree_one_hundred_on_the_compiled_kernel():
     words = [greedy_neg_beta(x, depth=20).word, lazy_neg_beta(x, depth=20).word,
              run_scheme(build_ito_sadahiro_scheme(ctx), x, depth=20).word]
     assert [w.preperiod for w in words] == [(0, 1) * 10, (1, 0) * 10, (0,) * 20]
+
+
+# -- the word at the orbit's first repeat -----------------------------------------
+
+def _letters(pairs):
+    return tuple(c for p in pairs for c in p)
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci", "rt3", "tetranacci", "seven-quarters",
+                                  "non-monic", "reducible"])
+def test_the_orbit_word_is_the_general_constructor(name):
+    # every closed orbit of every scheme from the tie points and every p/q,
+    # q <= 7, of its domain, read one letter per step and, on the beta^2
+    # schemes, two: on a scheme whose orbits close on their canonical word
+    # the orbit word's constructor gives DigitString(pre, per), and so does
+    # the expansion.  Tetranacci's and the reducible base's contexts are not
+    # certified and take the general path; on the reducible one a value has
+    # several states, and the first repeat is not always the canonical word
+    ctx = field_from_poly(*WALK_BASES[name])
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 8)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    points = [x for _, x in _tie_points(ctx)] + rationals
+    expand = {"beta2-greedy": greedy_neg_beta, "beta2-lazy": lazy_neg_beta}
+    closed, differs = 0, 0
+    for kind, scheme in _schemes(ctx).items():
+        assert scheme._closes == ctx._certified, kind
+        for x in filter(scheme.domain.contains, points):
+            digits, start, _ = schemes._orbit(scheme.domain, scheme._ends, x, scheme._stepper,
+                                              None, ORBIT_BUDGET)
+            if start is None:
+                continue
+            closed += 1
+            readings = [(tuple(digits[:start]), tuple(digits[start:]), False,
+                         run_scheme(scheme, x, orbit_budget=ORBIT_BUDGET))]
+            if kind in expand:
+                readings.append((_letters(digits[:start]), _letters(digits[start:]), True,
+                                 expand[kind](x, orbit_budget=2 * ORBIT_BUDGET)))
+            for pre, per, pairs, exp in readings:
+                word, fast = DigitString(pre, per), DigitString._of_orbit(pre, per, pairs)
+                assert exp.word == word, (kind, x, pairs)
+                if scheme._closes:
+                    assert fast == word, (kind, x, pairs)
+                differs += fast != word
+    assert closed, name
+    assert (differs > 0) == (name == "reducible")
+
+
+@pytest.mark.parametrize("base, kind, x, pre, per, text", [
+    ("phi", "lazy", 0, (1, 1), (0, 1), "1(10)"),   # a preperiod one letter short
+    ("tribonacci", "greedy", 0, (), (0, 0), "(0)"),   # a period of half the letters
+    ("rt3", "greedy", Fraction(-2, 3), (2, 1), (2, 2, 1, 0, 0, 1), "2(122100)")])
+def test_the_orbit_word_where_the_letters_are_not_canonical(base, kind, x, pre, per, text):
+    # pre per^omega: the pair orbit's letters as its first repeat leaves them
+    ctx = field_from_poly(*LATTICE_BASES[base])
+    x, scheme = ctx.element(x), build_beta2_scheme(ctx, kind)
+    digits, start, _ = schemes._orbit(scheme.domain, scheme._ends, x, scheme._stepper, None,
+                                      ORBIT_BUDGET)
+    assert (_letters(digits[:start]), _letters(digits[start:])) == (pre, per)
+    word = (greedy_neg_beta if kind == "greedy" else lazy_neg_beta)(x).word
+    assert str(word) == text
+    assert DigitString._of_orbit(pre, per, True) == word == DigitString(pre, per)
 
 
 # -- one preimage rule cuts every scheme ------------------------------------------
