@@ -10,7 +10,8 @@ reference expansion (a bound) in the lexicographic or the alternate order.
   first needed.
 * Pair words, lazy: the digitwise complement must be greedy-admissible.
 * Binary golden-ratio words, read two letters at a time, must be
-  greedy-admissible pair words.
+  greedy-admissible pair words; they are read one letter at a time, by
+  letter rows derived from phi's pair automaton.
 * Binary golden-ratio Ito-Sadahiro words: every tail s satisfies
   d(l) <= s < d*(r) = 0 d(l) in the alternate order, where d(l) expands the
   left end of the domain (Ito & Sadahiro, Integers 2009).
@@ -28,7 +29,11 @@ and the last failing digit seen is the earliest one.  A finite word starts
 from the all-"runs out" state, an eventually periodic word from the fixed
 point of its reversed period.  One automaton over both bounds is built
 breadth first over every letter, once per base, the first time a check
-finds both bounds computed, and lives on the AdmissibilityBound.
+finds both bounds computed, and lives on the AdmissibilityBound.  A word
+of digits is read as pairs by letter rows built from the pair rows once
+per base, the first time they are needed (`_letter_rows`): a full row
+and a half row per letter for each pair row, and rows where a pair
+outside the alphabet leaves only such pairs to report.
 
 Until then, and when a bound has no detected period (rational bases) or the
 tables pass a size budget, each critical digit's tail is compared on its own
@@ -41,8 +46,8 @@ after it reads the automaton.
 from .field import ContextMismatchError, context_cached, phi_field
 from .schemes import (DEFAULT_ORBIT_BUDGET, Interval, _pair_index, _pair_tiling, all_pair_digits,
                       build_ito_sadahiro_scheme, interval_I, run_scheme)
-from .words import (EQ, LT, DigitString, PairDigit, _code, _compare_tail, _dataclass_fields,
-                    _Record, _set, format_word, psi_inverse)
+from .words import (EQ, LT, DigitString, _code, _compare_tail, _dataclass_fields,
+                    _Record, _set, format_word)
 
 ADMISSIBLE = "admissible"
 REJECTED = "rejected"
@@ -190,6 +195,35 @@ def _link(tables, outcome, letters):
         for x, letter in enumerate(letters):
             row[letter] = (rows[nxt[x]], outcome(state, x, states[nxt[x]]))
     return tuple(rows[s] for s in starts)
+
+
+def _letter_rows(starts, fb):
+    """Linked rows over the letters 0..fb, read right to left, of the words
+    whose pairs b:a (from an even place) the pair rows `starts` read: a pair
+    row's letter row maps a to (half row, None), and the half row maps b to
+    (the letter row of the pair's next row, its outcome).  A pair outside
+    the rows' alphabet is a forbidden factor, and steps to rows that report
+    only such pairs, so the first of them wins over any rule.  Returns the
+    letter rows of the starts."""
+    digits, full, todo, out = range(fb + 1), {}, list(starts), {}
+    for row in todo:   # one letter row for every pair row the starts reach
+        if id(row) not in full:
+            full[id(row)] = row, {}
+            todo.extend(nxt for nxt, _ in row.values())
+    for row, letters in full.values():
+        letters.update((a, ({b: (full[id(row[b, a][0])][1], row[b, a][1]) if (b, a) in row
+                             else (out, RULE_FACTOR) for b in digits}, None)) for a in digits)
+    # the rows after a pair outside: one full row, and a half row per letter
+    out.update((a, ({b: (out, None if (b, a) in starts[0] else RULE_FACTOR) for b in digits},
+                    None)) for a in digits)
+    return tuple(full[id(s)][1] for s in starts)
+
+
+@context_cached
+def _letter_tails(ctx):
+    """The letter rows of the base's greedy tail automaton, built the first
+    time a letter word is checked, not with the automaton."""
+    return _letter_rows(reference_bounds(ctx)._tails()[0], ctx.floor_beta)
 
 
 def _scan(starts, word):
@@ -395,30 +429,28 @@ def _require_binary(word):
 
 
 _BINARY = frozenset((0, 1))
-_GOLDEN_OUTSIDE = PairDigit(0, 1)
 
 
 def golden_forbidden_factor_check(word):
     """Can this binary string be the greedy expansion of a point of the
     invariant subinterval for the golden-ratio base?  Read two letters at a
-    time, it must be a greedy-admissible pair word.  A finite word of odd
-    length is read with a 0 appended: that extension passes whenever the
-    1-extension does, since a last 0 plus 1 is the pair 0:1, outside the
-    alphabet, and 1:0 ranks below 1:1 and is not a critical digit."""
+    time, it must be a greedy-admissible pair word: one pass of the letter
+    rows of phi's tail automaton, where the first pair 0:1 (outside the
+    alphabet) is the verdict, else the first rule that fails.  A finite word
+    of odd length is read with a 0 appended: that extension passes whenever
+    the 1-extension does, since a last 0 plus 1 is the pair 0:1, and 1:0
+    ranks below 1:1 and is not a critical digit.  A periodic word is
+    realigned to pairs: an odd preperiod takes the first period letter, and
+    an odd period is doubled."""
     _require_binary(word)
-    bits = word
-    if word.is_finite and len(word) % 2:
-        bits = DigitString.finite(word.preperiod + (0,))
-    phi = phi_field()
-    pairs = psi_inverse(bits)
-    letters = pairs.preperiod + pairs.period
-    # the first 0:1, the one pair outside phi's minimal alphabet, is the verdict
-    if _GOLDEN_OUTSIDE in letters:
-        return _report(word, RULE_FACTOR, 2 * letters.index(_GOLDEN_OUTSIDE), 2)
-    report = is_admissible_greedy(pairs, phi)
-    if report.violation is None:
-        return report
-    return _report(word, RULE_FACTOR, 2 * report.violation.position - 2, 8)
+    pre, per = word.preperiod, word.period
+    if len(pre) % 2:
+        pre, per = pre + (per[:1] or (0,)), per[1:] + per[:1]
+    if len(per) % 2:
+        per += per
+    # the realigned word is taken as it stands, not made canonical again
+    rule, where = _scan(_letter_tails(phi_field()), DigitString._of_orbit(pre, per))
+    return _report(word, rule and RULE_FACTOR, where, 2 if rule == RULE_FACTOR else 8)
 
 
 @context_cached

@@ -156,7 +156,9 @@ class DigitString(_Record):
         repeat gives the shortest preperiod and period in steps, so a word of
         one letter per step is canonical.  Of two, only a period of half the
         letters (an odd number of steps) or a preperiod one letter short can
-        be shorter, and only those are tested."""
+        be shorter, and only those are tested.  Without `pairs` the tuples
+        are taken as they stand, as the golden check takes a word realigned
+        to pairs."""
         if pairs and per:
             n = len(per) // 2
             if n % 2 and per[:n] == per[n:]:

@@ -431,6 +431,14 @@ TAIL_BASES = {
     "tetranacci": (lambda: field_from_poly((-1, -1, -1, -1, 1), 1, 2), 4),
 }
 
+# bases of floor(beta) 1, 2 and 3 for the letter rows, with the longest words
+# (in letters) compared in full: 8 letters over 0..3 would be 570 000 words
+LETTER_BASES = {
+    "tribonacci": (tribonacci_field, 8),
+    "rt3": (lambda: field_from_poly((-2, -2, 1), Fraction(27, 10), Fraction(28, 10)), 8),
+    "floor3": (lambda: field_from_poly((-1, -3, 1), 3, 4), 6),
+}
+
 
 def words_up_to(alphabet, max_total):
     """Every finite word and every u(v)^omega with |u| + |v| <= max_total."""
@@ -438,6 +446,14 @@ def words_up_to(alphabet, max_total):
     for n in range(1, max_total + 1):
         found.update(DigitString.finite(w) for w in all_words(alphabet, n))
     return found
+
+
+def golden_pairs(rng, n):
+    """n pairs of phi's greedy alphabet with no factor 1:1.0:0."""
+    out = []
+    while len(out) < n:
+        out.append(rng.choice((A, C) if out and out[-1] == B else (A, B, C)))
+    return out
 
 
 def row_count(starts):
@@ -540,6 +556,54 @@ class TestTailAutomaton:
             assert (report_tuple(golden_forbidden_factor_check(w))
                     == golden_reference(w, phi, bounds)), w
             assert report_tuple(ito_sadahiro_admissible(w)) == ito_sadahiro_reference(w, low), w
+        # a pair 0:1 anywhere wins over an earlier rule failure
+        w = parse_word("11000001")
+        want = (REJECTED, "forbidden-factor", 7, "01")
+        assert golden_reference(w, phi, bounds) == want
+        assert report_tuple(golden_forbidden_factor_check(w)) == want
+        # words shaped like the benchmark's: greedy pair words of 25-45 pairs and
+        # periods of 2-6 pairs, half of them damaged late by 1:1.0:0 or 0:1 (both,
+        # at times), a letter put in front of some so that they pair up oddly
+        rng = random.Random(37)
+        verdicts = set()
+        for _ in range(2000):
+            pre, per = (golden_pairs(rng, n) for n in (rng.randrange(25, 45), rng.randrange(2, 7)))
+            for bad in [(B, C), (D,)] if rng.random() < 0.5 else []:
+                if rng.random() < 0.6:
+                    k = len(pre) - rng.randrange(3, 20)
+                    pre[k:k + len(bad)] = bad
+            lead = [rng.randrange(2)] * rng.randrange(2)
+            w = DigitString(lead + [x for p in pre for x in p], [x for p in per for x in p])
+            got = report_tuple(golden_forbidden_factor_check(w))
+            assert got == golden_reference(w, phi, bounds), w
+            verdicts.add(got[0] if got[3] is None else got[3][:2])
+        assert verdicts == {ADMISSIBLE, "01", "11"}
+
+    @pytest.mark.parametrize("name", sorted(LETTER_BASES))
+    def test_letter_rows_match_the_pair_checks(self, name):
+        # the letter rows of the greedy and of the lazy automaton against the
+        # first pair outside the alphabet, else the pair check of the word paired up
+        make, max_total = LETTER_BASES[name]
+        ctx = make()
+        fb, bounds, alpha = ctx.floor_beta, reference_bounds(ctx), minimal_alphabet(ctx)
+        words = []   # each word, paired up, and its letters in pair alignment
+        for w in words_up_to(tuple(range(fb + 1)), max_total):
+            if w.period or len(w) % 2 == 0:
+                pairs = psi_inverse(w)
+                flat = (sum(part, ()) for part in (pairs.preperiod, pairs.period))
+                words.append((w, pairs, DigitString._of_orbit(*flat)))
+        for lazy, check, alphabet in ((False, is_admissible_greedy, set(alpha.greedy)),
+                                      (True, is_admissible_lazy, set(alpha.lazy))):
+            rows = adm._letter_rows(bounds._tails()[lazy], fb)
+            for w, pairs, flat in words:
+                letters = pairs.preperiod + pairs.period
+                k = next((k for k, p in enumerate(letters) if p not in alphabet), None)
+                if k is not None:
+                    want = "forbidden-factor", 2 * k
+                else:
+                    v = check(pairs, ctx, bounds).violation
+                    want = (None, None) if v is None else (v.rule, 2 * v.position - 2)
+                assert adm._scan(rows, flat) == want, (name, lazy, w)
 
     def test_bounds_with_no_period_fall_back(self):
         # 7/2: the reference orbits are cut by the budget, so tails that run
@@ -588,7 +652,13 @@ class TestTailAutomaton:
             ctx = make()
             greedy_rows, lazy_rows = reference_bounds(ctx)._tails()
             assert row_count(greedy_rows) == row_count(lazy_rows) <= 24
+            # a full row and a half row per letter for each pair row, and the
+            # rows after a pair outside the alphabet
+            fb = ctx.floor_beta
+            for rows in (greedy_rows, lazy_rows):
+                assert row_count(adm._letter_rows(rows, fb)) <= (fb + 2) * (row_count(rows) + 1)
         assert row_count(adm._ito_sadahiro_tails(phi)) <= 12
+        assert row_count(adm._letter_tails(phi)) == 27
 
     def test_automata_freed_with_the_context(self):
         ctx = field_from_poly((-1, -1, 1), 1, 2)
@@ -596,10 +666,23 @@ class TestTailAutomaton:
         assert is_admissible_greedy(DigitString.finite((B, C)), ctx).verdict == REJECTED
         assert is_admissible_lazy(DigitString((B,), (C,)), ctx).verdict == REJECTED
         assert reference_bounds(ctx)._automaton
+        assert adm._letter_tails(ctx) and (adm._letter_tails.__wrapped__,) in ctx._tables
         ref = weakref.ref(ctx)
         del ctx
         gc.collect()
         assert ref() is None
+
+    def test_letter_rows_built_once(self, phi, monkeypatch):
+        monkeypatch.delitem(phi._tables, (adm._letter_tails.__wrapped__,), raising=False)
+        built, real = [], adm._letter_rows
+        monkeypatch.setattr(adm, "_letter_rows", lambda *a: built.append(a) or real(*a))
+        rng = random.Random(3)
+        bits = lambda n: tuple(rng.randrange(2) for _ in range(rng.randrange(n)))
+        for _ in range(100):
+            golden_forbidden_factor_check(DigitString(bits(12), bits(5)))
+        assert len(built) == 1
+        tails = reference_bounds(phi)._tails()
+        assert built == [(tails[0], phi.floor_beta)]
 
     def test_first_digit_outside_the_alphabet_is_named(self, phi):
         bad = PairDigit(1, 2)
