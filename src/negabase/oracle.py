@@ -28,7 +28,7 @@ the walk's own digit test.
 
 from operator import add, iadd
 
-from .field import FieldError
+from .field import FieldError, context_cached
 from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
 from .words import DigitString, _Record, alt_sort_key
 
@@ -57,10 +57,10 @@ def _merged_walk(x, depth, node_budget, start, extend, merge, weight=None):
     children = _children(x.context)
     level, D, nodes = {x.num: start}, x.den, 0
     for _ in range(depth):
-        steps, D = children(D)
+        steps, D, scale = children(D)
         nxt = {}
         for y, value in level.items():
-            kids = steps(y)
+            kids = steps(y, scale)
             nodes += (weight(value) if weight else 1) * len(kids)
             if nodes > node_budget:
                 raise _budget_error(node_budget, depth)
@@ -117,6 +117,12 @@ class UniqueSample(_Record):
         return self.branch_count == 1
 
 
+@context_cached
+def _past_one_plus_sqrt3(ctx):
+    """Whether beta > 1 + sqrt(3), that is beta^2 > 2*beta + 2: once per context."""
+    return (ctx.beta() * ctx.beta()).compare(2 * ctx.beta() + 2) > 0
+
+
 def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
                           seed=20260401, node_budget=DEFAULT_NODE_BUDGET):
     """Deterministic sample of numbers with (evidence of) a unique
@@ -127,7 +133,7 @@ def sample_unique_numbers(ctx, word_length=6, samples=10, depth=10,
     digits -beta, -beta+1, -beta+2 of the squared-base alphabet.  Every
     returned value is checked by count_representation_branches.
     """
-    if (ctx.beta() * ctx.beta()).compare(2 * ctx.beta() + 2) <= 0:
+    if not _past_one_plus_sqrt3(ctx):
         raise FieldError("unique-representation sampling needs beta > 1 + sqrt(3)")
     for name, n in (("samples", samples), ("word_length", word_length)):
         if n < 1:

@@ -52,6 +52,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import gcd, lcm
+from operator import mul
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
 from .words import DigitString, _dataclass_fields, _pair_digit, _Record, _set
@@ -174,8 +175,9 @@ _ORBIT_LOWEST = """\
                 {v}, D = {v_g}, D // g"""
 
 _WALK_SOURCE = """\
-def make(E, l_lo, l_hi, r_lo, r_hi, unit):   # unit: the digit 1 at the scale of t
-    def steps(v):
+def make():
+    def steps(v, scale):   # E, and l's and r's bounds and the digit 1 at E's scale
+        E, l_lo, l_hi, r_lo, r_hi, unit = scale
         {v}, = v
 {z}
         t = {t}   # 2^64 * E * (-beta*y), up to e
@@ -247,12 +249,15 @@ def _walk_code(degree):
 
 @context_cached
 def _children(ctx):
-    """level(D) -> (steps, D*M) for a level of nodes v/D: steps(v) lists
-    (a, w) for every digit a with -beta*v/D - a = w/(D*M) in I, ascending,
-    M the denominator of the modulus, by _walk_code's step; a tie with l or r
-    is feasible, I being closed.  No node is reduced: a level's nodes share
-    D*M, so equal vectors are equal remainders.  The last level is kept, so a
-    monic base (M = 1) builds one per walk."""
+    """level(D) -> (steps, E, scale) for a level of nodes v/D, E = D*M:
+    steps(v, scale) lists (a, w) for every digit a with -beta*v/D - a = w/E
+    in I, ascending, M the denominator of the modulus, by _walk_code's step;
+    a tie with l or r is feasible, I being closed.  No node is reduced: a
+    level's nodes share E, so equal vectors are equal remainders.  One step,
+    built once per context, serves every level, handed the level's scale:
+    E and, at E's scale, the 64-bit bounds of l and r and the digit 1.  The
+    last level is kept, so a monic base (M = 1), whose E never changes,
+    computes one scale per walk; elsewhere each level costs four products."""
     I = interval_I(ctx)
     power = ctx.beta() ** ctx.degree
     M = power.den   # beta^d = (q_0 + ... + q_(d-1) beta^(d-1))/M
@@ -260,7 +265,7 @@ def _children(ctx):
     names = {f"q{c}": q for c, q in enumerate(power.num)}
     names.update(M=M, fb=ctx.floor_beta, ctx=ctx, lo_end=I.lo, hi_end=I.hi,
                  contains=I.contains, ties=_ties, reduced=_reduced)
-    make = _compiled(_walk_code, ctx, names)
+    steps = _compiled(_walk_code, ctx, names)()
     last = [(None, None)]   # replaced whole and read in one unpack: no lock
 
     def level(D):
@@ -268,7 +273,7 @@ def _children(ctx):
         if D0 == D:
             return built
         E = D * M
-        built = make(E, E * ll, E * lh, E * rl, E * rh, E << _FILTER_BITS), E
+        built = steps, E, (E, E * ll, E * lh, E * rl, E * rh, E << _FILTER_BITS)
         last[0] = D, built
         return built
 
@@ -277,8 +282,8 @@ def _children(ctx):
 
 def feasible_digits(x):
     """Digits a with -beta*x - a still representable: one level of the walk."""
-    steps, _ = _children(x.context)(x.den)
-    return [a for a, _ in steps(x.num)]
+    steps, _, scale = _children(x.context)(x.den)
+    return [a for a, _ in steps(x.num, scale)]
 
 
 def _require_in(I, x):
@@ -297,8 +302,8 @@ def _descend(x, depth, i):
         raise ValueError("depth must be at least 1")
     children, w, E = _children(x.context), x.num, x.den
     for _ in range(depth):
-        steps, E = children(E)
-        feasible = steps(w)
+        steps, E, scale = children(E)
+        feasible = steps(w, scale)
         if not feasible:
             _require_in(interval_I(x.context), x)
         a, w = feasible[i]
@@ -587,18 +592,17 @@ class Scheme(_Record):
     @cached_property
     def _lattice(self):
         # the kernel's table over one common denominator L: the matrix of L*base,
-        # row r column c the r-th coordinate of L*base*beta^c, shared by every
-        # cell; the offsets -L*(cell value)_r of every cell, coordinate by
-        # coordinate in one tuple, so that w_r = sum_c m[r][c] * v_c + offset_r * D,
-        # and one pass scales them all by D; 64-bit bounds of the cuts made
-        # monotone for bisection; the digits; L; and k, which every common factor
-        # of a next state (w, D*L) divides when v/D is reduced
+        # _base_matrix's brought to L, shared by every cell; the offsets
+        # -L*(cell value)_r of every cell, coordinate by coordinate in one tuple,
+        # so that w_r = sum_c m[r][c] * v_c + offset_r * D, and one pass scales
+        # them all by D; 64-bit bounds of the cuts made monotone for bisection;
+        # the digits; L; and k, which every common factor of a next state
+        # (w, D*L) divides when v/D is reduced
         ctx, cells, d = self.base.context, self.cells, self.base.context.degree
-        ys = [self.base * ctx.beta() ** j for j in range(d)] + [c.value for c in cells]
-        L = lcm(*(y.den for y in ys))
-        ys = [tuple(c * (L // y.den) for c in y.num) for y in ys]
-        matrix = tuple(zip(*ys[:d]))
-        offsets = tuple(-y[r] for r in range(d) for y in ys[d:])
+        A, L0 = _base_matrix(ctx, self.base.num, self.base.den)
+        L = lcm(L0, *(c.value.den for c in cells))
+        matrix = tuple(tuple(m * (L // L0) for m in row) for row in A)
+        offsets = tuple(-c.value.num[r] * (L // c.value.den) for r in range(d) for c in cells)
         bounds = [_dyadic_bounds(c.interval.hi) for c in cells[:-1]]
         lo = tuple(accumulate(reversed([lo for lo, _ in bounds]), min))[::-1]
         hi = tuple(accumulate([hi for _, hi in bounds], max))
@@ -731,28 +735,64 @@ def run_scheme(scheme, x, depth=None, orbit_budget=DEFAULT_ORBIT_BUDGET):
 
 def eval_digits(word, base, digit_value=None):
     """Exact value sum digit_i * base^(-i) of a finite or eventually
-    periodic digit string; the periodic tail is summed in closed form.
-    digit_value maps a digit to its element; by default the digit is an
-    integer and stands for itself."""
-    ctx = base.context
+    periodic digit string.  digit_value maps a digit to its element; by
+    default the digit is an integer and stands for itself.
+
+    Each part is one integer Horner pass with no gcd (_horner): the
+    preperiod's P = sum d_i base^(n-i) and base^n, the period's Q and
+    base^q, every digit an integer vector over the digits' common
+    denominator E.  The value (P*(base^q - 1) + Q) / ((base^q - 1)*base^n),
+    or P/base^n for a finite word, is then a few products and one inverse."""
+    ctx, pre, per = base.context, word.preperiod, word.period
     value = ctx.element if digit_value is None else digit_value
-    binv = base.inverse()
+    values = {a: value(a) for a in {*pre, *per}}
+    E = lcm(*(v.den for v in values.values()))
+    vectors = {a: tuple(c * (E // v.den) for c in v.num) for a, v in values.items()}
+    horner = _horner_scalar if ctx.degree == 1 else _horner
+    A, L = _base_matrix(ctx, base.num, base.den)
+    u, p, K = horner(pre, vectors, A, L)
+    # integer vectors over 1 are in lowest terms
+    U, P = ExactReal(ctx, u, 1), ExactReal(ctx, tuple([E * c for c in p]), 1)
+    if not per:
+        return U * P.inverse()   # (u/(E*K)) / (p/K)
+    v, s, M = horner(per, vectors, A, L)
+    y = (s[0] - M,) + s[1:]   # M*(base^q - 1)
+    if not pre:
+        return ExactReal(ctx, v, 1) * ExactReal(ctx, tuple([E * c for c in y]), 1).inverse()
+    Y = ExactReal(ctx, y, 1)
+    return (U * Y + ExactReal(ctx, tuple([K * c for c in v]), 1)) * (Y * P).inverse()
 
-    def weighted_prefix(part):
-        acc = ctx.zero()
-        for d in reversed(part):
-            acc = (acc + value(d)) * binv
-        return acc
 
-    total = weighted_prefix(word.preperiod)
-    if word.period:
-        q = len(word.period)
-        acc = ctx.zero()
-        for d in word.period:
-            acc = acc * base + value(d)
-        tail = acc * ((base ** q) - 1).inverse()
-        total = total + tail * (binv ** len(word.preperiod))
-    return total
+@context_cached
+def _base_matrix(ctx, num, den):
+    """(A, L): the base num/den as the integer matrix A over L, row r column c
+    the r-th coordinate of L*base*beta^c, once per context and base."""
+    base = ExactReal(ctx, num, den)
+    cols = [base * ctx.beta() ** c for c in range(ctx.degree)]
+    L = lcm(*(y.den for y in cols))
+    return tuple(zip(*(tuple(n * (L // y.den) for n in y.num) for y in cols))), L
+
+
+def _horner(part, vectors, A, L):
+    """(u, p, K) with sum w_i * base^(n-i) = u/K and base^n = p/K, K = L^n, w_i
+    the vectors of the n digits of part and the base the matrix A over L: one
+    pass of integer matrix products, with no gcd."""
+    u, p, K = (0,) * len(A), (1,) + (0,) * (len(A) - 1), 1
+    for a in part:
+        K *= L
+        u = tuple([sum(map(mul, row, u)) + K * c for row, c in zip(A, vectors[a])])
+        p = tuple([sum(map(mul, row, p)) for row in A])
+    return u, p, K
+
+
+def _horner_scalar(part, vectors, A, L):
+    """_horner on a degree-one context: integers, and base^n in closed form."""
+    (a,), = A
+    u, K = 0, 1
+    for c in part:
+        K *= L
+        u = a * u + K * vectors[c][0]
+    return (u,), (a ** len(part),), K
 
 
 def eval_neg_beta(ctx, word):

@@ -141,6 +141,27 @@ def reference_mul(min_poly, a, b):
     return tuple(out)
 
 
+def reference_eval_digits(word, base, digit_value=None):
+    """sum digit_i * base^(-i) of a finite or eventually periodic word, one
+    element operation at a time: the preperiod folded from its end by 1/base,
+    the period by base and summed in closed form, then shifted by
+    (1/base)^|preperiod|.  The route schemes.eval_digits took before its
+    integer Horner passes."""
+    ctx = base.context
+    value = ctx.element if digit_value is None else digit_value
+    binv = base.inverse()
+    total = ctx.zero()
+    for d in reversed(word.preperiod):
+        total = (total + value(d)) * binv
+    if word.period:
+        acc = ctx.zero()
+        for d in word.period:
+            acc = acc * base + value(d)
+        tail = acc * ((base ** len(word.period)) - 1).inverse()
+        total = total + tail * (binv ** len(word.preperiod))
+    return total
+
+
 def scan_steps(y):
     """[(a, -beta*y - a)] for every digit a whose remainder lies in I,
     ascending: each digit of the alphabet tested in exact arithmetic."""

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (WALK_BASES, random_point, scan_merged, scan_steps,
                      tie_offset)
-from negabase import (BranchBudgetError, DigitString, DomainError, FieldError,
+from negabase import (BranchBudgetError, DigitString, DomainError, ExactReal, FieldError,
                       PairDigit, alt_sort_key, build_ito_sadahiro_scheme,
                       count_representation_branches,
                       digit_subinterval, enumerate_prefixes, eval_beta2_pairs,
@@ -167,8 +167,8 @@ def test_compiled_walk_matches_the_exact_scan(name):
     for x in _walk_points(ctx):
         scan = scan_steps(x)
         assert feasible_digits(x) == [a for a, _ in scan], x
-        steps, E = children(x.den)
-        assert [(a, _lowest(ctx, w, E)) for a, w in steps(x.num)] == scan, x
+        steps, E, scale = children(x.den)
+        assert [(a, _lowest(ctx, w, E)) for a, w in steps(x.num, scale)] == scan, x
 
 
 def test_one_compiled_walk_per_degree():
@@ -462,3 +462,35 @@ class TestUniqueSampling:
         a = sample_unique_numbers(ctx, word_length=4, samples=3, depth=8)
         b = sample_unique_numbers(ctx, word_length=4, samples=3, depth=8)
         assert [r.word for r in a] == [r.word for r in b]
+
+    def test_threshold_tested_once_per_context(self, monkeypatch):
+        # beta > 1 + sqrt(3) is a per-base table: two samplers on one context
+        # compare beta^2 with 2*beta + 2 once, and a base below it is refused
+        # with one text every time
+        ctx = rational_field(Fraction(14, 5))
+        bound = 2 * ctx.beta() + 2
+        calls = []
+        compare = ExactReal.compare
+
+        def spy(self, other):
+            if isinstance(other, ExactReal) and (other.num, other.den) == (bound.num, bound.den):
+                calls.append(self)
+            return compare(self, other)
+
+        monkeypatch.setattr(ExactReal, "compare", spy)
+        a = sample_unique_numbers(ctx, word_length=4, samples=2, depth=8)
+        assert sample_unique_numbers(ctx, word_length=4, samples=2, depth=8) == a
+        assert len(calls) == 1
+        low = rational_field(Fraction(5, 2))
+        for _ in range(2):
+            with pytest.raises(FieldError, match=r"^unique-representation sampling needs "
+                                                 r"beta > 1 \+ sqrt\(3\)$"):
+                sample_unique_numbers(low)
+
+    def test_one_walk_step_per_rational_base(self):
+        # where the modulus has a denominator M > 1 every level has a new
+        # scale: one step, built once per context, is handed each level's
+        for text in ("fourteen-fifths", "non-monic"):
+            children = _children(field_from_poly(*WALK_BASES[text]))
+            (a, E, s), (b, F, t) = children(7), children(7 * 5)
+            assert a is b and F == 5 * E and (s[0], t[0]) == (E, F)

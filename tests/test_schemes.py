@@ -9,7 +9,8 @@ import pytest
 
 import negabase.schemes as schemes
 from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, WALK_BASES, random_point,
-                     reference_stepper, scan_expansion, scan_steps, tie_offset)
+                     reference_eval_digits, reference_stepper, scan_expansion, scan_steps,
+                     tie_offset)
 from negabase import (ContextMismatchError, DigitString, DomainError, ExactReal, Interval,
                       PairDigit, Scheme,
                       SchemeCell, all_pair_digits,
@@ -558,6 +559,63 @@ class TestEval:
                     exp = algo(x, orbit_budget=100_000)
                     assert exp.ok
                     assert (eval_neg_beta(ctx, exp.word) - x).sign() == 0
+
+
+# certified, uncertified (Tetranacci), reducible, rational and non-monic
+EVAL_BASES = {name: WALK_BASES[name] for name in (
+    "phi", "tribonacci", "rt3", "tetranacci", "reducible", "seven-quarters", "fourteen-fifths",
+    "seven-halves", "non-monic")}
+
+
+def _eval_words(rng, alphabet, zero):
+    """Finite words, an empty preperiod, one-letter periods and all-zero
+    words over the alphabet, whose letter `zero` has the value 0."""
+    def word(n):
+        return tuple(rng.choice(alphabet) for _ in range(n))
+
+    zero = (zero,)
+    yield DigitString((), ())
+    yield DigitString.finite(zero * 3)
+    yield DigitString((), zero)
+    yield DigitString(zero * 2, zero * 3)
+    for _ in range(12):
+        yield DigitString.finite(word(rng.randrange(1, 12)))
+        yield DigitString((), word(rng.randrange(1, 10)))
+        yield DigitString(word(rng.randrange(1, 6)), word(1))
+        yield DigitString(word(rng.randrange(1, 8)), word(rng.randrange(2, 9)))
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_BASES))
+def test_eval_digits_matches_the_reference(name):
+    # the integer Horner passes give the value of the per-digit element
+    # route: the same (num, den) on a certified context, where an element
+    # has one, and an equal value elsewhere
+    ctx = field_from_poly(*EVAL_BASES[name])
+    rng = random.Random(38)
+    letters = tuple(range(ctx.floor_beta + 1))
+    cases = [(-ctx.beta(), letters, 0, None), (ctx.beta(), letters, 0, None),
+             (ctx.beta() * ctx.beta(), all_pair_digits(ctx), C, partial(pair_value, ctx))]
+    for base, alphabet, zero, value in cases:
+        for word in _eval_words(rng, alphabet, zero):
+            got = schemes.eval_digits(word, base, value)
+            want = reference_eval_digits(word, base, value)
+            assert got == want, (base, word)
+            if ctx._certified:
+                assert (got.num, got.den) == (want.num, want.den), (base, word)
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci", "fourteen-fifths", "non-monic"])
+def test_one_inverse_per_word(name, monkeypatch):
+    # a periodic word with a preperiod is one division: its value's numerator
+    # over (base^q - 1)*base^n, both built in integers
+    ctx = field_from_poly(*EVAL_BASES[name])
+    word = DigitString((1, 0, 1), (0, 1, 1))
+    want = reference_eval_digits(word, -ctx.beta())
+    calls = []
+    inverse = ExactReal.inverse
+    monkeypatch.setattr(ExactReal, "inverse", lambda self: calls.append(self) or inverse(self))
+    assert eval_neg_beta(ctx, word) == want
+    assert len(calls) == 1
 
 
 class TestTheoremConsistency:
