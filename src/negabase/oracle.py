@@ -10,23 +10,22 @@ walk keeps every usable digit instead of choosing one, which makes it an
 oracle for their digit choices and for uniqueness experiments.
 
 The test is the oracle's own, not the squared-base tilings it checks:
-every digit is tested against I.  The walk reads each node's children off
-schemes._children, a step compiled once per degree on the orbit kernel's
-integer states, whose bounds keep one range of digits on every alphabet
-and decide l and r by the kernel's rule: 64-bit bounds, then a tie on the
+every digit is tested against I.  The walk is schemes._children's, compiled
+once per degree on the orbit kernel's integer states: one call runs every
+level, and a node's bounds keep one range of digits on every alphabet and
+decide l and r by the kernel's rule: 64-bit bounds, then a tie on the
 integer vectors, then the exact test.
 
 Counts and the listing are brute force over the distinct remainders of
 each level: equal-length prefixes that reach one remainder share their
-extensions, so a remainder keeps their count or all of them
-(enumerate_prefixes, whose budget counts prefixes, not nodes).  Extremal
-prefixes need no search: the alternate order is lexicographic with odd
-places reversed and every remainder in I has a feasible child, so they
-come from schemes._descend, the alternating one-step choice iterated on
-the walk's own digit test.
+extensions, so the walk keeps each remainder's count of prefixes, and the
+listing links its prefixes from the walk's edges (enumerate_prefixes, whose
+budget counts prefixes, not nodes).  Extremal prefixes need no search: the
+alternate order is lexicographic with odd places reversed and every
+remainder in I has a feasible child, so they come from schemes._descend,
+the alternating one-step choice run in one compiled loop on the walk's
+own digit test.
 """
-
-from operator import add, iadd
 
 from .field import FieldError, context_cached
 from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
@@ -40,48 +39,39 @@ class BranchBudgetError(RuntimeError):
     """The walk grew past the configured node budget."""
 
 
-def _budget_error(node_budget, depth):
-    return BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")
-
-
-def _merged_walk(x, depth, node_budget, start, extend, merge, weight=None):
-    """The walk over distinct remainders: a level maps each child vector, all
-    over the level's one denominator, to extend(value, digit), merged by
-    merge(old, new).  The budget counts (state, digit) nodes, each weighted
-    by weight(value) of its parent, or by 1 without a weight: len counts
-    the prefixes a listed node carries.  x is in I, the union of the digit
-    subintervals, exactly when a digit is feasible."""
+def _walk(x, depth, node_budget, levels=None):
+    """The last level of schemes._children's walk from x, {vector: prefixes}
+    over one denominator.  The budget counts (state, digit) nodes, each as 1,
+    or with `levels` (each level's (v, a, w) edges) as the prefixes it carries.
+    x is in I, the union of the digit subintervals, exactly when a digit is
+    feasible."""
     if depth < 1:
         _require_in(interval_I(x.context), x)
         raise ValueError("depth must be at least 1")
-    children = _children(x.context)
-    level, D, nodes = {x.num: start}, x.den, 0
-    for _ in range(depth):
-        steps, D, scale = children(D)
-        nxt = {}
-        for y, value in level.items():
-            kids = steps(y, scale)
-            nodes += (weight(value) if weight else 1) * len(kids)
-            if nodes > node_budget:
-                raise _budget_error(node_budget, depth)
-            for a, w in kids:
-                v = extend(value, a)
-                nxt[w] = merge(nxt[w], v) if w in nxt else v
-        if not nxt:   # the first level: a remainder in I has children
-            _require_in(interval_I(x.context), x)
-        level = nxt
-    return level.values()
+    level = _children(x.context)[0]({x.num: 1}, x.den, depth, node_budget, levels)
+    if level is None:
+        raise BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")
+    if not level:
+        _require_in(interval_I(x.context), x)
+    return level
 
 
 def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     """All length-`depth` digit prefixes of representations of x, sorted
-    by the alternate order.  Each remainder of the merged walk keeps the
-    prefixes that reach it, as (digit, parent) links shared between
-    levels; the budget counts every prefix of every length."""
+    by the alternate order.  Each remainder keeps the prefixes that reach
+    it, as (digit, parent) links shared between levels, built from the
+    walk's edges; the budget counts every prefix of every length."""
+    levels = []
+    _walk(x, depth, node_budget, levels)
+    links = {x.num: [()]}
+    for edges in levels:
+        nxt = {}
+        for v, a, w in edges:
+            nxt.setdefault(w, []).extend([(a, link) for link in links[v]])
+        links = nxt
     prefixes = []
-    for links in _merged_walk(x, depth, node_budget, [()],
-                              lambda links, a: [(a, link) for link in links], iadd, len):
-        for link in links:
+    for chains in links.values():
+        for link in chains:
             p = []
             while link:
                 a, link = link
@@ -93,7 +83,7 @@ def enumerate_prefixes(x, depth, node_budget=DEFAULT_NODE_BUDGET):
 def count_representation_branches(x, depth, node_budget=DEFAULT_NODE_BUDGET):
     """Number of extendable depth-`depth` prefixes, added up per remainder;
     1 is (necessary) evidence that x is uniquely representable."""
-    return sum(_merged_walk(x, depth, node_budget, 1, lambda n, _: n, add))
+    return sum(_walk(x, depth, node_budget).values())
 
 
 def extremal_prefix(x, depth, which="max"):
@@ -103,7 +93,7 @@ def extremal_prefix(x, depth, which="max"):
     ends at every place: one path of `depth` steps, no search."""
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    return tuple(a for a, _, _ in _descend(x, depth, 0 if which == "max" else -1))
+    return tuple(_descend(x, depth, 0 if which == "max" else -1)[0])
 
 
 class UniqueSample(_Record):

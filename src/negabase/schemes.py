@@ -44,8 +44,9 @@ end does the exact test run.  Every cell search is a bisection over cuts
 that Scheme.validate proves increasing: one per step, and a second only
 where the bounds straddle a cut.  With L = 1 the loop holds the cut bounds
 and cell offsets scaled by den(x), and a scheme keeps the loop of its last
-denominator.  The walk's step is compiled once per degree too, its digits
-read off two floor divisions.
+denominator.  The oracle's walk and its alternating descent are compiled
+once per degree too, each one loop over all its levels or places, a node's
+digits read off two floor divisions.
 """
 
 from bisect import bisect_left, bisect_right
@@ -174,25 +175,62 @@ _ORBIT_LOWEST = """\
             if g != 1:
                 {v}, D = {v_g}, D // g"""
 
+_WALK_NODE = """\
+{z}
+            t = {t}   # 2^64 * E * (-beta*y), up to e
+            e = gap * ({e})
+            lo, hi = t - e, t + e
+            i, j = -((r_hi - lo) // unit), (hi - l_lo) // unit
+            for a in range(i if i > 0 else 0, (j if j < fb else fb) + 1):
+                w0, s = z0 - a * E, a * unit
+                if ((hi - s <= r_lo or {tie_r}) if lo - s >= l_hi else {tie_l}) \\
+                        or contains(reduced(ctx, (w0{w},), E)):"""
+
+_WALK_SCALE = """\
+            E = D * M
+            if E != E0:   # l's and r's bounds and the digit 1 at E's scale, once per new E
+                E0, l_lo, l_hi, r_lo, r_hi, unit = E, E * ll, E * lh, E * rl, E * rh, E << bits"""
+
 _WALK_SOURCE = """\
 def make():
-    def steps(v, scale):   # E, and l's and r's bounds and the digit 1 at E's scale
-        E, l_lo, l_hi, r_lo, r_hi, unit = scale
+    def walk(level, D, depth, budget, levels):
+        E0 = nodes = 0
+        for _ in range(depth):
+{scale}
+            nxt, edges = {{}}, []
+            if levels is not None:
+                levels.append(edges)
+            for v, n in level.items():
+                {v}, = v
+                m = 1 if levels is None else n   # a listed node counts its prefixes
+{walk_node}
+                        w = (w0{w},)
+                        nxt[w] = nxt.get(w, 0) + n
+                        nodes += m
+                        if levels is not None:
+                            edges.append((v, a, w))
+                if nodes > budget:
+                    return None
+            if not nxt:   # only the first level: x is outside I
+                return nxt
+            level, D = nxt, E
+        return level
+
+    def descend(v, D, depth, k):
         {v}, = v
-{z}
-        t = {t}   # 2^64 * E * (-beta*y), up to e
-        e = gap * ({e})
-        lo, hi = t - e, t + e
-        i, j = -((r_hi - lo) // unit), (hi - l_lo) // unit   # the digits whose bounds meet [l, r]
-        out = []
-        for a in range(i if i > 0 else 0, (j if j < fb else fb) + 1):
-            w, s = (z0 - a * E, {z_rest}), a * unit
-            # the end of I that the bounds straddle, if any
-            end = lo_end if lo - s < l_hi else hi_end if hi - s > r_lo else None
-            if end is None or ties(ctx, w, E, end) or contains(reduced(ctx, w, E)):
-                out.append((a, w))
-        return out
-    return steps
+        E0, out = 0, []
+        for _ in range(depth):
+{scale}
+            b = None
+{node}
+                    if b is None or k:   # k = 0 keeps the first feasible digit, -1 the last
+                        b, u = a, w0
+            if b is None:   # only the first place: x is outside I
+                return out, None
+            out.append(b)
+            {v}, D, k = u{w}, E, ~k
+        return out, (({v},), D)
+    return walk, descend
 """
 
 _KERNEL_CODES = {}
@@ -236,54 +274,56 @@ def _kernel_code(degree, reduce):
 
 
 def _walk_code(degree):
-    """The walk's step for the degree d: z_c = -(M*v_(c-1) + v_(d-1)*q_c), then
-    the digits a with -beta*y - a in [l, r], one range, its cuts one unit
-    apart.  Its other names (q_c, M, fb, ...) are bound by _children."""
+    """The oracle's walk and descent for the degree d: make() -> (walk, descend),
+    each one loop on the locals v_0..v_(d-1) of a node v/D.  Its children w/E,
+    w = z - a*E, z_c = -(M*v_(c-1) + v_(d-1)*q_c) and E = D*M, are read for the
+    digits a whose bounds meet [l, r] (_WALK_NODE), feasible by the bounds, else
+    by a tie d*w = E*n with the end they straddle, else by the exact test.
+    walk(level, D, depth, budget, levels) takes level, {vector: prefixes} over D,
+    `depth` levels on, or gives None past `budget` nodes (a node counts 1, or its
+    prefixes with `levels`, which gets each level's (v, a, w) edges).
+    descend(v, D, depth, k) keeps the first (k = 0) or last (k = -1) feasible
+    digit, then the other end at each place: (digits, last state (w, E)).  Both
+    stop at an empty first level and rescale only when E changes.  Other names
+    (q_c, M, fb, the ends' vectors l_c, ld, r_c, rd, ...) are bound by _children."""
     d = range(degree)
-    return _WALK_SOURCE.format(
-        v=", ".join(f"v{c}" for c in d), t=" + ".join(f"p{c} * z{c}" for c in d),
-        z="\n".join(f"        z{c} = -(" + f"M * v{c - 1} + " * (c > 0) + f"v{d[-1]} * q{c})"
+    w = "".join(f", z{c}" for c in d[1:])   # w's coordinates after w0
+    ties = {f"tie_{e}": " and ".join(f"{e}d * {'z' if c else 'w'}{c} == E * {e}{c}" for c in d)
+            + " and tied()" for e in "lr"}
+    node = _WALK_NODE.format(
+        z="\n".join(f"            z{c} = -(" + f"M * v{c - 1} + " * (c > 0) + f"v{d[-1]} * q{c})"
                     for c in d),
-        e=" + ".join(f"abs(z{c})" for c in d), z_rest=", ".join(f"z{c}" for c in d[1:]))
+        t=" + ".join(f"p{c} * z{c}" for c in d), e=" + ".join(f"abs(z{c})" for c in d),
+        w=w, **ties)
+    return _WALK_SOURCE.format(v=", ".join(f"v{c}" for c in d), w=w, scale=_WALK_SCALE,
+                               node=node, walk_node="    " + node.replace("\n", "\n    "))
 
 
 @context_cached
 def _children(ctx):
-    """level(D) -> (steps, E, scale) for a level of nodes v/D, E = D*M:
-    steps(v, scale) lists (a, w) for every digit a with -beta*v/D - a = w/E
-    in I, ascending, M the denominator of the modulus, by _walk_code's step;
-    a tie with l or r is feasible, I being closed.  No node is reduced: a
-    level's nodes share E, so equal vectors are equal remainders.  One step,
-    built once per context, serves every level, handed the level's scale:
-    E and, at E's scale, the 64-bit bounds of l and r and the digit 1.  The
-    last level is kept, so a monic base (M = 1), whose E never changes,
-    computes one scale per walk; elsewhere each level costs four products."""
+    """(walk, descend): _walk_code's two loops, built once per context, every
+    constant of the base a name.  A node v/D has a child w/E for every digit a
+    with -beta*v/D - a = w/E in I, ascending, E = D*M, M the denominator of the
+    modulus; a tie with l or r is feasible, I being closed.  No node is reduced:
+    a level's nodes share E, so equal vectors are equal remainders.  Neither
+    loop keeps any state between calls."""
     I = interval_I(ctx)
     power = ctx.beta() ** ctx.degree
-    M = power.den   # beta^d = (q_0 + ... + q_(d-1) beta^(d-1))/M
-    ll, lh, rl, rh = _I_bounds(ctx)
-    names = {f"q{c}": q for c, q in enumerate(power.num)}
-    names.update(M=M, fb=ctx.floor_beta, ctx=ctx, lo_end=I.lo, hi_end=I.hi,
-                 contains=I.contains, ties=_ties, reduced=_reduced)
-    steps = _compiled(_walk_code, ctx, names)()
-    last = [(None, None)]   # replaced whole and read in one unpack: no lock
-
-    def level(D):
-        D0, built = last[0]
-        if D0 == D:
-            return built
-        E = D * M
-        built = steps, E, (E, E * ll, E * lh, E * rl, E * rh, E << _FILTER_BITS)
-        last[0] = D, built
-        return built
-
-    return level
+    names = {f"q{c}": q for c, q in enumerate(power.num)}   # beta^d = (q_0 + ...)/M
+    for end, p in (("l", I.lo), ("r", I.hi)):
+        names.update((f"{end}{c}", n) for c, n in enumerate(p.num))
+        names[end + "d"] = p.den
+    names.update(zip(("ll", "lh", "rl", "rh"), _I_bounds(ctx)))
+    names.update(M=power.den, fb=ctx.floor_beta, bits=_FILTER_BITS, ctx=ctx, contains=I.contains,
+                 reduced=_reduced, tied=lambda: ctx._count("kernel_ties") or True)
+    return _compiled(_walk_code, ctx, names)()
 
 
 def feasible_digits(x):
     """Digits a with -beta*x - a still representable: one level of the walk."""
-    steps, _, scale = _children(x.context)(x.den)
-    return [a for a, _ in steps(x.num, scale)]
+    levels = []   # a level has at most floor(beta) + 1 nodes
+    _children(x.context)[0]({x.num: 1}, x.den, 1, x.context.floor_beta + 1, levels)
+    return [a for _, a, _ in levels[0]]
 
 
 def _require_in(I, x):
@@ -291,24 +331,19 @@ def _require_in(I, x):
         raise DomainError(f"x = {x.as_text()} outside {I}")
 
 
-def _descend(x, depth, i):
-    """Yields (a, w, E) at each of `depth` places, the digit a and the
-    unreduced next state w/E: the i-th feasible digit at the first place,
-    the other end at every place after it.  i = 0 gives the alternate-order
-    maximal prefix, i = -1 the minimal.  A remainder in I has a feasible
-    child, so only the first level can be empty, exactly when x is outside I."""
+def _descend(x, depth, k):
+    """(digits, (w, E)): `depth` places of the alternating descent, the k-th
+    feasible digit at the first place, the other end at every place after it,
+    and the unreduced last state w/E.  k = 0 gives the alternate-order maximal
+    prefix, k = -1 the minimal.  A remainder in I has a feasible child, so
+    only the first place can be empty, exactly when x is outside I."""
     if depth < 1:
         _require_in(interval_I(x.context), x)
         raise ValueError("depth must be at least 1")
-    children, w, E = _children(x.context), x.num, x.den
-    for _ in range(depth):
-        steps, E, scale = children(E)
-        feasible = steps(w, scale)
-        if not feasible:
-            _require_in(interval_I(x.context), x)
-        a, w = feasible[i]
-        yield a, w, E
-        i = ~i
+    digits, state = _children(x.context)[1](x.num, x.den, depth, k)
+    if state is None:
+        _require_in(interval_I(x.context), x)
+    return digits, state
 
 
 def step_min_digit(x):
@@ -317,13 +352,13 @@ def step_min_digit(x):
     This is the digit choice that is greatest in the alternate order on
     single digits, the first digit of the greedy representation.
     """
-    (a, w, E), = _descend(x, 1, 0)
+    (a,), (w, E) = _descend(x, 1, 0)
     return a, _lowest(x.context, w, E)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    (a, w, E), = _descend(x, 1, -1)
+    (a,), (w, E) = _descend(x, 1, -1)
     return a, _lowest(x.context, w, E)
 
 
@@ -633,8 +668,8 @@ class Scheme(_Record):
         """(orbit, (v, D)): the scheme's compiled loop (_kernel_code) for the
         orbit of x, and x's state y = v/D.  With L = 1, D stays den(x), and the
         loop holds the cut bounds and cell offsets scaled by it; one entry keeps
-        the loop of the last D, read in one unpack, as _children keeps its last
-        level.  Otherwise the loop divides by D, and one serves every D."""
+        the loop of the last D, read in one unpack.  Otherwise the loop divides
+        by D, and one serves every D."""
         _, offsets, lo, hi, _, L, _ = self._lattice
         D = x.den if L == 1 else 1
         last, orbit = self._entry

@@ -159,27 +159,33 @@ COMPILED_WALK_BASES["1001/3"] = ((-1001, 3), 333, 334)
 
 @pytest.mark.parametrize("name", sorted(COMPILED_WALK_BASES))
 def test_compiled_walk_matches_the_exact_scan(name):
-    # the compiled step visits only the digits that two floor divisions keep:
-    # at l, r, every cut and every p/q with q <= 7, its digits and its
-    # children's reduced remainders are the exact scan of the whole alphabet
+    # the compiled walk visits only the digits that two floor divisions keep:
+    # at l, r, every cut and every p/q with q <= 7, the digits and reduced
+    # remainders of one level's edges are the exact scan of the whole
+    # alphabet, the children w/E over E = den(x)*M, M the modulus's denominator
     ctx = field_from_poly(*COMPILED_WALK_BASES[name])
-    children = _children(ctx)
+    walk, _ = _children(ctx)
+    M = (ctx.beta() ** ctx.degree).den
     for x in _walk_points(ctx):
         scan = scan_steps(x)
         assert feasible_digits(x) == [a for a, _ in scan], x
-        steps, E, scale = children(x.den)
-        assert [(a, _lowest(ctx, w, E)) for a, w in steps(x.num, scale)] == scan, x
+        levels = []
+        walk({x.num: 1}, x.den, 1, len(scan), levels)
+        assert [(a, _lowest(ctx, w, x.den * M)) for _, a, w in levels[0]] == scan, x
 
 
 def test_one_compiled_walk_per_degree():
-    # phi and 1 + sqrt(3), both of degree 2, walk one code object: every
-    # constant of a base is a name bound per context.  7/4, of degree 1, walks another
+    # phi and 1 + sqrt(3), both of degree 2, walk and descend on one code
+    # object each: every constant of a base is a name bound per context.
+    # 7/4, of degree 1, walks and descends on others
     def code(ctx):
-        return _children(ctx)(1)[0].__code__
+        return [f.__code__ for f in _children(ctx)]
 
-    a = code(field_from_poly(*WALK_BASES["phi"]))
-    assert code(field_from_poly(*WALK_BASES["rt3"])) is a
-    assert code(field_from_poly(*WALK_BASES["seven-quarters"])) is not a
+    a, b = code(field_from_poly(*WALK_BASES["phi"]))
+    c, d = code(field_from_poly(*WALK_BASES["rt3"]))
+    assert c is a and d is b and a is not b
+    c, d = code(field_from_poly(*WALK_BASES["seven-quarters"]))
+    assert c is not a and d is not b
 
 
 def _straddle_points(ctx):
@@ -297,10 +303,53 @@ def test_walk_decides_l_and_r_on_the_vectors(name):
                 assert ctx.kernel_tie_count() > ties, x
 
 
+def _merged_nodes(x, depth):
+    """The (remainder, digit) nodes of a count: scan_steps' children of each
+    level's distinct exact remainders, level by level."""
+    level, nodes = [x], 0
+    for _ in range(depth):
+        kids = [w for y in level for _, w in scan_steps(y)]
+        nodes += len(kids)
+        level = list({(w.num, w.den): w for w in kids}.values())
+    return nodes
+
+
+@pytest.mark.parametrize("name", ["phi", "fourteen-fifths"])
+def test_walk_budget_at_the_exact_node_total(name):
+    # a budget of exactly the nodes made passes; one less is refused, in the
+    # same words, for the count (a node is 1) and the listing (a node is the
+    # prefixes it carries, so the total is every prefix of every length)
+    ctx = field_from_poly(*WALK_BASES[name])
+    x = ctx.element(Fraction(-1, 2))
+    prefixes, listed = _scan_walk(x, 12)
+    for call, nodes, want in ((count_representation_branches, _merged_nodes(x, 12), len(prefixes)),
+                              (enumerate_prefixes, listed, sorted(prefixes, key=alt_sort_key))):
+        assert call(x, 12, nodes) == want, call.__name__
+        with pytest.raises(BranchBudgetError) as err:
+            call(x, 12, nodes - 1)
+        assert str(err.value) == f"more than {nodes - 1} branch nodes at depth 12"
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci", "rt3"])
+def test_walk_ties_each_level_once_from_l_and_r(name):
+    # from l and r each level has one child, an exact tie with the other end:
+    # a depth-16 count or descent counts 16 ties and no exact fallback
+    ctx = field_from_poly(*WALK_BASES[name])
+    I = interval_I(ctx)
+    for x in (I.lo, I.hi):
+        for call in (lambda: count_representation_branches(x, 16),
+                     lambda: extremal_prefix(x, 16, "max"),
+                     lambda: extremal_prefix(x, 16, "min")):
+            ties, fallbacks = ctx.kernel_tie_count(), ctx.kernel_fallback_count()
+            call()
+            assert ctx.kernel_tie_count() - ties == 16, x
+            assert ctx.kernel_fallback_count() == fallbacks, x
+
+
 def test_walk_levels_under_threads():
-    # the walk keeps its last level per context, one entry replaced whole:
-    # four threads counting and descending over two alternating denominators
-    # flip it all the time, and every result is the single-thread one
+    # the walk and the descent share no state between calls: four threads
+    # counting and descending over two alternating denominators on one
+    # context give the single-thread results and build no table
     ctx = field_from_poly((-1, -1, 1), 1, 2)
     xs = [ctx.element(Fraction(-1, 2)), ctx.element(Fraction(-1, 3))]
 
@@ -489,8 +538,12 @@ class TestUniqueSampling:
 
     def test_one_walk_step_per_rational_base(self):
         # where the modulus has a denominator M > 1 every level has a new
-        # scale: one step, built once per context, is handed each level's
+        # scale: the walk, built once per context, computes each level's own,
+        # so a depth-40 count builds no closure or table
         for text in ("fourteen-fifths", "non-monic"):
-            children = _children(field_from_poly(*WALK_BASES[text]))
-            (a, E, s), (b, F, t) = children(7), children(7 * 5)
-            assert a is b and F == 5 * E and (s[0], t[0]) == (E, F)
+            ctx = field_from_poly(*WALK_BASES[text])
+            x = interval_I(ctx).lo
+            assert count_representation_branches(x, 2) == 1
+            children, tables = _children(ctx), len(ctx._tables)
+            assert count_representation_branches(x, 40) == 1
+            assert _children(ctx) is children and len(ctx._tables) == tables
