@@ -148,9 +148,9 @@ class FieldContext:
         with self._lock:
             return self._counts["kernel_ties"]
 
-    def _count(self, name):
+    def _count(self, name, n=1):
         with self._lock:
-            self._counts[name] += 1
+            self._counts[name] += n
 
     def dyadic_bracket(self, bits):
         """(L, H) with L/2^bits <= beta <= H/2^bits: the isolating bracket

@@ -14,7 +14,9 @@ every digit is tested against I.  The walk is schemes._children's, compiled
 once per degree on the orbit kernel's integer states: one call runs every
 level, and a node's bounds keep one range of digits on every alphabet and
 decide l and r by the kernel's rule: 64-bit bounds, then a tie on the
-integer vectors, then the exact test.
+integer vectors, then the exact test.  The loop counts its ties itself, and
+every walk and descent enters through one guard, schemes._walked: the depth
+and domain checks, and the ties added to kernel_tie_count() once per call.
 
 Counts and the listing are brute force over the distinct remainders of
 each level: equal-length prefixes that reach one remainder share their
@@ -22,13 +24,13 @@ extensions, so the walk keeps each remainder's count of prefixes, and the
 listing links its prefixes from the walk's edges (enumerate_prefixes, whose
 budget counts prefixes, not nodes).  Extremal prefixes need no search: the
 alternate order is lexicographic with odd places reversed and every
-remainder in I has a feasible child, so they come from schemes._descend,
-the alternating one-step choice run in one compiled loop on the walk's
-own digit test.
+remainder in I has a feasible child, so they come from the compiled
+descent, the alternating one-step choice run in one loop on the walk's own
+digit test.
 """
 
 from .field import FieldError, context_cached
-from .schemes import _children, _descend, _require_in, eval_neg_beta, interval_I
+from .schemes import _walked, eval_neg_beta
 from .words import DigitString, _Record, alt_sort_key
 
 DEFAULT_NODE_BUDGET = 500_000
@@ -41,18 +43,12 @@ class BranchBudgetError(RuntimeError):
 
 def _walk(x, depth, node_budget, levels=None):
     """The last level of schemes._children's walk from x, {vector: prefixes}
-    over one denominator.  The budget counts (state, digit) nodes, each as 1,
-    or with `levels` (each level's (v, a, w) edges) as the prefixes it carries.
-    x is in I, the union of the digit subintervals, exactly when a digit is
-    feasible."""
-    if depth < 1:
-        _require_in(interval_I(x.context), x)
-        raise ValueError("depth must be at least 1")
-    level = _children(x.context)[0]({x.num: 1}, x.den, depth, node_budget, levels)
+    over one denominator, through schemes._walked's guard.  The budget counts
+    (state, digit) nodes, each as 1, or with `levels` (each level's (v, a, w)
+    edges) as the prefixes it carries."""
+    level = _walked(x, depth, 0, node_budget, levels)
     if level is None:
         raise BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")
-    if not level:
-        _require_in(interval_I(x.context), x)
     return level
 
 
@@ -93,7 +89,7 @@ def extremal_prefix(x, depth, which="max"):
     ends at every place: one path of `depth` steps, no search."""
     if which not in ("max", "min"):
         raise ValueError("which must be 'max' or 'min'")
-    return tuple(_descend(x, depth, 0 if which == "max" else -1)[0])
+    return tuple(_walked(x, depth, 1, 0 if which == "max" else -1)[0])
 
 
 class UniqueSample(_Record):

@@ -46,17 +46,18 @@ where the bounds straddle a cut.  With L = 1 the loop holds the cut bounds
 and cell offsets scaled by den(x), and a scheme keeps the loop of its last
 denominator.  The oracle's walk and its alternating descent are compiled
 once per degree too, each one loop over all its levels or places, a node's
-digits read off two floor divisions.
+digits read off two floor divisions; each counts its ties in a local and
+enters through one guard (_walked), which adds them to the context once.
 """
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 
 from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, context_cached
-from .words import DigitString, _dataclass_fields, _pair_digit, _Record, _set
+from .words import DigitString, _dataclass_fields, _letters, _pair_digit, _Record, _set
 
 DEFAULT_ORBIT_BUDGET = 10_000
 
@@ -118,14 +119,6 @@ def _lowest(ctx, v, D):
     """The element v/D in lowest terms."""
     g = gcd(D, *v)
     return ExactReal(ctx, tuple(c // g for c in v), D // g)
-
-
-def _ties(ctx, v, D, cut):
-    """v/D is the cut n/d by its vectors, d*v = D*n: sound on every context."""
-    if any(cut.den * c != D * m for c, m in zip(v, cut.num)):
-        return False
-    ctx._count("kernel_ties")
-    return True
 
 
 def _reduced(ctx, v, D):
@@ -193,8 +186,8 @@ _WALK_SCALE = """\
 
 _WALK_SOURCE = """\
 def make():
-    def walk(level, D, depth, budget, levels):
-        E0 = nodes = 0
+    def walk(v, D, depth, budget, levels):
+        level, E0, nodes, ties = {{v: 1}}, 0, 0, 0
         for _ in range(depth):
 {scale}
             nxt, edges = {{}}, []
@@ -210,15 +203,15 @@ def make():
                         if levels is not None:
                             edges.append((v, a, w))
                 if nodes > budget:
-                    return None
+                    return None, ties
             if not nxt:   # only the first level: x is outside I
-                return nxt
+                return nxt, ties
             level, D = nxt, E
-        return level
+        return level, ties
 
     def descend(v, D, depth, k):
         {v}, = v
-        E0, out = 0, []
+        E0, ties, out = 0, 0, []
         for _ in range(depth):
 {scale}
             b = None
@@ -226,10 +219,10 @@ def make():
                     if b is None or k:   # k = 0 keeps the first feasible digit, -1 the last
                         b, u = a, w0
             if b is None:   # only the first place: x is outside I
-                return out, None
+                return (), ties
             out.append(b)
             {v}, D, k = u{w}, E, ~k
-        return out, (({v},), D)
+        return (out, (({v},), D)), ties
     return walk, descend
 """
 
@@ -278,18 +271,20 @@ def _walk_code(degree):
     each one loop on the locals v_0..v_(d-1) of a node v/D.  Its children w/E,
     w = z - a*E, z_c = -(M*v_(c-1) + v_(d-1)*q_c) and E = D*M, are read for the
     digits a whose bounds meet [l, r] (_WALK_NODE), feasible by the bounds, else
-    by a tie d*w = E*n with the end they straddle, else by the exact test.
-    walk(level, D, depth, budget, levels) takes level, {vector: prefixes} over D,
-    `depth` levels on, or gives None past `budget` nodes (a node counts 1, or its
-    prefixes with `levels`, which gets each level's (v, a, w) edges).
-    descend(v, D, depth, k) keeps the first (k = 0) or last (k = -1) feasible
-    digit, then the other end at each place: (digits, last state (w, E)).  Both
-    stop at an empty first level and rescale only when E changes.  Other names
-    (q_c, M, fb, the ends' vectors l_c, ld, r_c, rd, ...) are bound by _children."""
+    by a tie d*w = E*n with the end they straddle, counted in the local `ties`,
+    else by the exact test.  Both start at x's state (v, D) and return (result,
+    ties).  walk(v, D, depth, budget, levels) gives the level `depth` levels on,
+    {vector: prefixes} over one denominator, or None past `budget` nodes (a node
+    counts 1, or its prefixes with `levels`, which gets each level's (v, a, w)
+    edges).  descend(v, D, depth, k) keeps the first (k = 0) or last (k = -1)
+    feasible digit, then the other end at each place: (digits, last state
+    (w, E)).  An empty first level gives an empty result, and both rescale only
+    when E changes.  Other names (q_c, M, fb, the ends' vectors l_c, ld, r_c,
+    rd, ...) are bound by _children."""
     d = range(degree)
     w = "".join(f", z{c}" for c in d[1:])   # w's coordinates after w0
     ties = {f"tie_{e}": " and ".join(f"{e}d * {'z' if c else 'w'}{c} == E * {e}{c}" for c in d)
-            + " and tied()" for e in "lr"}
+            + " and (ties := ties + 1)" for e in "lr"}
     node = _WALK_NODE.format(
         z="\n".join(f"            z{c} = -(" + f"M * v{c - 1} + " * (c > 0) + f"v{d[-1]} * q{c})"
                     for c in d),
@@ -306,7 +301,8 @@ def _children(ctx):
     with -beta*v/D - a = w/E in I, ascending, E = D*M, M the denominator of the
     modulus; a tie with l or r is feasible, I being closed.  No node is reduced:
     a level's nodes share E, so equal vectors are equal remainders.  Neither
-    loop keeps any state between calls."""
+    loop keeps any state between calls, and each calls the context only on the
+    exact test: it returns its tie count, and _walked adds it once."""
     I = interval_I(ctx)
     power = ctx.beta() ** ctx.degree
     names = {f"q{c}": q for c, q in enumerate(power.num)}   # beta^d = (q_0 + ...)/M
@@ -315,14 +311,17 @@ def _children(ctx):
         names[end + "d"] = p.den
     names.update(zip(("ll", "lh", "rl", "rh"), _I_bounds(ctx)))
     names.update(M=power.den, fb=ctx.floor_beta, bits=_FILTER_BITS, ctx=ctx, contains=I.contains,
-                 reduced=_reduced, tied=lambda: ctx._count("kernel_ties") or True)
+                 reduced=_reduced)
     return _compiled(_walk_code, ctx, names)()
 
 
 def feasible_digits(x):
-    """Digits a with -beta*x - a still representable: one level of the walk."""
+    """Digits a with -beta*x - a still representable: one level of the walk,
+    its ties counted in one call; none outside I."""
     levels = []   # a level has at most floor(beta) + 1 nodes
-    _children(x.context)[0]({x.num: 1}, x.den, 1, x.context.floor_beta + 1, levels)
+    ties = _children(x.context)[0](x.num, x.den, 1, x.context.floor_beta + 1, levels)[1]
+    if ties:
+        x.context._count("kernel_ties", ties)
     return [a for _, a, _ in levels[0]]
 
 
@@ -331,19 +330,26 @@ def _require_in(I, x):
         raise DomainError(f"x = {x.as_text()} outside {I}")
 
 
-def _descend(x, depth, k):
-    """(digits, (w, E)): `depth` places of the alternating descent, the k-th
-    feasible digit at the first place, the other end at every place after it,
-    and the unreduced last state w/E.  k = 0 gives the alternate-order maximal
-    prefix, k = -1 the minimal.  A remainder in I has a feasible child, so
-    only the first place can be empty, exactly when x is outside I."""
+def _walked(x, depth, which, *args):
+    """One compiled loop of _children from x over `depth` levels or places,
+    through one guard: the walk (which = 0, args the budget and the levels),
+    giving its last level or None past the budget, or the descent (which = 1,
+    args k), giving (digits, (w, E)), the unreduced last state w/E.  k = 0
+    takes the first feasible digit at the first place and the other end at
+    every place after it, the alternate-order maximal prefix, and k = -1 the
+    minimal.  A depth below 1 is refused once x is found in I, and the loop's
+    ties are added to the context in one call.  A remainder in I has a
+    feasible child, so only the first level can be empty, exactly when x is
+    outside I."""
     if depth < 1:
         _require_in(interval_I(x.context), x)
         raise ValueError("depth must be at least 1")
-    digits, state = _children(x.context)[1](x.num, x.den, depth, k)
-    if state is None:
+    out, ties = _children(x.context)[which](x.num, x.den, depth, *args)
+    if ties:
+        x.context._count("kernel_ties", ties)
+    if out is not None and not out:   # an empty first level; None is past the budget
         _require_in(interval_I(x.context), x)
-    return digits, state
+    return out
 
 
 def step_min_digit(x):
@@ -352,13 +358,13 @@ def step_min_digit(x):
     This is the digit choice that is greatest in the alternate order on
     single digits, the first digit of the greedy representation.
     """
-    (a,), (w, E) = _descend(x, 1, 0)
+    (a,), (w, E) = _walked(x, 1, 1, 0)
     return a, _lowest(x.context, w, E)
 
 
 def step_max_digit(x):
     """Largest feasible digit and the matching remainder."""
-    (a,), (w, E) = _descend(x, 1, -1)
+    (a,), (w, E) = _walked(x, 1, 1, -1)
     return a, _lowest(x.context, w, E)
 
 
@@ -416,10 +422,6 @@ def _orbit(domain, ends, x, stepper, depth, orbit_budget):
     orbit, (v, D) = stepper(x)
     digits, start, _ = orbit(v, D, orbit_budget if depth is None else depth, depth is None)
     return digits, start if depth is None else depth, endpoint
-
-
-def _letters(pairs):
-    return tuple(chain.from_iterable(pairs))
 
 
 def _expansion(digits, start, endpoint, scheme=None, pairs=False):
@@ -617,10 +619,12 @@ class Scheme(_Record):
     def _straddled(self, v, D, i, j):
         """The cell of y = v/D where the bounds leave cuts i..j-1 undecided, so
         that cells i..j hold y: the closed side of a cut y ties, else the exact
-        bisection over cells i..j only."""
+        bisection over cells i..j only.  y is the cut n/d by its vectors where
+        d*v = D*n, a test sound on every context."""
         for k in range(i, j):
             iv = self.cells[k].interval
-            if _ties(self.base.context, v, D, iv.hi):
+            if all(iv.hi.den * c == D * m for c, m in zip(v, iv.hi.num)):
+                self.base.context._count("kernel_ties")
                 return k if iv.hi_closed else k + 1
         return self._index(_reduced(self.base.context, v, D), i, j)
 

@@ -81,14 +81,7 @@ class _PolyParser:
         return value
 
     def expr(self):
-        kind, val = self.peek()
-        neg = False
-        if kind == "op" and val in "+-":
-            self.take()
-            neg = val == "-"
-        acc = self.term()
-        if neg:
-            acc = P.neg(acc)
+        acc = self.term()   # a leading sign is factor's
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":

@@ -319,15 +319,14 @@ def complement_pairs(word, floor_beta):
 
 # -- the pair morphism -------------------------------------------------------
 
+def _letters(pairs):
+    """The pair digits (b, a) read as the letters b, a, in one tuple."""
+    return tuple(chain.from_iterable(pairs))
+
+
 def psi_expand(word):
     """Expand each pair digit (b, a) into the two letters b, a."""
-    def flat(part):
-        out = []
-        for p in part:
-            out.extend((p[0], p[1]))
-        return tuple(out)
-
-    return DigitString(flat(word.preperiod), flat(word.period))
+    return DigitString(_letters(word.preperiod), _letters(word.period))
 
 
 def psi_inverse(word):

@@ -17,6 +17,7 @@ from negabase import (BranchBudgetError, DigitString, DomainError, ExactReal, Fi
                       field_from_poly, greedy_neg_beta, interval_I,
                       lazy_neg_beta, rational_field, run_scheme, sample_unique_numbers,
                       step_max_digit, step_min_digit)
+from negabase.field import FieldContext
 from negabase.schemes import _children, _lowest
 
 B, C = PairDigit(1, 1), PairDigit(0, 0)
@@ -170,7 +171,7 @@ def test_compiled_walk_matches_the_exact_scan(name):
         scan = scan_steps(x)
         assert feasible_digits(x) == [a for a, _ in scan], x
         levels = []
-        walk({x.num: 1}, x.den, 1, len(scan), levels)
+        walk(x.num, x.den, 1, len(scan), levels)
         assert [(a, _lowest(ctx, w, x.den * M)) for _, a, w in levels[0]] == scan, x
 
 
@@ -344,6 +345,61 @@ def test_walk_ties_each_level_once_from_l_and_r(name):
             call()
             assert ctx.kernel_tie_count() - ties == 16, x
             assert ctx.kernel_fallback_count() == fallbacks, x
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci"])
+def test_one_tie_count_per_walk(name, monkeypatch):
+    # the compiled walk and descent count their ties in a local: a depth-16
+    # count or extremal prefix from l adds its 16 ties to the context in one
+    # call, and feasible_digits(l) its one tie, with the same totals
+    ctx = field_from_poly(*WALK_BASES[name])
+    l = interval_I(ctx).lo
+    calls = []
+    count = FieldContext._count
+
+    def spy(self, counter, n=1):
+        if counter == "kernel_ties":
+            calls.append((counter, n))
+        return count(self, counter, n)
+
+    monkeypatch.setattr(FieldContext, "_count", spy)
+    for call, ties in ((lambda: count_representation_branches(l, 16), 16),
+                       (lambda: extremal_prefix(l, 16, "max"), 16),
+                       (lambda: extremal_prefix(l, 16, "min"), 16),
+                       (lambda: feasible_digits(l), 1)):
+        calls.clear()
+        before = ctx.kernel_tie_count()
+        call()
+        assert calls == [("kernel_ties", ties)]
+        assert ctx.kernel_tie_count() - before == ties
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci"])
+def test_one_guard_for_every_walk(name):
+    # outside I each walk is refused before its depth is, with one text;
+    # feasible_digits finds no digit there, and the budget keeps its text
+    ctx = field_from_poly(*WALK_BASES[name])
+    I, x = interval_I(ctx), ctx.element(10)
+    outside = f"x = 10 outside {I}"
+    walks = (enumerate_prefixes, count_representation_branches, extremal_prefix)
+    for depth in (0, 3):
+        for walk in walks:
+            with pytest.raises(DomainError) as err:
+                walk(x, depth)
+            assert str(err.value) == outside
+    for step in (step_min_digit, step_max_digit):
+        with pytest.raises(DomainError) as err:
+            step(x)
+        assert str(err.value) == outside
+    for walk in walks:
+        with pytest.raises(ValueError) as err:
+            walk(ctx.zero(), 0)
+        assert type(err.value) is ValueError and str(err.value) == "depth must be at least 1"
+    assert feasible_digits(x) == []
+    for walk in walks[:2]:
+        with pytest.raises(BranchBudgetError) as err:
+            walk(ctx.element(Fraction(-1, 2)), 40, node_budget=5)
+        assert str(err.value) == "more than 5 branch nodes at depth 40"
 
 
 def test_walk_levels_under_threads():

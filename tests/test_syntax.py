@@ -91,6 +91,22 @@ class TestPolynomialParser:
     def test_zero(self):
         assert parse_polynomial("x - x", "x") == ()
 
+    @pytest.mark.parametrize("text, want", [
+        ("-b^2", (0, 0, -1)), ("-2b", (0, -2)), ("- -1", (1,)), ("--b", (0, 1)),
+        ("-+b", (0, -1)), ("2*-b", (0, -2)), ("-2*3^2", (-18,)), ("(-b)^2", (0, 0, 1)),
+        ("-b/2", (0, Fraction(-1, 2))), ("b--1", (1, 1))])
+    def test_signs(self, text, want):
+        # one sign rule, the unary sign of a factor, at the start and after an operator
+        assert parse_polynomial(text, "b") == tuple(map(Fraction, want))
+
+    @pytest.mark.parametrize("text, message", [
+        ("+", "unexpected end of input"), ("-", "unexpected end of input"),
+        ("-(", "unexpected end of input"), ("-^2", "unexpected token '^'")])
+    def test_sign_errors(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, "b")
+        assert str(err.value) == message
+
 
 def test_coeff_vector(phi):
     assert coeff_vector(parse_element("b/2 - 1", phi)) == ["-1", "1/2"]
