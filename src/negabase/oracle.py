@@ -45,7 +45,9 @@ def _walk(x, depth, node_budget, levels=None):
     """The last level of schemes._children's walk from x, {vector: prefixes}
     over one denominator, through schemes._walked's guard.  The budget counts
     (state, digit) nodes, each as 1, or with `levels` (each level's (v, a, w)
-    edges) as the prefixes it carries."""
+    edges) as the prefixes it carries.  A budget below 1 is refused first."""
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1")
     level = _walked(x, depth, 0, node_budget, levels)
     if level is None:
         raise BranchBudgetError(f"more than {node_budget} branch nodes at depth {depth}")

@@ -40,19 +40,28 @@ compiled once per process for each degree and flag L != 1: every scheme of
 every base with that degree and flag runs one code object, its constants
 bound by name per scheme.  Before it, x is tested against the domain by its
 64-bit bounds and those of the domain's ends; only where they straddle an
-end does the exact test run.  Every cell search is a bisection over cuts
-that Scheme.validate proves increasing: one per step, and a second only
-where the bounds straddle a cut.  With L = 1 the loop holds the cut bounds
-and cell offsets scaled by den(x), and a scheme keeps the loop of its last
-denominator.  The oracle's walk and its alternating descent are compiled
-once per degree too, each one loop over all its levels or places, a node's
-digits read off two floor divisions; each counts its ties in a local and
-enters through one guard (_walked), which adds them to the context once.
+end does the exact test run.  As greedy and lazy read two steps of -beta
+off one step of beta^2, the loop reads two steps of any scheme off one
+search of the scheme's square (Scheme._square): the cells of the map
+applied twice, each the pair of cells of its two steps, cut at 64-bit
+bounds that follow from the validated cuts.  The step after a search takes
+the second cell of the pair with no search, and every state is keyed, so a
+period closes at the step where its state repeats.  Every search is a
+bisection over monotone bounds, one per two steps; where the bounds
+straddle a cut of the square, that step searches its own cell over the
+single cuts, which Scheme.validate proves increasing.  A square past
+_SQUARE_CELLS cells is the single cuts, searched at each step.  With L = 1
+the loop holds the powers of beta and the cell offsets scaled for den(x),
+and a scheme keeps the loop of its last denominator.  The oracle's walk
+and its alternating descent are compiled once per degree too, each one
+loop over all its levels or places, a node's digits read off two floor
+divisions; each counts its ties in a local and enters through one guard
+(_walked), which adds them to the context once.
 """
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property
-from itertools import accumulate, product
+from functools import cached_property, partial
+from itertools import accumulate, chain, pairwise, product, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -60,6 +69,12 @@ from .field import _FILTER_BITS, ExactReal, _dyadic_bounds, _lattice_powers, con
 from .words import DigitString, _dataclass_fields, _letters, _pair_digit, _Record, _set
 
 DEFAULT_ORBIT_BUDGET = 10_000
+# the most cells of a scheme's square (Scheme._square): on CPython 3.11 on a
+# 2-core Xeon a cell costs 0.4-0.8 us to build, and the square saves
+# 0.15-0.29 us a pair step over the single cuts (L = 1), so one orbit of the
+# default budget, 5 000 pair steps, pays for 1 000-3 600 cells, about 2 000
+# at the medians (0.5 and 0.21 us)
+_SQUARE_CELLS = 1 << 11
 
 STATUS_OK = "ok"
 STATUS_PERIOD_NOT_FOUND = "period-not-found"
@@ -128,23 +143,30 @@ def _reduced(ctx, v, D):
 
 
 _ORBIT_SOURCE = """\
-def make(hi, lo, offsets):
+def make(offsets, D):
     {o}, = map(offsets.__getitem__, columns)   # each coordinate's offsets, cell by cell
-    def orbit(v, D, n, detect):
+{powers}    def orbit(v, D, n, detect):
         {v}, = v
         out = []
         seen = {{{key}: 0}}
+        b = None   # the cell of the next step, from the last search of the square
         for m in range(1, n + 1):
-            t = {t}   # 2^64 * D * y, up to e
-            e = gap * ({e})   # each |v_c| inline, cheaper than a call of abs
-            # i counts the cuts that may be below y; the bounds straddle the last if
-            # it may be above y too, and only then are the cuts surely below counted
-            i = bisect_right(lo, {upper})
-            if i and {straddle}:
-                i = straddled(({v},), D, bisect_left(hi, {lower}), i)
+            if b is None:
+                t = {t}   # y at the scale of the cut bounds, up to e
+                e = gap * ({e})   # each |v_c| inline, cheaper than a call of abs
+                # i counts the square's cuts that may be below y; the bounds straddle
+                # the last if it may be above y too, and then this step's cell is
+                # searched alone and the next step searches the square again
+                i = bisect_right(lo, {upper})
+                if i and {straddle}:
+                    a = cell(({v},), D)
+                else:
+                    a, b = firsts[i], seconds[i]
+            else:
+                a, b = b, None
             {v}, = {rows},
 {lowest}
-            out.append(digits[i])
+            out.append(digits[a])
             if detect:
                 s = seen.setdefault({key}, m)
                 if s != m:
@@ -153,14 +175,15 @@ def make(hi, lo, offsets):
     return orbit
 """
 
-# by the flag L != 1: with L = 1, D stays den(x), by which make's bounds and
-# offsets are scaled, and a state is keyed by v alone; else D grows and t is
-# divided by it, as for an integer h, h < ceil((t-e)/D) iff h*D < t-e and
-# h <= floor((t+e)/D) iff h*D <= t+e, the offsets are multiplied by it, and
-# the key holds D
-_ORBIT_SEARCH = (dict(upper="t + e", straddle="hi[i - 1] >= t - e", lower="t - e", offset=""),
-                 dict(upper="(t + e) // D", straddle="hi[i - 1] * D >= t - e",
-                      lower="-((e - t) // D)", offset=" * D"))
+# by the flag L != 1: with L = 1, D stays den(x), make's powers are
+# floor(2^128*beta^c/D) from the names q_c = 2^64*p_c, each within
+# 1 + ceil(2^64*gap/D) of 2^128*beta^c/D, its offsets come scaled by D, the cut
+# bounds are 2^128 times the cuts, and a state is keyed by v alone; else D
+# grows, t is 2^64*D*y by the names p_c and gap and is divided by D, as for an
+# integer h, h <= floor((t+e)/D) iff h*D <= t+e, the offsets are multiplied by
+# D, and the key holds it
+_ORBIT_SEARCH = (dict(upper="t + e", straddle="hi[i - 1] >= t - e", offset=""),
+                 dict(upper="(t + e) // D", straddle="hi[i - 1] * D >= t - e", offset=" * D"))
 
 _ORBIT_LOWEST = """\
             D *= L   # lowest terms: a common factor of v and D*L divides k
@@ -243,24 +266,33 @@ def _compiled(write, ctx, names, *flags):
 
 
 def _kernel_code(degree, reduce):
-    """The orbit loop of every scheme of a degree and flag: make(hi, lo,
-    offsets) -> orbit(v, D, n, detect) -> (digits, start, state).  Each of up
-    to n steps is the kernel written out for the degree d on the locals
-    v_0..v_(d-1), D, its cell one bisection of the cut bounds, and a second
-    only where the bounds straddle a cut; with detect, one setdefault per step
-    keys the state and the first repeat returns where the period starts, else
-    start is None after n steps.  The last state (v, D) comes back too, so
-    orbit(v, D, 1, False) is one step.  reduce (L != 1) divides by the growing
-    D and puts each state in lowest terms, keyed (v, D); else the cut bounds
-    and cell offsets come scaled by D and the key is v.  Its other names
-    (m_r_c, digits, ...) are bound by Scheme._kernel."""
+    """The orbit loop of every scheme of a degree and flag: make(offsets, D)
+    -> orbit(v, D, n, detect) -> (digits, start, state).  Each of up to n
+    steps is the kernel written out for the degree d on the locals
+    v_0..v_(d-1), D, two steps to a search: one dot product and one
+    bisection of the bounds of the square's cuts (Scheme._square) give the
+    cells a and b of this step and the next, and the next step takes b with
+    no search.  Where the bounds straddle a cut of the square, Scheme._cell
+    searches this step's cell alone and the next step searches the square
+    again; a square past _SQUARE_CELLS is the single cuts with no b, searched
+    at each step.  With detect, one setdefault per step keys each state, so
+    the first repeat returns at the step where it occurs, with where the
+    period starts, else start is None after n steps.  The last state (v, D)
+    comes back too, so orbit(v, D, 1, False) is one step.  reduce (L != 1)
+    divides by the growing D and puts each state in lowest terms, keyed
+    (v, D); else make divides the powers of beta by D and the cell offsets
+    come scaled by it (Scheme._stepper), and the key is v.  Its other names
+    (m_r_c, digits, lo, hi, firsts, seconds, ...) are bound by
+    Scheme._kernel."""
     d, search = range(degree), _ORBIT_SEARCH[reduce]
     v = ", ".join(f"v{r}" for r in d)
-    rows = ", ".join("".join(f"m{r}_{c} * v{c} + " for c in d) + f"o{r}[i]{search['offset']}"
+    rows = ", ".join("".join(f"m{r}_{c} * v{c} + " for c in d) + f"o{r}[a]{search['offset']}"
                      for r in d)
     lowest = _ORBIT_LOWEST.format(v=v, v_g=", ".join(f"v{r} // g" for r in d)) if reduce else ""
+    powers = "" if reduce else "    {}, gap = {}, 1 - q_gap // D\n".format(
+        ", ".join(f"p{c}" for c in d), ", ".join(f"q{c} // D" for c in d))
     return _ORBIT_SOURCE.format(v=v, key=f"({v}, D)" if reduce else f"({v},)",
-                                o=", ".join(f"o{r}" for r in d),
+                                o=", ".join(f"o{r}" for r in d), powers=powers,
                                 t=" + ".join(f"p{c} * v{c}" for c in d),
                                 e=" + ".join(f"(v{c} if v{c} >= 0 else -v{c})" for c in d),
                                 rows=rows, lowest=lowest, **search)
@@ -392,6 +424,18 @@ def _end_bounds(domain):
     return (*_dyadic_bounds(domain.lo), *_dyadic_bounds(domain.hi))
 
 
+def _scaled_products(xs, y):
+    """(lo, hi), lazily, with lo <= 2^64 * X * Y <= hi for each x of xs, from
+    bounds x of 2^64 * X and y of 2^64 * Y, y of one sign: X*Y is least at
+    x's end whose sign is that of Y, and greatest at the other."""
+    y0, y1 = y
+    if y0 < 0:
+        return (((b * (y0 if b >= 0 else y1)) >> _FILTER_BITS,
+                 -(-(a * (y1 if a >= 0 else y0)) >> _FILTER_BITS)) for a, b in xs)
+    return (((a * (y0 if a >= 0 else y1)) >> _FILTER_BITS,
+             -(-(b * (y1 if b >= 0 else y0)) >> _FILTER_BITS)) for a, b in xs)
+
+
 @context_cached
 def _I_bounds(ctx):
     return _end_bounds(interval_I(ctx))
@@ -403,15 +447,18 @@ def _orbit(domain, ends, x, stepper, depth, orbit_budget):
     (orbit, (v, D)) and orbit is the compiled loop of _kernel_code; start is
     where the period starts, or None when orbit_budget ran out first.
 
-    x and the depth are tested before stepper runs, so a point outside
-    the domain builds no tables.  Where the 64-bit bounds of x lie strictly
-    between those of the ends, x is in the domain and on neither end; only
-    where they straddle an end, or x has another context object, does the
-    exact test run, and tag l or r or refuse a foreign field.
+    The budget is tested first, then x and the depth, all before stepper
+    runs, so a point outside the domain builds no tables.  Where the 64-bit
+    bounds of x lie strictly between those of the ends, x is in the domain
+    and on neither end; only where they straddle an end, or x has another
+    context object, does the exact test run, and tag l or r or refuse a
+    foreign field.
     With a depth, exactly that many digits, start being their number.
     Otherwise the loop keys each state and the first repeat closes the
     period: one call of the loop either way.
     """
+    if orbit_budget < 1:
+        raise ValueError("orbit_budget must be at least 1")
     lo, hi = _dyadic_bounds(x)
     endpoint = None
     if lo <= ends[1] or hi >= ends[2] or x.context is not domain.lo.context:
@@ -628,6 +675,20 @@ class Scheme(_Record):
                 return k if iv.hi_closed else k + 1
         return self._index(_reduced(self.base.context, v, D), i, j)
 
+    def _cell(self, powers, gap, v, D):
+        """The cell of y = v/D where the loop's bounds straddle a cut: a
+        single step's search as the one-step loop made it, one bisection of
+        the single cuts' 64-bit bounds by the 64-bit powers and gap that
+        Scheme._kernel binds, then _straddled where they straddle.  So a tie
+        or exact fallback is counted only for a step whose own 64-bit bounds
+        straddle, and a one-step call counts those of its step."""
+        _, _, lo, hi, *_ = self._lattice
+        t, e = sum(map(mul, powers, v)), gap * sum(map(abs, v))
+        j = bisect_right(lo, (t + e) // D)
+        if j and hi[j - 1] * D >= t - e:
+            return self._straddled(v, D, bisect_left(hi, -((e - t) // D)), j)
+        return j
+
     @cached_property
     def _lattice(self):
         # the kernel's table over one common denominator L: the matrix of L*base,
@@ -654,16 +715,74 @@ class Scheme(_Record):
         return _end_bounds(self.domain)
 
     @cached_property
+    def _square(self):
+        """(lo, hi, firsts, seconds): the cells of the map S applied twice, left
+        to right, each the points of cell a that S sends to cell b, as a in
+        firsts and b in seconds, and 64-bit bounds of the cuts between them
+        made monotone for bisection, read off the 64-bit bounds of the
+        validated scheme with no exact arithmetic.  Cell a is cut where S
+        reaches a single cut c_j, at (v_a + c_j)/base, for each c_j whose
+        bounds meet those of S(cell a), and the single cut c_a follows it.
+        Bounds that straddle no cut put a point strictly above every cut
+        before its place and below every cut after it, so in the cells of the
+        pair there, even where cuts within each other's bounds come out of
+        order: the monotone bounds make every point between such cuts
+        straddle.  A square past _SQUARE_CELLS cells is the scheme's own cuts,
+        each cell a with no b (None), so that the loop searches the single
+        cuts at each step, as the one-step loop did; the count of its cells
+        stops at the first cell past the bound."""
+        _, _, lo, hi, *_ = self._lattice
+        l_lo, l_hi, r_lo, r_hi = self._ends
+        base, n = _dyadic_bounds(self.base), len(self.cells)
+        size = n if base[0] > 0 or base[1] < 0 else _SQUARE_CELLS + 1   # each cell has a b
+        ends = _scaled_products(chain(((l_lo, l_hi),), zip(lo, hi), ((r_lo, r_hi),)), base)
+        values, ranges = [], []
+        for cell, (p, q) in zip(self.cells, pairwise(ends)):
+            if size > _SQUARE_CELLS:
+                break
+            # the first and last cell b that S(cell a) = base*(cell a) - v_a may meet
+            v_lo, v_hi = _dyadic_bounds(cell.value)
+            i = bisect_left(hi, min(p[0], q[0]) - v_hi)
+            j = bisect_right(lo, max(p[1], q[1]) - v_lo)
+            size += j - i
+            values.append((v_lo, v_hi))
+            ranges.append((i, j))
+        if size > _SQUARE_CELLS:
+            return lo, hi, list(range(n)), [None] * n
+        one = 1 << 2 * _FILTER_BITS   # 1/base by 2^64/base's bounds
+        inverse = one // base[1], -(-one // base[0])
+        # (v_a + c_j)/base = v_a/base + c_j/base, for the cuts c_j in cell a's
+        # image in the order of its cells b, then the single cut c_a
+        over = list(_scaled_products(zip(lo, hi), inverse))
+        over_lo, over_hi = [c for c, _ in over], [c for _, c in over]
+        step, firsts, seconds, cut_lo, cut_hi = 1 if base[0] > 0 else -1, [], [], [], []
+        for a, ((w_lo, w_hi), (i, j)) in enumerate(zip(_scaled_products(values, inverse), ranges)):
+            firsts += repeat(a, j - i + 1)
+            seconds += range(i, j + 1)[::step]
+            cut_lo += map(w_lo.__add__, over_lo[i:j][::step])
+            cut_hi += map(w_hi.__add__, over_hi[i:j][::step])
+            cut_lo += lo[a:a + 1]
+            cut_hi += hi[a:a + 1]
+        return (tuple(accumulate(reversed(cut_lo), min))[::-1], tuple(accumulate(cut_hi, max)),
+                firsts, seconds)
+
+    @cached_property
     def _kernel(self):
-        """make(hi, lo, offsets) -> orbit: the compiled loop of the base's
-        degree and of the flag L != 1 (_kernel_code), run in a namespace that
-        binds this scheme's matrix, digits and constants by name."""
+        """make(offsets, D) -> orbit: the compiled loop of the base's degree
+        and of the flag L != 1 (_kernel_code), run in a namespace that binds
+        this scheme's matrix, digits, square cells and constants by name."""
         matrix, _, _, _, digits, L, k = self._lattice
+        lo, hi, firsts, seconds = self._square
+        if L == 1:   # at 2^128, the scale of t over a fixed D
+            lo, hi = [b << _FILTER_BITS for b in lo], [b << _FILTER_BITS for b in hi]
         names = {f"m{r}_{c}": m for r, row in enumerate(matrix) for c, m in enumerate(row)}
+        powers, gap = _lattice_powers(self.base.context)
+        names.update((f"q{c}", p << _FILTER_BITS) for c, p in enumerate(powers))
         n = len(digits)   # the offsets of coordinate r are offsets[r*n:(r+1)*n]
         names.update(digits=digits, columns=[slice(r * n, r * n + n) for r in range(len(matrix))],
-                     L=L, k=k, straddled=self._straddled,
-                     bisect_left=bisect_left, bisect_right=bisect_right, gcd=gcd)
+                     lo=lo, hi=hi, firsts=firsts, seconds=seconds, L=L, k=k,
+                     cell=partial(self._cell, powers, gap), q_gap=-gap << _FILTER_BITS,
+                     bisect_right=bisect_right, gcd=gcd)
         return _compiled(_kernel_code, self.base.context, names, L != 1)
 
     _entry = (None, None)   # the stepper's (D, orbit), replaced whole: no lock
@@ -671,16 +790,15 @@ class Scheme(_Record):
     def _stepper(self, x):
         """(orbit, (v, D)): the scheme's compiled loop (_kernel_code) for the
         orbit of x, and x's state y = v/D.  With L = 1, D stays den(x), and the
-        loop holds the cut bounds and cell offsets scaled by it; one entry keeps
-        the loop of the last D, read in one unpack.  Otherwise the loop divides
-        by D, and one serves every D."""
-        _, offsets, lo, hi, _, L, _ = self._lattice
-        D = x.den if L == 1 else 1
+        loop holds the cell offsets scaled by it and floor(2^128*beta^c/D), d
+        divisions in make, not a pass over the cuts of the square.  One entry
+        keeps the loop of the last D, read in one unpack.  Otherwise the loop
+        divides by D, and one serves every D."""
+        _, offsets, _, _, _, L, _ = self._lattice
+        D = x.den if L == 1 else 0   # 0: the loop of every D
         last, orbit = self._entry
         if last != D:
-            if D != 1:
-                hi, lo, offsets = [b * D for b in hi], [b * D for b in lo], [c * D for c in offsets]
-            orbit = self._kernel(hi, lo, offsets)
+            orbit = self._kernel([c * D for c in offsets] if D else offsets, D)
             _set(self, "_entry", (D, orbit))
         return orbit, (x.num, x.den)
 

@@ -83,6 +83,17 @@ class TestEnumerate:
         with pytest.raises(BranchBudgetError):
             enumerate_prefixes(phi.element(Fraction(-1, 2)), 40, node_budget=50)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_budget_below_one_is_refused(self, phi, budget):
+        # by name, before x is tested against I: 10 is outside it
+        for walk in (enumerate_prefixes, count_representation_branches):
+            for x in (phi.element(Fraction(-1, 2)), phi.element(10)):
+                with pytest.raises(ValueError) as err:
+                    walk(x, 3, node_budget=budget)
+                assert type(err.value) is ValueError, (walk, x)
+                assert str(err.value) == "node_budget must be at least 1"
+        assert count_representation_branches(interval_I(phi).lo, 1, node_budget=1) == 1
+
 
 class TestExtremal:
     def test_matches_paper_values(self, phi):

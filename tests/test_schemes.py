@@ -1,8 +1,10 @@
 import random
 import re
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import ceil, gcd, log2
 
 import pytest
@@ -285,6 +287,24 @@ class TestGreedyLazy:
                 expand(x)
             with pytest.raises(DomainError, match=text):   # the domain before the depth
                 expand(x, depth=0)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_an_orbit_budget_below_one_is_refused(budget):
+    # by name, before x is tested against the domain and with a depth too:
+    # no empty period-not-found word
+    ctx = field_from_poly(*LATTICE_BASES["phi"])
+    scheme = build_ito_sadahiro_scheme(ctx)
+    runs = (greedy_neg_beta, lazy_neg_beta, partial(run_scheme, scheme))
+    for run in runs:
+        for x, depth in ((ctx.element(Fraction(-1, 2)), None), (ctx.element(10), None),
+                         (ctx.element(Fraction(-1, 2)), 3)):
+            with pytest.raises(ValueError) as err:
+                run(x, depth, orbit_budget=budget)
+            assert type(err.value) is ValueError, (run, x)
+            assert str(err.value) == "orbit_budget must be at least 1"
+    for run in runs:
+        assert run(ctx.element(Fraction(-1, 2)), orbit_budget=1).status == "period-not-found"
 
 
 class TestBeta2Schemes:
@@ -1123,6 +1143,167 @@ def test_the_orbit_loop_matches_a_reference_period_detection(name):
                 assert orbit(None, default) == want, (kind, x)
                 closed += want[1] is not None
     assert closed or name not in _CLOSING_BASES
+
+
+def _reference_steps(scheme, x, n):
+    # (digits, last state) of n steps of the reference step from x
+    step, state = reference_stepper(scheme, x)
+    digits = []
+    for _ in range(n):
+        d, state = step(state)
+        digits.append(d)
+    return digits, state
+
+
+# two bases with L = 1 and two with L != 1
+_STEP_BASES = ("phi", "tribonacci", "seven-quarters", "non-monic")
+
+
+@pytest.mark.parametrize("name", _STEP_BASES)
+def test_multi_step_calls_match_the_single_step_reference(name):
+    # one call of the orbit loop for n = 1..9 steps, odd and even, against
+    # n reference steps: the same digits and the same last state, on every
+    # scheme kind, from the cuts and ends of each domain, tie_offset either
+    # side of them, and seeded points
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    rng, eps = random.Random(name), tie_offset(ctx)
+    for kind, scheme in _schemes(ctx).items():
+        domain = scheme.domain
+        ties = [domain.lo, *(c.interval.hi for c in scheme.cells[:-1]), domain.hi]
+        points = [y for t in ties for y in (t - eps, t, t + eps)]
+        points += [random_point(rng, domain) for _ in range(4)]
+        for x in filter(domain.contains, points):
+            orbit, (v, D) = scheme._stepper(x)
+            reference = _reference_steps(scheme, x, 9)
+            for n in range(1, 10):
+                digits, start, state = orbit(v, D, n, False)
+                assert start is None
+                assert (digits, state) == _reference_steps(scheme, x, n), (kind, x, n)
+                assert digits == reference[0][:n], (kind, x, n)
+
+
+@pytest.mark.parametrize("name", _STEP_BASES)
+def test_a_period_closes_at_its_budget_and_not_one_step_before(name):
+    # with the budget B the step m of the reference's first repeat, the loop
+    # closes the period at exactly B steps; with B = m - 1 it runs out with
+    # the first m - 1 digits.  Repeats at odd and at even steps both occur
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 6)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    parities = set()
+    for kind, scheme in _schemes(ctx).items():
+        domain = scheme.domain
+        points = [domain.lo, *(c.interval.hi for c in scheme.cells[:-1]), domain.hi, *rationals]
+        for x in filter(domain.contains, points):
+            digits, (m, start) = _reference_orbit(scheme, x, 200, True)
+            if m is None:
+                continue
+            parities.add(m % 2)
+            orbit, (v, D) = scheme._stepper(x)
+            assert orbit(v, D, m, True)[:2] == (digits, start), (kind, x, m)
+            if m > 1:
+                assert orbit(v, D, m - 1, True)[:2] == (digits[:m - 1], None), (kind, x, m)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("name", _STEP_BASES)
+def test_two_steps_next_to_a_cut_of_the_square(name):
+    # from (v_a + c_j)/base, the point of cell a that the scheme's map sends
+    # to the cut c_j, and tie_offset either side of it: the same two digits
+    # and the same state as two reference steps, the second a tie or the
+    # exact fallback
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    eps, tested = tie_offset(ctx), 0
+    for kind, scheme in _schemes(ctx).items():
+        inverse = scheme.base.inverse()
+        for cell in scheme.cells:
+            for cut in (c.interval.hi for c in scheme.cells[:-1]):
+                q = (cell.value + cut) * inverse
+                if q in (cell.interval.lo, cell.interval.hi) or not cell.interval.contains(q):
+                    continue
+                for x in (q - eps, q, q + eps):
+                    orbit, (v, D) = scheme._stepper(x)
+                    assert orbit(v, D, 2, False)[::2] == _reference_steps(scheme, x, 2), (kind, x)
+                    tested += 1
+    assert tested
+
+
+@pytest.mark.parametrize("name", ["phi", "tribonacci", "rt3", "seven-quarters"])
+def test_one_bisection_per_two_steps(name, monkeypatch):
+    # the loop searches the square of each scheme: n steps from an interior
+    # point make ceil(n/2) bisections, on a copy of every scheme whose loop
+    # binds a counting bisect_right
+    calls = []
+    monkeypatch.setattr(schemes, "bisect_right", lambda *a: calls.append(1) or bisect_right(*a))
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    for kind, built in _schemes(ctx).items():
+        scheme = Scheme(built.base, built.domain, built.cells)
+        x = random_point(random.Random(kind), scheme.domain)
+        orbit, (v, D) = scheme._stepper(x)
+        for n in (1, 2, 9, 10):
+            del calls[:]
+            orbit(v, D, n, False)
+            assert len(calls) == (n + 1) // 2, (kind, n)
+
+
+@pytest.mark.parametrize("name", ["phi", "rt3", "cubic", "seven-quarters", "non-monic-wide"])
+def test_the_square_cut_bounds_hold_the_exact_cuts(name):
+    # between neighbouring cells (a, b) and (c, d) of a scheme's square the
+    # cut is the single cut of cell a where a != c, else (v_a + c_j)/base, j
+    # the lower of b and d: each lies within its 64-bit bounds, the cuts and
+    # both bounds do not decrease, as bisection needs (a cut of a cell of no
+    # length has bounds of its own, out of order with its neighbour's until
+    # they are made monotone), and the pairs run over every cell a in order
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    for kind, scheme in _schemes(ctx).items():
+        lo, hi, *cell_pairs = scheme._square
+        pairs = list(zip(*cell_pairs))
+        cells, inverse = scheme.cells, scheme.base.inverse()
+        cuts = [cells[a].interval.hi if a != c else
+                (cells[a].value + cells[min(b, d)].interval.hi) * inverse
+                for (a, b), (c, d) in zip(pairs, pairs[1:])]
+        assert len(lo) == len(hi) == len(cuts), kind
+        for k, cut in enumerate(cuts):
+            assert Fraction(lo[k], 2 ** 64) <= cut <= Fraction(hi[k], 2 ** 64), (kind, k)
+        assert all(x <= y for x, y in zip(cuts, cuts[1:])), kind
+        assert list(lo) == sorted(lo) and list(hi) == sorted(hi), kind
+        assert sorted({a for a, _ in pairs}) == list(range(len(cells))), kind
+        assert [a for a, _ in pairs] == sorted(a for a, _ in pairs), kind
+
+
+@pytest.mark.parametrize("name", ["phi", "seven-quarters"])
+def test_a_square_past_its_cap_is_the_single_cuts(name, monkeypatch):
+    # past _SQUARE_CELLS cells a scheme's square is its own cuts, each cell a
+    # paired with no b, so the first step of an iteration is the bisection of
+    # the single cuts and the second searches them too: the digits, states and
+    # periods of the reference, and one bisection per step, on a copy of every
+    # scheme with more cells than the bound (1) or a square past it (its own
+    # cells)
+    calls = []
+    monkeypatch.setattr(schemes, "bisect_right", lambda *a: calls.append(1) or bisect_right(*a))
+    ctx = field_from_poly(*KERNEL_BASES[name])
+    rationals = [ctx.element(Fraction(p, q)) for q in range(1, 5)
+                 for p in range(-2 * q, q + 1) if gcd(p, q) == 1]
+    for (kind, built), bound in product(_schemes(ctx).items(), ("one", "cells")):
+        monkeypatch.setattr(schemes, "_SQUARE_CELLS", 1 if bound == "one" else len(built.cells))
+        scheme = Scheme(built.base, built.domain, built.cells)
+        domain = scheme.domain
+        points = [domain.lo, *(c.interval.hi for c in scheme.cells[:-1]), domain.hi, *rationals]
+        for x in filter(domain.contains, points):
+            orbit, (v, D) = scheme._stepper(x)
+            for n in (1, 2, 7):
+                assert orbit(v, D, n, False)[::2] == _reference_steps(scheme, x, n), (kind, x, n)
+            digits, (m, start) = _reference_orbit(scheme, x, 200, True)
+            if m is not None:
+                assert orbit(v, D, 200, True)[:2] == (digits, start), (kind, x)
+        x = random_point(random.Random(kind), domain)
+        orbit, (v, D) = scheme._stepper(x)
+        del calls[:]
+        orbit(v, D, 9, False)
+        assert len(calls) == 9, kind
+        lo, hi, firsts, seconds = scheme._square
+        assert (lo, hi) == scheme._lattice[2:4], kind
+        assert firsts == list(range(len(scheme.cells))) and seconds == [None] * len(firsts), kind
 
 
 @pytest.mark.parametrize("name", ["phi", "rt3", "seven-quarters", "non-monic"])
