@@ -11,7 +11,8 @@ reference expansion (a bound) in the lexicographic or the alternate order.
 * Pair words, lazy: the digitwise complement must be greedy-admissible.
 * Binary golden-ratio words, read two letters at a time, must be
   greedy-admissible pair words; they are read one letter at a time, by
-  letter rows derived from phi's pair automaton.
+  letter rows derived from phi's pair automaton, over the word's own
+  preperiod and period tuples realigned to pairs.
 * Binary golden-ratio Ito-Sadahiro words: every tail s satisfies
   d(l) <= s < d*(r) = 0 d(l) in the alternate order, where d(l) expands the
   left end of the domain (Ito & Sadahiro, Integers 2009).
@@ -27,9 +28,13 @@ alternate order negates both.  So the verdict for the tail after a critical
 digit is known when the pass reaches that digit: one table lookup per letter,
 and the last failing digit seen is the earliest one.  A finite word starts
 from the all-"runs out" state, an eventually periodic word from the fixed
-point of its reversed period.  One automaton over both bounds is built
-breadth first over every letter, once per base, the first time a check
-finds both bounds computed, and lives on the AdmissibilityBound.  A word
+point of its reversed period: the pass over the period that starts and
+ends there gives the period's outcomes, and the preperiod is read on from
+it.  The binary checks test the alphabet only when a letter has no entry
+in the rows, to name the first digit that is not binary.  One automaton
+over both bounds is built breadth first over every letter, once per base,
+the first time a check finds both bounds computed, and lives on the
+AdmissibilityBound.  A word
 of digits is read as pairs by letter rows built from the pair rows once
 per base, the first time they are needed (`_letter_rows`): a full row
 and a half row per letter for each pair row, and rows where a pair
@@ -226,23 +231,26 @@ def _letter_tails(ctx):
     return _letter_rows(reference_bounds(ctx)._tails()[0], ctx.floor_beta)
 
 
-def _scan(starts, word):
-    """One right-to-left pass of linked rows over a word: the rule and
-    0-based position of the leftmost rejecting letter, or None, None."""
+def _scan(starts, pre, per):
+    """One right-to-left pass of linked rows over the word pre per^omega
+    (tuples of letters): the rule and 0-based position of the leftmost
+    rejecting letter, or None, None.  The period is read from the periodic
+    start until a pass ends where it began, the row of per^omega; that
+    last pass gives the period's outcomes, and the preperiod is read on."""
     row, periodic = starts
-    pre, per = word.preperiod, word.period
+    rule = where = None
     if per:
-        row = periodic   # iterate to the state of per^omega; no entry changes twice
+        row, end = periodic, len(pre) + len(per) - 1   # no entry changes twice
         while True:
-            last = row
-            for x in reversed(per):
-                row = row[x][0]
+            last, rule, where = row, None, None
+            for i, x in enumerate(reversed(per)):
+                row, out = row[x]
+                if out is not None:
+                    rule, where = out, end - i
             if row is last:
                 break
-    rule = where = None
-    letters = pre + per
-    end = len(letters) - 1
-    for i, x in enumerate(reversed(letters)):
+    end = len(pre) - 1
+    for i, x in enumerate(reversed(pre)):
         row, out = row[x]
         if out is not None:
             rule, where = out, end - i
@@ -384,7 +392,7 @@ def _pair_check(word, ctx, bounds, lazy):
         rule, where, undecided = _by_critical_digit(_ranked(word, ctx, lazy), bounds)
         return _report(word, rule, where, 4, undecided)
     try:
-        rule, where = _scan(tails[lazy], word)
+        rule, where = _scan(tails[lazy], word.preperiod, word.period)
     except (KeyError, TypeError):   # TypeError: an unhashable letter
         _ranked(word, ctx, lazy)   # names the first digit outside
         raise
@@ -401,7 +409,10 @@ def _report(word, rule, where, length, undecided=False):
     _set(violation, "rule", rule)
     _set(violation, "position", where + 1)
     _set(violation, "_span", (word, where, length))
-    return AdmissibilityReport(REJECTED, violation)
+    report = AdmissibilityReport.__new__(AdmissibilityReport)
+    _set(report, "verdict", REJECTED)
+    _set(report, "violation", violation)
+    return report
 
 
 def is_admissible_greedy(word, ctx, bounds=None):
@@ -420,6 +431,17 @@ def is_admissible_lazy(word, ctx, bounds=None):
 
 
 # -- binary golden-ratio words ---------------------------------------------------------
+
+def _binary_scan(starts, word, pre, per):
+    """`_scan` of the letters pre per^omega, which spell `word`.  The
+    alphabet is tested only when a letter has no entry in the rows: then
+    `_require_binary` names the word's first digit that is not binary."""
+    try:
+        return _scan(starts, pre, per)
+    except (KeyError, TypeError):   # TypeError: an unhashable letter
+        _require_binary(word)
+        raise
+
 
 def _require_binary(word):
     digits = word.preperiod + word.period
@@ -442,14 +464,12 @@ def golden_forbidden_factor_check(word):
     ranks below 1:1 and is not a critical digit.  A periodic word is
     realigned to pairs: an odd preperiod takes the first period letter, and
     an odd period is doubled."""
-    _require_binary(word)
     pre, per = word.preperiod, word.period
     if len(pre) % 2:
         pre, per = pre + (per[:1] or (0,)), per[1:] + per[:1]
     if len(per) % 2:
         per += per
-    # the realigned word is taken as it stands, not made canonical again
-    rule, where = _scan(_letter_tails(phi_field()), DigitString._of_orbit(pre, per))
+    rule, where = _binary_scan(_letter_tails(phi_field()), word, pre, per)
     return _report(word, rule and RULE_FACTOR, where, 2 if rule == RULE_FACTOR else 8)
 
 
@@ -475,5 +495,5 @@ def ito_sadahiro_admissible(word):
     satisfies d(l) <= s < d*(r) in the alternate order.  d*(r) = 0 d(l)
     (d(l) = 1(0) is not purely periodic), so 0s is below d*(r) exactly when
     s is above d(l): one comparison per tail settles both."""
-    _require_binary(word)
-    return _report(word, *_scan(_ito_sadahiro_tails(phi_field()), word), 8)
+    starts = _ito_sadahiro_tails(phi_field())
+    return _report(word, *_binary_scan(starts, word, word.preperiod, word.period), 8)

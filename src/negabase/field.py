@@ -664,9 +664,12 @@ def tribonacci_field():
 
 
 def _preset(name, poly, lo, hi):
-    with _preset_lock:
-        ctx = _PRESETS.get(name)
-        if ctx is None:
-            ctx = field_from_poly(poly, lo, hi)
-            _PRESETS[name] = ctx
-        return ctx
+    """The preset's one context: read without the lock once built, and
+    built under it, once, by the first caller."""
+    ctx = _PRESETS.get(name)
+    if ctx is None:
+        with _preset_lock:
+            ctx = _PRESETS.get(name)
+            if ctx is None:
+                ctx = _PRESETS[name] = field_from_poly(poly, lo, hi)
+    return ctx

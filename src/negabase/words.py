@@ -157,8 +157,7 @@ class DigitString(_Record):
         one letter per step is canonical.  Of two, only a period of half the
         letters (an odd number of steps) or a preperiod one letter short can
         be shorter, and only those are tested.  Without `pairs` the tuples
-        are taken as they stand, as the golden check takes a word realigned
-        to pairs."""
+        are taken as they stand."""
         if pairs and per:
             n = len(per) // 2
             if n % 2 and per[:n] == per[n:]:

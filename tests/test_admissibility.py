@@ -14,7 +14,8 @@ from helpers import (LATTICE_BASES, OFF_LATTICE_BASES, PairReference, all_words,
                      eventually_periodic_words,
                      forbidden_factor_reject, golden_reference,
                      ito_sadahiro_reference, random_point, report_tuple)
-from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, ContextMismatchError,
+from negabase import (ADMISSIBLE, PREFIX_OK, REJECTED, UNDECIDED, AdmissibilityReport,
+                      ContextMismatchError,
                       DigitString, Interval, PairDigit, Violation, all_pair_digits,
                       build_beta2_scheme,
                       build_ito_sadahiro_scheme, complement_pairs,
@@ -421,6 +422,61 @@ def test_admissible_words_unroll_to_admissible_prefixes(check):
     assert admitted > 100
 
 
+BINARY_CHECKS = pytest.mark.parametrize("check", [golden_forbidden_factor_check,
+                                                  ito_sadahiro_admissible])
+
+
+@BINARY_CHECKS
+@pytest.mark.parametrize("word, named", [
+    # the right-to-left scan meets the later digit first
+    (DigitString((0, 3, 1), (2,)), 3),
+    (DigitString((1, 0), (1, 5, 0, 7)), 5),
+    (DigitString((4, 1, 0, 1), (0, 1)), 4),
+    (DigitString.finite((0, 1, 2, 1, 0, 1, 9)), 2),
+    # the golden check realigns an odd preperiod: the first period letter
+    # joins the preperiod and the period is rotated (and doubled when odd),
+    # or a finite word takes a 0, before the scan
+    (DigitString((0, 0, 2), (1, 3)), 2),
+    (DigitString((1,), (0, 4, 5)), 4),
+    (DigitString((1,), (6, 0, 1)), 6),
+    (DigitString.finite((1, 3, 0, 2, 1)), 3),
+], ids=["pre-then-period", "period", "first-letter", "finite", "odd-pre", "odd-pre-odd-period",
+        "odd-pre-first-period-letter", "odd-finite"])
+def test_the_first_digit_that_is_not_binary_is_named(check, word, named):
+    with pytest.raises(ValueError, match=rf"^digit {named} is not binary$"):
+        check(word)
+
+
+@BINARY_CHECKS
+def test_an_unhashable_digit_is_a_type_error(check):
+    for word in (DigitString((0, [1]), (0,)), DigitString((1, 0), (0, [1])),
+                 DigitString.finite(([1], 0, 1))):
+        with pytest.raises(TypeError):
+            check(word)
+
+
+@BINARY_CHECKS
+def test_true_and_one_point_zero_are_read_as_one(check):
+    # as the equal 1 is, verdict, rule and position alike
+    for pre, per in (((1, 0, 0), (1, 0)), ((1, 1, 0, 1), (0,)), ((0, 1), (1, 1, 1, 0, 0, 0)),
+                     ((1, 0, 1, 1), ()), ((1, 0, 0, 1), ())):
+        want = report_tuple(check(DigitString(pre, per)))[:3]
+        for one in (True, 1.0):
+            word = DigitString(*(tuple(one if x == 1 else x for x in part) for part in (pre, per)))
+            assert report_tuple(check(word))[:3] == want, (pre, per, one)
+
+
+@BINARY_CHECKS
+def test_a_rejection_is_an_ordinary_report(check):
+    # the report a scan builds without the constructor compares, hashes and
+    # pickles as one the constructor builds
+    rep = check(DigitString((1, 0, 1, 1), (0,)))
+    assert rep.verdict == REJECTED and not rep.ok
+    built = AdmissibilityReport(REJECTED, rep.violation)
+    assert rep == built and hash(rep) == hash(built) and repr(rep) == repr(built)
+    assert pickle.loads(pickle.dumps(rep)) == rep == copy.copy(rep)
+
+
 # -- the tail automaton against the per-critical-digit reference ------------------
 
 TAIL_BASES = {
@@ -603,7 +659,7 @@ class TestTailAutomaton:
                 else:
                     v = check(pairs, ctx, bounds).violation
                     want = (None, None) if v is None else (v.rule, 2 * v.position - 2)
-                assert adm._scan(rows, flat) == want, (name, lazy, w)
+                assert adm._scan(rows, flat.preperiod, flat.period) == want, (name, lazy, w)
 
     def test_bounds_with_no_period_fall_back(self):
         # 7/2: the reference orbits are cut by the budget, so tails that run

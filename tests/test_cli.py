@@ -268,6 +268,16 @@ class TestAdmissible:
             assert code == 2 and rep["status"] == "ERROR"
             assert "--level" in rep["error"] and "--pairs" in rep["error"]
 
+    @pytest.mark.parametrize("option, word", [("--binary-golden", "1021"),
+                                              ("--binary-is", "10(23)")])
+    def test_a_digit_that_is_not_binary_exit_2(self, capsys, option, word):
+        code, out, err = run_cli(capsys, "admissible", option, word)
+        assert (code, out, err) == (2, "", "error: digit 2 is not binary\n")
+        code, rep = run_json(capsys, "admissible", option, word)
+        assert code == 2
+        assert rep == {"schema": 1, "command": "admissible", "status": "ERROR",
+                       "error": "digit 2 is not binary"}
+
     def test_pairs_lazy_level(self, capsys):
         code, out, _ = run_cli(capsys, "admissible", "--base", "phi",
                                "--pairs", "0:0.1:1", "--level", "pairs-lazy")

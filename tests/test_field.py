@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import negabase._polys as P
+import negabase.field as field
 from helpers import (bisection_floor, bisection_sign, divisor_rational_roots,
                      reference_mul)
 from negabase import (ContextMismatchError, FieldError, build_beta2_scheme,
@@ -44,6 +48,40 @@ class TestConstruction:
     def test_tribonacci_preset(self, mu):
         assert mu.min_poly == (-1, -1, -1, 1)
         assert mu.floor_beta == 1
+
+    def test_presets_are_built_once_across_threads(self, monkeypatch):
+        # the preset is read without the lock once built; 8 threads that ask
+        # at once get one context per preset, built by one of them
+        built, build = [], field.field_from_poly
+
+        def slow_build(poly, lo, hi):
+            built.append(tuple(poly))
+            time.sleep(0.02)   # keep the other threads waiting on the first build
+            return build(poly, lo, hi)
+
+        monkeypatch.setattr(field, "_PRESETS", {})
+        monkeypatch.setattr(field, "field_from_poly", slow_build)
+        barrier, got = threading.Barrier(8), []
+
+        def ask():
+            barrier.wait()
+            got.append((phi_field(), tribonacci_field()))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 8
+        assert len({id(p) for p, _ in got}) == 1 and len({id(m) for _, m in got}) == 1
+        assert sorted(built) == sorted([PHI_MIN_POLY, TRIBONACCI_MIN_POLY])
+        assert got[0][0].min_poly == PHI_MIN_POLY and got[0][1].min_poly == TRIBONACCI_MIN_POLY
+        assert field._PRESETS == {"phi": got[0][0], "tribonacci": got[0][1]}
 
     def test_integer_base_rejected(self):
         with pytest.raises(FieldError, match="integer"):
